@@ -1,0 +1,52 @@
+"""descentlab: numerical experiments on double descent and implicit bias.
+
+The package is organized around the objects of the theory:
+
+- ``linalg``: SVD, Moore-Penrose pseudo-inverse, minimum-norm least squares.
+- ``descent``: gradient descent on least squares and on classification
+  losses, with trajectory instrumentation.
+- ``sparse_regression``: closed-form and Monte Carlo risk of regression
+  on a random feature subset (the double-descent curve in p).
+- ``rff``: random Fourier features and kernel approximation, plus the
+  double-descent sweep in model width N.
+- ``separable``: the hard-margin SVM and the implicit max-margin bias
+  of gradient descent on separable data.
+- ``polyfit``: Legendre polynomial regression and the bias-variance
+  decomposition.
+- ``harness``: configs, datasets (IDX/MNIST and synthetic), the EMC
+  estimator, CSV output, and the ``descentlab`` CLI.
+"""
+
+from . import descent, harness, linalg, polyfit, rff, separable, sparse_regression
+from .errors import (
+    ConfigError,
+    DescentLabError,
+    DivergenceError,
+    FormatError,
+    InvalidInput,
+    NotSeparableError,
+    NumericalFailure,
+)
+from .seeding import derive_seed, substream
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "descent",
+    "harness",
+    "linalg",
+    "polyfit",
+    "rff",
+    "separable",
+    "sparse_regression",
+    "ConfigError",
+    "DescentLabError",
+    "DivergenceError",
+    "FormatError",
+    "InvalidInput",
+    "NotSeparableError",
+    "NumericalFailure",
+    "derive_seed",
+    "substream",
+    "__version__",
+]

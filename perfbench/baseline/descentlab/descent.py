@@ -1,0 +1,342 @@
+"""Gradient descent on least squares and on separable classification.
+
+Two regimes share this module because they illustrate the same theme from
+opposite ends.  On least squares, gradient descent started inside the row
+space of the data converges to the minimum-norm interpolant, exactly the
+pseudo-inverse solution.  On linearly separable classification with
+exponential-tail losses, the iterates never converge at all: the norm
+grows without bound while the *direction* approaches the max-margin
+separator.  The engine records enough of the trajectory to watch both
+effects.
+
+Least-squares objective: ``L(w) = 0.5 ||X w - y||^2`` with gradient
+``X^T (X w - y)``.  The step size must stay below ``1 / sigma_max(X)^2``,
+comfortably inside the classical ``2 / sigma_max(X)^2`` stability limit
+for this objective; the stricter bound is enforced up front.
+
+Classification objective: ``L(w) = sum_i loss(y_i x_i^T w)`` for labels
+in {-1, +1}.  Stability depends on the loss curvature along the
+trajectory, so the engine tracks an effective smoothness constant and
+re-checks the step size whenever the loss fails to decrease.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+from scipy.special import expit
+
+from .errors import ConfigError, DivergenceError, InvalidInput
+from .linalg import _as_matrix, kernel_projector, min_norm_solve, svd
+
+# Margins are clamped below at this value before exponentiation so that a
+# single badly misclassified point cannot overflow the loss to inf.
+MARGIN_CLAMP = -50.0
+
+# A loss exceeding its initial value by this factor means the run has
+# left the stable regime, whatever the smoothness estimate claims.
+DIVERGENCE_FACTOR = 10.0
+
+_SMOOTHNESS_FLOOR = 1e-12
+
+
+@dataclass(frozen=True)
+class GDConfig:
+    """Knobs for a gradient descent run."""
+
+    step_size: float
+    max_iters: int = 10_000
+    grad_tol: float = 1e-10
+    record_every: int = 100
+
+    def validate(self) -> None:
+        if not np.isfinite(self.step_size) or self.step_size <= 0:
+            raise ConfigError(f"step_size must be positive and finite, got {self.step_size}")
+        if self.max_iters < 1:
+            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.grad_tol < 0:
+            raise ConfigError(f"grad_tol must be >= 0, got {self.grad_tol}")
+        if self.record_every < 1:
+            raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
+
+
+class ExponentialLoss:
+    """``loss(u) = exp(-u)`` with margins clamped below at MARGIN_CLAMP.
+
+    Curvature is unbounded below, so ``beta`` is None (declared
+    unbounded); ``smoothness`` reports the largest curvature at the
+    supplied margins instead, which is only a local constant.
+    """
+
+    name = "exponential"
+    beta = None
+
+    def values(self, u: np.ndarray) -> np.ndarray:
+        return np.exp(-np.clip(u, MARGIN_CLAMP, None))
+
+    def dvalues(self, u: np.ndarray) -> np.ndarray:
+        return -np.exp(-np.clip(u, MARGIN_CLAMP, None))
+
+    def curvature(self, u: np.ndarray) -> np.ndarray:
+        return np.exp(-np.clip(u, MARGIN_CLAMP, None))
+
+    def smoothness(self, u: np.ndarray) -> float:
+        return max(float(np.max(self.curvature(u))), _SMOOTHNESS_FLOOR)
+
+
+class LogisticLoss:
+    """``loss(u) = log(1 + exp(-u))``, evaluated without overflow."""
+
+    name = "logistic"
+    beta = 0.25
+
+    def values(self, u: np.ndarray) -> np.ndarray:
+        return np.logaddexp(0.0, -u)
+
+    def dvalues(self, u: np.ndarray) -> np.ndarray:
+        return -expit(-u)
+
+    def curvature(self, u: np.ndarray) -> np.ndarray:
+        return expit(u) * expit(-u)
+
+    def smoothness(self, u: np.ndarray) -> float:
+        # Curvature is globally capped at 1/4 regardless of the margins.
+        return self.beta
+
+
+_LOSSES = {
+    ExponentialLoss.name: ExponentialLoss,
+    LogisticLoss.name: LogisticLoss,
+}
+
+
+def get_loss(name: str):
+    try:
+        return _LOSSES[name]()
+    except KeyError:
+        raise InvalidInput(
+            f"unknown loss {name!r}; expected one of {sorted(_LOSSES)}"
+        ) from None
+
+
+def max_stable_step(x, beta: float) -> float:
+    """Step-size bound ``2 / (beta * sigma_max(X)^2)`` for beta-smooth losses."""
+    if not np.isfinite(beta) or beta <= 0:
+        raise InvalidInput(f"beta must be positive and finite, got {beta}")
+    smax = svd(x).s_max
+    if smax == 0:
+        raise InvalidInput("zero matrix has no finite stability bound")
+    return 2.0 / (beta * smax**2)
+
+
+@dataclass(frozen=True)
+class LeastSquaresGD:
+    """Outcome of gradient descent on the squared-error objective."""
+
+    w: np.ndarray
+    converged: bool
+    n_iters: int
+    t: np.ndarray
+    losses: np.ndarray
+
+
+@dataclass(frozen=True)
+class ClassificationGD:
+    """Recorded trajectory of gradient descent on a classification loss.
+
+    ``directions`` holds the unit vector ``w / ||w||`` at each recorded
+    iteration (a zero row while ``w = 0``), and ``min_margin`` is the
+    smallest normalized margin ``min_i y_i x_i^T w / ||w||``.
+    """
+
+    w: np.ndarray
+    n_iters: int
+    t: np.ndarray
+    loss: np.ndarray
+    w_norm: np.ndarray
+    min_margin: np.ndarray
+    directions: np.ndarray
+    effective_smoothness: float
+    loss_name: str = field(default="", compare=False)
+
+
+def _check_xy(x, y):
+    x = _as_matrix(x)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (x.shape[0],):
+        raise InvalidInput(f"y has shape {y.shape}, expected ({x.shape[0]},)")
+    if not np.all(np.isfinite(y)):
+        raise InvalidInput("y contains NaN or Inf entries")
+    return x, y
+
+
+def _check_w0(x, w0):
+    w = np.zeros(x.shape[1]) if w0 is None else np.array(w0, dtype=float)
+    if w.shape != (x.shape[1],):
+        raise InvalidInput(f"w0 has shape {w.shape}, expected ({x.shape[1]},)")
+    return w
+
+
+def gd_least_squares(x, y, config: GDConfig, w0=None) -> LeastSquaresGD:
+    """Run gradient descent on ``0.5 ||X w - y||^2`` from ``w0`` (default 0).
+
+    Stops when ``||grad|| <= grad_tol * (1 + ||X^T y||)`` or after
+    ``max_iters`` steps.  Step sizes at or above ``1 / sigma_max(X)^2``
+    are rejected with ConfigError.  A loss exceeding ten times its
+    initial value raises DivergenceError; with the step-size gate in
+    place this is a backstop, not an expected path.
+    """
+    config.validate()
+    x, y = _check_xy(x, y)
+    w = _check_w0(x, w0)
+
+    smax = svd(x).s_max
+    if smax > 0 and config.step_size >= 1.0 / smax**2:
+        raise ConfigError(
+            f"step_size {config.step_size:g} is not below the stability "
+            f"limit 1/sigma_max^2 = {1.0 / smax**2:g}"
+        )
+
+    grad_scale = 1.0 + float(np.linalg.norm(x.T @ y))
+    ts, losses = [], []
+    converged = False
+    n_iters = 0
+    initial_value = None
+    for k in range(config.max_iters + 1):
+        resid = x @ w - y
+        value = 0.5 * float(resid @ resid)
+        if initial_value is None:
+            initial_value = value
+        elif value > DIVERGENCE_FACTOR * initial_value:
+            raise DivergenceError(
+                f"loss grew to {value:g} at iteration {k} "
+                f"(started at {initial_value:g})"
+            )
+        if k % config.record_every == 0:
+            ts.append(k)
+            losses.append(value)
+        grad = x.T @ resid
+        if np.linalg.norm(grad) <= config.grad_tol * grad_scale:
+            converged = True
+            n_iters = k
+            break
+        if k == config.max_iters:
+            n_iters = k
+            break
+        w = w - config.step_size * grad
+    if ts[-1] != n_iters:
+        ts.append(n_iters)
+        losses.append(0.5 * float(np.sum((x @ w - y) ** 2)))
+    return LeastSquaresGD(
+        w=w,
+        converged=converged,
+        n_iters=n_iters,
+        t=np.asarray(ts),
+        losses=np.asarray(losses),
+    )
+
+
+def gd_limit_point(x, y, w0=None) -> np.ndarray:
+    """Closed-form limit of stable gradient descent on least squares.
+
+    The iteration leaves the component of ``w0`` in ``ker(X)`` untouched
+    and drives the row-space component to the minimum-norm solution, so
+    the limit is ``P_ker(X) w0 + pinv(X) y``.  With ``w0 = 0`` this is
+    the minimum-norm interpolant itself.
+    """
+    x, y = _check_xy(x, y)
+    base = min_norm_solve(x, y)
+    if w0 is None:
+        return base
+    w0 = np.asarray(w0, dtype=float)
+    if w0.shape != (x.shape[1],):
+        raise InvalidInput(f"w0 has shape {w0.shape}, expected ({x.shape[1]},)")
+    return kernel_projector(x) @ w0 + base
+
+
+def gd_classification(x, y, loss, config: GDConfig, w0=None) -> ClassificationGD:
+    """Gradient descent on ``sum_i loss(y_i x_i^T w)`` for labels +-1.
+
+    The run records ``(t, loss, ||w||, direction, min normalized margin)``
+    every ``record_every`` iterations.  On separable data the iterates do
+    not converge (the norm keeps growing), so the run simply stops at
+    ``max_iters``.  If the loss increases, the local smoothness is
+    re-estimated; a step size above the implied bound
+    ``2 / (beta * sigma_max^2)``, or a loss past DIVERGENCE_FACTOR times
+    the initial value, raises DivergenceError.
+    """
+    config.validate()
+    x, y = _check_xy(x, y)
+    labels = np.unique(y)
+    if not np.all(np.isin(labels, (-1.0, 1.0))):
+        raise InvalidInput(f"labels must be -1/+1, got values {labels}")
+    w = _check_w0(x, w0)
+
+    smax2 = svd(x).s_max ** 2
+    signed = x * y[:, None]  # row i is y_i x_i, so margins are signed @ w
+
+    ts, losses, norms, margin_list, dirs = [], [], [], [], []
+
+    def snapshot(k, w, margins, value):
+        norm = float(np.linalg.norm(w))
+        ts.append(k)
+        losses.append(value)
+        norms.append(norm)
+        if norm > 0:
+            margin_list.append(float(np.min(margins)) / norm)
+            dirs.append(w / norm)
+        else:
+            margin_list.append(0.0)
+            dirs.append(np.zeros_like(w))
+
+    margins = signed @ w
+    value = float(np.sum(loss.values(margins)))
+    initial_value = value
+    prev_value = value
+    eff_beta = loss.smoothness(margins)
+    n_iters = 0
+    for k in range(config.max_iters + 1):
+        if k % config.record_every == 0:
+            snapshot(k, w, margins, value)
+        grad = loss.dvalues(margins) @ signed
+        if np.linalg.norm(grad) <= config.grad_tol:
+            n_iters = k
+            break
+        if k == config.max_iters:
+            n_iters = k
+            break
+        w = w - config.step_size * grad
+        margins = signed @ w
+        value = float(np.sum(loss.values(margins)))
+        if not np.isfinite(value) or value > DIVERGENCE_FACTOR * initial_value:
+            raise DivergenceError(
+                f"loss reached {value:g} at iteration {k + 1} "
+                f"(started at {initial_value:g}); reduce step_size"
+            )
+        if value > prev_value:
+            # A convex smooth objective cannot increase under a stable
+            # step, so re-estimate the smoothness where we actually are.
+            eff_beta = max(eff_beta, loss.smoothness(margins))
+            safe = 2.0 / (eff_beta * smax2)
+            if config.step_size > safe:
+                raise DivergenceError(
+                    f"loss increased at iteration {k + 1} and step_size "
+                    f"{config.step_size:g} exceeds the local stability "
+                    f"bound {safe:g}"
+                )
+        prev_value = value
+    if ts[-1] != n_iters:
+        snapshot(n_iters, w, margins, value)
+
+    return ClassificationGD(
+        w=w,
+        n_iters=n_iters,
+        t=np.asarray(ts),
+        loss=np.asarray(losses),
+        w_norm=np.asarray(norms),
+        min_margin=np.asarray(margin_list),
+        directions=np.asarray(dirs),
+        effective_smoothness=eff_beta,
+        loss_name=loss.name,
+    )

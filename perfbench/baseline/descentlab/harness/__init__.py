@@ -1,0 +1,34 @@
+"""Experiment orchestration: configs, datasets, EMC, CSV output, CLI."""
+
+from .config import EXPERIMENTS, ExperimentConfig, load_config
+from .datasets import (
+    DATA_DIR_ENV,
+    LabeledDataset,
+    load_idx,
+    load_mnist_split,
+    make_synthetic_regression,
+    mnist_available,
+    one_hot,
+    write_idx,
+)
+from .emc import EMCPoint, emc_scan, estimate_emc, min_norm_linear_procedure
+from .runner import run
+
+__all__ = [
+    "EXPERIMENTS",
+    "ExperimentConfig",
+    "load_config",
+    "DATA_DIR_ENV",
+    "LabeledDataset",
+    "load_idx",
+    "write_idx",
+    "load_mnist_split",
+    "make_synthetic_regression",
+    "mnist_available",
+    "one_hot",
+    "EMCPoint",
+    "emc_scan",
+    "estimate_emc",
+    "min_norm_linear_procedure",
+    "run",
+]

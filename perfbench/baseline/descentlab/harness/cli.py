@@ -1,0 +1,71 @@
+"""Command-line entry point.
+
+Usage:
+
+    descentlab <experiment> --config <path> [--seed N] [--out <path>]
+    descentlab validate --config <path>
+
+Exit status 0 on success, 1 when the experiment itself fails (bad data
+files or a diverging run), 2 for configuration problems.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+from ..errors import ConfigError, DescentLabError
+from .config import EXPERIMENTS, effective_config_lines, load_config
+from .runner import run
+
+_HELP = {
+    "sparse-risk": "risk curve of min-norm regression on a random feature subset",
+    "rff-sweep": "double-descent sweep of min-norm random Fourier feature regression",
+    "kernel-approx": "Gaussian-kernel approximation error of RFF maps vs width",
+    "implicit-bias": "gradient descent drifting toward the max-margin direction",
+    "polyfit": "Legendre polynomial fit curve at one degree",
+    "bias-variance": "empirical bias-variance decomposition over degrees",
+    "emc": "effective model complexity of min-norm linear regression",
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="descentlab",
+        description="Numerical experiments on double descent and implicit bias.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name in EXPERIMENTS:
+        sp = sub.add_parser(name, help=_HELP[name])
+        sp.add_argument("--config", required=True, help="path to the config file")
+        sp.add_argument("--seed", type=int, default=None, help="override the config seed")
+        sp.add_argument("--out", default=None, help="override the output CSV path")
+    vp = sub.add_parser("validate", help="check a config file and print the effective config")
+    vp.add_argument("--config", required=True, help="path to the config file")
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        if args.command == "validate":
+            config = load_config(args.config)
+            for line in effective_config_lines(config):
+                print(line)
+            return 0
+        config = load_config(
+            args.config, experiment=args.command, seed=args.seed, output=args.out
+        )
+        status = run(config)
+        print(f"wrote {config.output_path}")
+        return status
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except DescentLabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,230 @@
+"""Experiment configuration: one flat key-value file format, validated.
+
+A config file is plain text: ``key = value`` per line, ``#`` comments,
+blank lines ignored.  Keys are flat (no sections).  Three keys are
+common to every experiment:
+
+    experiment = sparse-risk        # which experiment to run
+    seed = 42                       # master seed, default 0
+    output = out/sparse.csv         # output path, optional
+
+All other keys belong to the experiment's schema below; unknown keys
+are rejected rather than ignored, so a typo cannot silently fall back
+to a default.  Values are typed: integers, floats (``inf`` allowed),
+``true``/``false``, bare strings, and comma-separated number lists.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from ..errors import ConfigError
+
+RESERVED_KEYS = ("experiment", "seed", "output")
+
+
+@dataclass(frozen=True)
+class Field:
+    """One schema entry: name, value kind, default (None means required)."""
+
+    name: str
+    kind: str  # int | float | str | bool | int_list | float_list
+    default: object = None
+    choices: tuple | None = None
+
+
+SCHEMAS: dict[str, tuple[Field, ...]] = {
+    "sparse-risk": (
+        Field("d", "int", 100),
+        Field("n", "int", 40),
+        Field("signal_norm_sq", "float", 1.0),
+        Field("noise_var", "float", 0.04),
+        Field("p_grid", "int_list", (0, 10, 20, 30, 36, 38, 40, 42, 44, 50, 60, 70, 80, 90, 100)),
+        Field("trials", "int", 500),
+        Field("test_points", "int", 100),
+    ),
+    "rff-sweep": (
+        Field("dataset", "str", "rkhs-target", choices=("mnist", "rkhs-target")),
+        Field("n_train", "int", 1000),
+        Field("n_test", "int", 1000),
+        Field("n_grid", "int_list", (20, 50, 100, 250, 500, 1000, 2000, 4000, 8000)),
+        Field("bandwidth", "float", 5.0),
+        Field("repeats", "int", 5),
+        Field("input_dim", "int", 10),
+        Field("n_centers", "int", 50),
+        Field("target_bandwidth", "float", 1.0),
+    ),
+    "kernel-approx": (
+        Field("n_points", "int", 50),
+        Field("input_dim", "int", 5),
+        Field("bandwidth", "float", 1.0),
+        Field("n_grid", "int_list", (100, 300, 1000, 3000, 10000)),
+        Field("n_maps", "int", 20),
+    ),
+    "implicit-bias": (
+        Field("n", "int", 50),
+        Field("d", "int", 2),
+        Field("margin", "float", 0.5),
+        Field("loss", "str", "logistic", choices=("logistic", "exponential")),
+        Field("step_fraction", "float", 0.5),
+        Field("max_iters", "int", 100_000),
+        Field("record_every", "int", 100),
+    ),
+    "polyfit": (
+        Field("degree", "int", 20),
+        Field("n", "int", 20),
+        Field("noise_scale", "float", 0.5),
+        Field("truth_degree", "int", 3),
+        Field("grid_points", "int", 256),
+        Field("via", "str", "pseudo_inverse", choices=("pseudo_inverse", "gradient_descent")),
+    ),
+    "bias-variance": (
+        Field("degrees", "int_list", (3, 20)),
+        Field("n", "int", 20),
+        Field("noise_scale", "float", 0.1),
+        Field("trials", "int", 2000),
+        Field("truth_degree", "int", 3),
+    ),
+    "emc": (
+        Field("d", "int", 30),
+        Field("eps", "float", 1e-6),
+        Field("n_grid", "int_list", (10, 20, 25, 28, 29, 30, 31, 32, 35, 40)),
+        Field("trials", "int", 5),
+        Field("noise_scale", "float", 0.1),
+    ),
+}
+
+EXPERIMENTS = tuple(SCHEMAS)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A fully resolved run: experiment, seed, typed parameters, output."""
+
+    experiment: str
+    seed: int
+    parameters: dict
+    output_path: str
+
+
+def _parse_value(field: Field, text: str):
+    try:
+        if field.kind == "int":
+            return int(text)
+        if field.kind == "float":
+            return float(text)
+        if field.kind == "bool":
+            if text.lower() in ("true", "false"):
+                return text.lower() == "true"
+            raise ValueError(text)
+        if field.kind == "int_list":
+            return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
+        if field.kind == "float_list":
+            return tuple(float(tok.strip()) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise ConfigError(
+            f"key {field.name!r}: cannot parse {text!r} as {field.kind}"
+        ) from None
+    if field.kind == "str":
+        if field.choices is not None and text not in field.choices:
+            raise ConfigError(
+                f"key {field.name!r}: {text!r} not in {sorted(field.choices)}"
+            )
+        return text
+    raise ConfigError(f"unknown field kind {field.kind!r} for {field.name!r}")
+
+
+def parse_config_text(text: str) -> dict[str, str]:
+    """Parse the raw key-value lines; values stay strings here."""
+    raw: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key:
+            raise ConfigError(f"line {lineno}: empty key")
+        if key in raw:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        raw[key] = value
+    return raw
+
+
+def load_config(path, experiment=None, seed=None, output=None) -> ExperimentConfig:
+    """Read a config file and resolve it against its schema.
+
+    ``experiment`` (from the CLI subcommand) must agree with the file's
+    ``experiment`` key when both are present.  ``seed`` and ``output``
+    override the file's values.
+    """
+    try:
+        with open(path, "r") as fh:
+            raw = parse_config_text(fh.read())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+
+    file_experiment = raw.pop("experiment", None)
+    if file_experiment is None and experiment is None:
+        raise ConfigError("config file does not name an experiment")
+    if (
+        file_experiment is not None
+        and experiment is not None
+        and file_experiment != experiment
+    ):
+        raise ConfigError(
+            f"config file is for {file_experiment!r}, but {experiment!r} was requested"
+        )
+    name = experiment or file_experiment
+    if name not in SCHEMAS:
+        raise ConfigError(f"unknown experiment {name!r}; expected one of {list(EXPERIMENTS)}")
+
+    if seed is None:
+        seed_text = raw.pop("seed", "0")
+        seed = _parse_value(Field("seed", "int"), seed_text)
+    else:
+        raw.pop("seed", None)
+    if output is None:
+        output = raw.pop("output", f"{name}.csv")
+    else:
+        raw.pop("output", None)
+
+    schema = SCHEMAS[name]
+    known = {f.name for f in schema}
+    unknown = set(raw) - known
+    if unknown:
+        raise ConfigError(
+            f"unknown keys for experiment {name!r}: {sorted(unknown)}"
+        )
+    parameters = {}
+    for f in schema:
+        if f.name in raw:
+            parameters[f.name] = _parse_value(f, raw[f.name])
+        elif f.default is not None:
+            parameters[f.name] = f.default
+        else:
+            raise ConfigError(f"missing required key {f.name!r} for {name!r}")
+    return ExperimentConfig(
+        experiment=name, seed=int(seed), parameters=parameters, output_path=str(output)
+    )
+
+
+def effective_config_lines(config: ExperimentConfig) -> list[str]:
+    """Comment lines echoing everything needed to rerun this config.
+
+    The output path is deliberately not echoed: the same experiment
+    written to two different destinations should produce byte-identical
+    bodies.
+    """
+    lines = [f"experiment = {config.experiment}", f"seed = {config.seed}"]
+    for f in SCHEMAS[config.experiment]:
+        value = config.parameters[f.name]
+        if isinstance(value, tuple):
+            text = ", ".join(str(v) for v in value)
+        else:
+            text = str(value)
+        lines.append(f"{f.name} = {text}")
+    return lines

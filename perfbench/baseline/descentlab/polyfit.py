@@ -1,0 +1,207 @@
+"""Legendre polynomial regression and the bias-variance decomposition.
+
+The basis is evaluated by the Bonnet recurrence
+
+    (k+1) P_{k+1}(x) = (2k+1) x P_k(x) - k P_{k-1}(x),
+
+which is numerically stable on [-1, 1] where |P_k| <= 1; inputs outside
+that interval are rejected (rescale them first, see
+``to_unit_interval``).  Fitting is minimum-norm least squares in this
+basis, either through the pseudo-inverse or through gradient descent
+from zero; the two agree because gradient descent from the origin
+converges to the min-norm solution.
+
+The striking demo: with n = 20 noisy samples of a cubic, the min-norm
+fit of degree 1000 tracks the cubic more closely than the degree-20 fit,
+which interpolates the noise wildly.  Capacity, measured as parameter
+count, stops being the right complexity axis exactly here.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from .descent import GDConfig, gd_least_squares
+from .errors import InvalidInput
+from .linalg import min_norm_solve, svd
+from .seeding import substream
+
+
+@dataclass(frozen=True)
+class PolyBasisDesign:
+    """Design matrix with column k holding P_k at the sample points."""
+
+    xs: np.ndarray
+    degree: int
+    design: np.ndarray
+
+
+def legendre_design(xs, degree: int) -> PolyBasisDesign:
+    """Evaluate the Legendre basis up to ``degree`` at points in [-1, 1]."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise InvalidInput(f"xs must be 1-d, got shape {xs.shape}")
+    if not np.all(np.isfinite(xs)):
+        raise InvalidInput("xs contains NaN or Inf entries")
+    if xs.size and (np.min(xs) < -1.0 or np.max(xs) > 1.0):
+        raise InvalidInput("xs must lie in [-1, 1]; rescale with to_unit_interval")
+    if degree < 0 or int(degree) != degree:
+        raise InvalidInput(f"degree must be a nonnegative integer, got {degree}")
+
+    design = np.empty((xs.size, degree + 1))
+    design[:, 0] = 1.0
+    if degree >= 1:
+        design[:, 1] = xs
+    for k in range(1, degree):
+        design[:, k + 1] = ((2 * k + 1) * xs * design[:, k] - k * design[:, k - 1]) / (k + 1)
+    return PolyBasisDesign(xs=xs, degree=degree, design=design)
+
+
+def legendre_predict(coef, xs) -> np.ndarray:
+    """Evaluate the polynomial with the given Legendre coefficients."""
+    coef = np.asarray(coef, dtype=float)
+    if coef.ndim != 1 or coef.size == 0:
+        raise InvalidInput("coef must be a nonempty vector")
+    return legendre_design(xs, coef.size - 1).design @ coef
+
+
+def to_unit_interval(xs, low: float, high: float) -> np.ndarray:
+    """Affinely map [low, high] onto [-1, 1]."""
+    if not high > low:
+        raise InvalidInput(f"need high > low, got [{low}, {high}]")
+    xs = np.asarray(xs, dtype=float)
+    return (2.0 * xs - (high + low)) / (high - low)
+
+
+def fit_poly_min_norm(
+    xs,
+    ys,
+    degree: int,
+    via: str = "pseudo_inverse",
+    gd_max_iters: int = 100_000,
+    gd_grad_tol: float = 1e-12,
+) -> np.ndarray:
+    """Min-norm least-squares coefficients in the Legendre basis.
+
+    ``via="pseudo_inverse"`` solves through the SVD directly;
+    ``via="gradient_descent"`` runs descent from zero with a step just
+    inside the stability limit, reaching the same coefficients up to the
+    stopping tolerance.
+    """
+    ys = np.asarray(ys, dtype=float)
+    basis = legendre_design(xs, degree)
+    if ys.shape != (basis.design.shape[0],):
+        raise InvalidInput(f"ys has shape {ys.shape}, expected ({basis.design.shape[0]},)")
+    if via == "pseudo_inverse":
+        return min_norm_solve(basis.design, ys)
+    if via == "gradient_descent":
+        smax = svd(basis.design).s_max
+        if smax == 0:
+            return np.zeros(degree + 1)
+        config = GDConfig(
+            step_size=0.9 / smax**2,
+            max_iters=gd_max_iters,
+            grad_tol=gd_grad_tol,
+            record_every=gd_max_iters,
+        )
+        return gd_least_squares(basis.design, ys, config).w
+    raise InvalidInput(f"via must be 'pseudo_inverse' or 'gradient_descent', got {via!r}")
+
+
+def random_target_poly(degree: int, seed: int) -> np.ndarray:
+    """Standard normal Legendre coefficients for a random target polynomial."""
+    if degree < 0:
+        raise InvalidInput(f"degree must be >= 0, got {degree}")
+    return substream(seed, "target-poly").standard_normal(degree + 1)
+
+
+@dataclass(frozen=True)
+class BiasVariance:
+    """Bias-variance decomposition with an independently measured total.
+
+    ``total`` is the empirical squared error against fresh noisy targets
+    at the probe grid, so ``bias_sq + variance + noise`` matches it only
+    up to Monte Carlo error; ``total_stderr`` quantifies that error.
+    """
+
+    bias_sq: float
+    variance: float
+    noise: float
+    total: float
+    total_stderr: float
+    trials: int
+
+
+Estimator = Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
+
+
+def legendre_estimator(degree: int) -> Estimator:
+    """The default estimator: min-norm Legendre regression of fixed degree."""
+
+    def fit(xs: np.ndarray, ys: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        coef = fit_poly_min_norm(xs, ys, degree)
+        return lambda x_eval: legendre_predict(coef, x_eval)
+
+    return fit
+
+
+def bias_variance_decompose(
+    truth_fn: Callable[[np.ndarray], np.ndarray],
+    degree: int,
+    n: int,
+    noise_scale: float,
+    trials: int,
+    seed: int,
+    estimator: Estimator | None = None,
+    probe: np.ndarray | None = None,
+) -> BiasVariance:
+    """Decompose the expected squared error at a fixed probe grid.
+
+    Each trial draws ``n`` uniform sample points on [-1, 1], noisy
+    targets, fits the estimator (min-norm Legendre regression of
+    ``degree`` unless another is supplied), and evaluates it on the
+    probe grid.  Bias and variance come from the spread of those
+    predictions; the total is measured separately against fresh noisy
+    targets so the identity ``bias^2 + variance + noise = total`` is an
+    empirical check rather than an algebraic tautology.
+    """
+    if trials < 2:
+        raise InvalidInput(f"trials must be >= 2, got {trials}")
+    if n < 1:
+        raise InvalidInput(f"n must be >= 1, got {n}")
+    if noise_scale < 0:
+        raise InvalidInput(f"noise_scale must be >= 0, got {noise_scale}")
+    if estimator is None:
+        estimator = legendre_estimator(degree)
+    if probe is None:
+        probe = np.linspace(-1.0, 1.0, 101)
+    probe = np.asarray(probe, dtype=float)
+    truth_on_probe = np.asarray(truth_fn(probe), dtype=float)
+
+    preds = np.empty((trials, probe.size))
+    totals = np.empty(trials)
+    for r in range(trials):
+        rng = substream(seed, "bias-variance-trial", r)
+        xs = rng.uniform(-1.0, 1.0, size=n)
+        ys = np.asarray(truth_fn(xs), dtype=float) + noise_scale * rng.standard_normal(n)
+        model = estimator(xs, ys)
+        preds[r] = model(probe)
+        fresh = truth_on_probe + noise_scale * rng.standard_normal(probe.size)
+        totals[r] = np.mean((preds[r] - fresh) ** 2)
+
+    avg_pred = preds.mean(axis=0)
+    bias_sq = float(np.mean((truth_on_probe - avg_pred) ** 2))
+    variance = float(np.mean((preds - avg_pred) ** 2))
+    total = float(np.mean(totals))
+    total_stderr = float(np.std(totals, ddof=1) / np.sqrt(trials))
+    return BiasVariance(
+        bias_sq=bias_sq,
+        variance=variance,
+        noise=noise_scale**2,
+        total=total,
+        total_stderr=total_stderr,
+        trials=trials,
+    )

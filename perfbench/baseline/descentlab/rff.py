@@ -1,0 +1,275 @@
+"""Random Fourier features approximating the Gaussian kernel.
+
+A feature map of width ``N`` is ``z(x)_i = sqrt(2/N) cos(w_i^T x + b_i)``
+with frequencies ``w_i ~ N(0, I / bandwidth^2)`` and phases ``b_i ~
+Uniform[0, 2 pi)``.  With that frequency scale the features are an
+unbiased kernel estimate,
+
+    E[z(x)^T z(y)] = exp(-||x - y||^2 / (2 bandwidth^2)),
+
+so ridgeless regression on ``z`` interpolates between a random sketch
+(small ``N``) and Gaussian kernel interpolation (``N -> infinity``).
+Sweeping ``N`` across the interpolation threshold ``N = n_train`` is the
+canonical double-descent experiment; the sweep helper here records the
+train and test errors at each width along with the norm of the fitted
+coefficients.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.spatial.distance import cdist
+
+from .errors import InvalidInput
+from .linalg import svd
+from .seeding import derive_seed, substream
+
+# Condition numbers above this mark a kernel system as numerically rank
+# deficient; the interpolant is still returned but flagged.
+ILL_CONDITION_LIMIT = 1e12
+
+
+def _check_bandwidth(bandwidth: float) -> float:
+    bandwidth = float(bandwidth)
+    if not math.isfinite(bandwidth) or bandwidth <= 0:
+        raise InvalidInput(f"bandwidth must be positive and finite, got {bandwidth}")
+    return bandwidth
+
+
+def gaussian_kernel(a, b, bandwidth: float) -> np.ndarray:
+    """Gram matrix ``K[i, j] = exp(-||a_i - b_j||^2 / (2 bandwidth^2))``."""
+    bandwidth = _check_bandwidth(bandwidth)
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    sq = cdist(a, b, metric="sqeuclidean")
+    return np.exp(-sq / (2.0 * bandwidth**2))
+
+
+@dataclass(frozen=True)
+class RandomFeatureMap:
+    """Frozen draw of frequencies and phases defining one feature map."""
+
+    omega: np.ndarray  # (n_features, input_dim)
+    phase: np.ndarray  # (n_features,)
+    bandwidth: float
+
+    @property
+    def n_features(self) -> int:
+        return self.omega.shape[0]
+
+    @property
+    def input_dim(self) -> int:
+        return self.omega.shape[1]
+
+    def transform(self, x) -> np.ndarray:
+        """Featurize one vector (1-d input) or a stack of rows (2-d input)."""
+        x = np.asarray(x, dtype=float)
+        single = x.ndim == 1
+        x = np.atleast_2d(x)
+        if x.shape[1] != self.input_dim:
+            raise InvalidInput(
+                f"x has {x.shape[1]} columns, feature map expects {self.input_dim}"
+            )
+        scale = math.sqrt(2.0 / self.n_features)
+        z = scale * np.cos(x @ self.omega.T + self.phase)
+        return z[0] if single else z
+
+
+def sample_map(
+    n_features: int, input_dim: int, bandwidth: float, seed: int, index: int = 0
+) -> RandomFeatureMap:
+    """Draw a feature map from a substream of ``seed``.
+
+    Distinct ``index`` values give independent maps of the same width,
+    which is how repeated draws in a sweep stay order-independent.
+    """
+    if n_features < 1 or input_dim < 1:
+        raise InvalidInput("n_features and input_dim must be >= 1")
+    bandwidth = _check_bandwidth(bandwidth)
+    rng = substream(seed, f"rff-map-{n_features}", index)
+    omega = rng.standard_normal((n_features, input_dim)) / bandwidth
+    phase = rng.uniform(0.0, 2.0 * math.pi, size=n_features)
+    return RandomFeatureMap(omega=omega, phase=phase, bandwidth=bandwidth)
+
+
+def kernel_approx_error(feature_map: RandomFeatureMap, points) -> tuple[float, float]:
+    """Worst and average error of ``z(x)^T z(y)`` against the true kernel.
+
+    Errors are taken over all point pairs including the diagonal, where
+    ``z(x)^T z(x)`` fluctuates around 1 by the cos^2 terms.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[0] < 2:
+        raise InvalidInput("need at least two points to compare pairs")
+    z = feature_map.transform(points)
+    approx = z @ z.T
+    exact = gaussian_kernel(points, points, feature_map.bandwidth)
+    idx = np.triu_indices(points.shape[0])
+    errs = np.abs(approx - exact)[idx]
+    return float(np.max(errs)), float(np.mean(errs))
+
+
+def _min_norm_multi(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Min-norm least squares supporting a matrix of right-hand sides."""
+    f = svd(z)
+    r = f.rank
+    if r == 0:
+        return np.zeros((z.shape[1],) + y.shape[1:])
+    coeffs = (f.u[:, :r].T @ y).T / f.s[:r]
+    return f.vt[:r].T @ coeffs.T
+
+
+@dataclass(frozen=True)
+class RFFModel:
+    """Feature map plus min-norm regression coefficients on top of it."""
+
+    feature_map: RandomFeatureMap
+    beta: np.ndarray  # (n_features,) or (n_features, n_outputs)
+
+    def predict(self, x) -> np.ndarray:
+        return self.feature_map.transform(x) @ self.beta
+
+    def mse(self, x, y) -> float:
+        y = np.asarray(y, dtype=float)
+        return float(np.mean((self.predict(x) - y) ** 2))
+
+    def zero_one_error(self, x, y) -> float:
+        """Fraction misclassified: argmax rows for one-hot, sign otherwise."""
+        pred = self.predict(x)
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 2:
+            return float(np.mean(np.argmax(pred, axis=1) != np.argmax(y, axis=1)))
+        return float(np.mean(np.sign(pred) != np.sign(y)))
+
+    @property
+    def beta_norm(self) -> float:
+        return float(np.linalg.norm(self.beta))
+
+
+def fit_rff(feature_map: RandomFeatureMap, x, y) -> RFFModel:
+    """Fit minimum-norm least squares in feature space.
+
+    ``y`` may be a vector or a one-hot matrix; columns are fitted jointly
+    from a single SVD of the feature matrix.
+    """
+    z = feature_map.transform(x)
+    y = np.asarray(y, dtype=float)
+    if y.shape[0] != z.shape[0]:
+        raise InvalidInput(f"y has {y.shape[0]} rows, x has {z.shape[0]}")
+    beta = _min_norm_multi(z, y)
+    return RFFModel(feature_map=feature_map, beta=beta)
+
+
+@dataclass(frozen=True)
+class RFFSweepPoint:
+    """Aggregated metrics for one feature count in a width sweep.
+
+    Losses are means over the repeated map draws; ``beta_norm`` is the
+    median, since the coefficient norm is heavy tailed right at the
+    interpolation threshold.
+    """
+
+    n_features: int
+    train_mse: float
+    test_mse: float
+    test_zero_one: float
+    beta_norm: float
+    repeats: int
+
+
+def double_descent_sweep(
+    x_train,
+    y_train,
+    x_test,
+    y_test,
+    n_features_grid,
+    bandwidth: float,
+    seed: int,
+    repeats: int = 1,
+) -> list[RFFSweepPoint]:
+    """Fit min-norm RFF regression at each width and aggregate over redraws.
+
+    Every (width, repeat) pair draws its feature map from its own
+    substream of ``seed``, so results do not depend on the order of the
+    grid or on how repeats are scheduled.
+    """
+    if repeats < 1:
+        raise InvalidInput(f"repeats must be >= 1, got {repeats}")
+    x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
+    x_test = np.atleast_2d(np.asarray(x_test, dtype=float))
+    input_dim = x_train.shape[1]
+
+    points = []
+    for n in n_features_grid:
+        n = int(n)
+        per_repeat = np.empty((repeats, 4))
+        for r in range(repeats):
+            fmap = sample_map(n, input_dim, bandwidth, seed, index=r)
+            model = fit_rff(fmap, x_train, y_train)
+            per_repeat[r] = (
+                model.mse(x_train, y_train),
+                model.mse(x_test, y_test),
+                model.zero_one_error(x_test, y_test),
+                model.beta_norm,
+            )
+        points.append(
+            RFFSweepPoint(
+                n_features=n,
+                train_mse=float(np.mean(per_repeat[:, 0])),
+                test_mse=float(np.mean(per_repeat[:, 1])),
+                test_zero_one=float(np.mean(per_repeat[:, 2])),
+                beta_norm=float(np.median(per_repeat[:, 3])),
+                repeats=repeats,
+            )
+        )
+    return points
+
+
+@dataclass(frozen=True)
+class KernelInterpolant:
+    """Gaussian-kernel interpolant, the infinite-width limit of the sweep."""
+
+    x_train: np.ndarray
+    alpha: np.ndarray
+    bandwidth: float
+    condition: float
+    ill_conditioned: bool
+
+    def predict(self, x) -> np.ndarray:
+        return gaussian_kernel(x, self.x_train, self.bandwidth) @ self.alpha
+
+
+def fit_kernel_interpolant(x, y, bandwidth: float) -> KernelInterpolant:
+    """Solve ``K alpha = y`` for the Gaussian kernel in the min-norm sense.
+
+    The Gram matrix of distinct points is positive definite in exact
+    arithmetic but often numerically singular; the solve runs through the
+    truncated SVD and the result carries its condition number plus a flag
+    once that exceeds ILL_CONDITION_LIMIT.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.asarray(y, dtype=float)
+    k = gaussian_kernel(x, x, bandwidth)
+    f = svd(k)
+    if f.rank == 0:
+        raise InvalidInput("kernel matrix is numerically zero")
+    # Condition of the raw Gram matrix, before truncation; the solve
+    # itself truncates, so a huge value here is a warning, not an error.
+    raw_min = float(f.s[-1])
+    condition = math.inf if raw_min == 0.0 else f.s_max / raw_min
+    alpha = _min_norm_multi(k, y)
+    return KernelInterpolant(
+        x_train=x,
+        alpha=alpha,
+        bandwidth=float(bandwidth),
+        condition=float(condition),
+        ill_conditioned=bool(condition > ILL_CONDITION_LIMIT),
+    )
+
+
+def seed_for_map(seed: int, n_features: int, index: int = 0) -> int:
+    """Expose the sub-seed a sweep would use; handy for reproducing one cell."""
+    return derive_seed(seed, f"rff-map-{n_features}", index)
