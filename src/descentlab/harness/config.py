@@ -25,12 +25,16 @@ RESERVED_KEYS = ("experiment", "seed", "output")
 
 @dataclass(frozen=True)
 class Field:
-    """One schema entry: name, value kind, default (None means required)."""
+    """One schema entry: name, value kind, default (None means required).
+
+    ``min`` bounds a number, or every entry of a number list, from below.
+    """
 
     name: str
     kind: str  # int | float | str | bool | int_list | float_list
     default: object = None
     choices: tuple | None = None
+    min: int | None = None
 
 
 SCHEMAS: dict[str, tuple[Field, ...]] = {
@@ -40,16 +44,16 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("signal_norm_sq", "float", 1.0),
         Field("noise_var", "float", 0.04),
         Field("p_grid", "int_list", (0, 10, 20, 30, 36, 38, 40, 42, 44, 50, 60, 70, 80, 90, 100)),
-        Field("trials", "int", 500),
+        Field("trials", "int", 500, min=1),
         Field("test_points", "int", 100),
     ),
     "rff-sweep": (
         Field("dataset", "str", "rkhs-target", choices=("mnist", "rkhs-target")),
         Field("n_train", "int", 1000),
         Field("n_test", "int", 1000),
-        Field("n_grid", "int_list", (20, 50, 100, 250, 500, 1000, 2000, 4000, 8000)),
+        Field("n_grid", "int_list", (20, 50, 100, 250, 500, 1000, 2000, 4000, 8000), min=1),
         Field("bandwidth", "float", 5.0),
-        Field("repeats", "int", 5),
+        Field("repeats", "int", 5, min=1),
         Field("input_dim", "int", 10),
         Field("n_centers", "int", 50),
         Field("target_bandwidth", "float", 1.0),
@@ -58,8 +62,8 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("n_points", "int", 50),
         Field("input_dim", "int", 5),
         Field("bandwidth", "float", 1.0),
-        Field("n_grid", "int_list", (100, 300, 1000, 3000, 10000)),
-        Field("n_maps", "int", 20),
+        Field("n_grid", "int_list", (100, 300, 1000, 3000, 10000), min=1),
+        Field("n_maps", "int", 20, min=1),
     ),
     "implicit-bias": (
         Field("n", "int", 50),
@@ -82,19 +86,23 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("degrees", "int_list", (3, 20)),
         Field("n", "int", 20),
         Field("noise_scale", "float", 0.1),
-        Field("trials", "int", 2000),
+        Field("trials", "int", 2000, min=2),
         Field("truth_degree", "int", 3),
     ),
     "emc": (
         Field("d", "int", 30),
         Field("eps", "float", 1e-6),
         Field("n_grid", "int_list", (10, 20, 25, 28, 29, 30, 31, 32, 35, 40)),
-        Field("trials", "int", 5),
+        Field("trials", "int", 5, min=1),
         Field("noise_scale", "float", 0.1),
     ),
 }
 
 EXPERIMENTS = tuple(SCHEMAS)
+
+# Seeds are hashed as 64-bit unsigned integers; anything outside that
+# range would alias a seed inside it.
+SEED_LIMIT = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,15 @@ class ExperimentConfig:
 
 
 def _parse_value(field: Field, text: str):
+    value = _parse_kind(field, text)
+    if field.min is not None:
+        for v in value if isinstance(value, tuple) else (value,):
+            if v < field.min:
+                raise ConfigError(f"key {field.name!r}: {v} is below the minimum {field.min}")
+    return value
+
+
+def _parse_kind(field: Field, text: str):
     try:
         if field.kind == "int":
             return int(text)
@@ -187,6 +204,8 @@ def load_config(path, experiment=None, seed=None, output=None) -> ExperimentConf
         seed = _parse_value(Field("seed", "int"), seed_text)
     else:
         raw.pop("seed", None)
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
     if output is None:
         output = raw.pop("output", f"{name}.csv")
     else:

@@ -5,7 +5,8 @@ effective experiment configuration, then a header row, then data rows.
 Numbers are written in the shortest decimal form that round-trips to the
 same float, infinities as the literal ``inf``, so a rerun with the same
 config produces a byte-identical file.  Writes go through a temporary
-file in the target directory followed by an atomic rename.
+file in the target directory, created if missing, followed by an atomic
+rename.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ def write_csv(path, comment_lines, columns, rows, trailing_comments=()) -> None:
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".csv-", text=True)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:

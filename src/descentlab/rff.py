@@ -21,11 +21,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.spatial.distance import cdist
 
-from .errors import InvalidInput
-from .linalg import svd
-from .seeding import derive_seed, substream
+from .errors import InvalidInput, NumericalFailure
+from .linalg import EPS, _as_matrix
+from .seeding import substream
 
 # Condition numbers above this mark a kernel system as numerically rank
 # deficient; the interpolant is still returned but flagged.
@@ -73,8 +74,12 @@ class RandomFeatureMap:
             raise InvalidInput(
                 f"x has {x.shape[1]} columns, feature map expects {self.input_dim}"
             )
-        scale = math.sqrt(2.0 / self.n_features)
-        z = scale * np.cos(x @ self.omega.T + self.phase)
+        # In place: same arithmetic as scale * cos(x @ omega.T + phase),
+        # without the two extra (rows, n_features) temporaries.
+        z = x @ self.omega.T
+        z += self.phase
+        np.cos(z, out=z)
+        z *= math.sqrt(2.0 / self.n_features)
         return z[0] if single else z
 
 
@@ -112,14 +117,35 @@ def kernel_approx_error(feature_map: RandomFeatureMap, points) -> tuple[float, f
     return float(np.max(errs)), float(np.mean(errs))
 
 
-def _min_norm_multi(z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Min-norm least squares supporting a matrix of right-hand sides."""
-    f = svd(z)
-    r = f.rank
-    if r == 0:
-        return np.zeros((z.shape[1],) + y.shape[1:])
-    coeffs = (f.u[:, :r].T @ y).T / f.s[:r]
-    return f.vt[:r].T @ coeffs.T
+def _min_norm_multi(z, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Min-norm least squares supporting a matrix of right-hand sides.
+
+    Returns the solution and the singular values of ``z`` (descending).
+    LAPACK ``gelsd`` is SVD-based and drops singular values at or below
+    ``EPS * max(m, n) * s_max``, the rank rule of ``linalg.svd``, but
+    never forms the singular vectors.
+    """
+    z = _as_matrix(z)
+    try:
+        beta, _, rank, s = scipy.linalg.lstsq(
+            z, y, cond=EPS * max(z.shape), check_finite=False, lapack_driver="gelsd"
+        )
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD did not converge for shape {z.shape}") from exc
+    if rank == 0:
+        return np.zeros((z.shape[1],) + y.shape[1:]), s
+    return beta, s
+
+
+def _mse(pred: np.ndarray, y: np.ndarray) -> float:
+    return float(np.mean((pred - y) ** 2))
+
+
+def _zero_one(pred: np.ndarray, y: np.ndarray) -> float:
+    """Fraction misclassified: argmax rows for one-hot, sign otherwise."""
+    if y.ndim == 2:
+        return float(np.mean(np.argmax(pred, axis=1) != np.argmax(y, axis=1)))
+    return float(np.mean(np.sign(pred) != np.sign(y)))
 
 
 @dataclass(frozen=True)
@@ -128,21 +154,17 @@ class RFFModel:
 
     feature_map: RandomFeatureMap
     beta: np.ndarray  # (n_features,) or (n_features, n_outputs)
+    train_mse: float  # on the fitted data, from the features of the fit
 
     def predict(self, x) -> np.ndarray:
         return self.feature_map.transform(x) @ self.beta
 
     def mse(self, x, y) -> float:
-        y = np.asarray(y, dtype=float)
-        return float(np.mean((self.predict(x) - y) ** 2))
+        return _mse(self.predict(x), np.asarray(y, dtype=float))
 
     def zero_one_error(self, x, y) -> float:
         """Fraction misclassified: argmax rows for one-hot, sign otherwise."""
-        pred = self.predict(x)
-        y = np.asarray(y, dtype=float)
-        if y.ndim == 2:
-            return float(np.mean(np.argmax(pred, axis=1) != np.argmax(y, axis=1)))
-        return float(np.mean(np.sign(pred) != np.sign(y)))
+        return _zero_one(self.predict(x), np.asarray(y, dtype=float))
 
     @property
     def beta_norm(self) -> float:
@@ -153,14 +175,15 @@ def fit_rff(feature_map: RandomFeatureMap, x, y) -> RFFModel:
     """Fit minimum-norm least squares in feature space.
 
     ``y`` may be a vector or a one-hot matrix; columns are fitted jointly
-    from a single SVD of the feature matrix.
+    from a single factorization of the feature matrix, which also gives
+    the training error without featurizing ``x`` again.
     """
     z = feature_map.transform(x)
     y = np.asarray(y, dtype=float)
     if y.shape[0] != z.shape[0]:
         raise InvalidInput(f"y has {y.shape[0]} rows, x has {z.shape[0]}")
-    beta = _min_norm_multi(z, y)
-    return RFFModel(feature_map=feature_map, beta=beta)
+    beta, _ = _min_norm_multi(z, y)
+    return RFFModel(feature_map=feature_map, beta=beta, train_mse=_mse(z @ beta, y))
 
 
 @dataclass(frozen=True)
@@ -194,12 +217,15 @@ def double_descent_sweep(
 
     Every (width, repeat) pair draws its feature map from its own
     substream of ``seed``, so results do not depend on the order of the
-    grid or on how repeats are scheduled.
+    grid or on how repeats are scheduled.  Each map featurizes the
+    training inputs once, for the fit and the train error, and the test
+    inputs once, for both test metrics.
     """
     if repeats < 1:
         raise InvalidInput(f"repeats must be >= 1, got {repeats}")
     x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
     x_test = np.atleast_2d(np.asarray(x_test, dtype=float))
+    y_test = np.asarray(y_test, dtype=float)
     input_dim = x_train.shape[1]
 
     points = []
@@ -209,10 +235,11 @@ def double_descent_sweep(
         for r in range(repeats):
             fmap = sample_map(n, input_dim, bandwidth, seed, index=r)
             model = fit_rff(fmap, x_train, y_train)
+            pred_test = model.predict(x_test)
             per_repeat[r] = (
-                model.mse(x_train, y_train),
-                model.mse(x_test, y_test),
-                model.zero_one_error(x_test, y_test),
+                model.train_mse,
+                _mse(pred_test, y_test),
+                _zero_one(pred_test, y_test),
                 model.beta_norm,
             )
         points.append(
@@ -253,14 +280,13 @@ def fit_kernel_interpolant(x, y, bandwidth: float) -> KernelInterpolant:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.asarray(y, dtype=float)
     k = gaussian_kernel(x, x, bandwidth)
-    f = svd(k)
-    if f.rank == 0:
+    alpha, s = _min_norm_multi(k, y)
+    if s.size == 0 or s[0] == 0.0:
         raise InvalidInput("kernel matrix is numerically zero")
     # Condition of the raw Gram matrix, before truncation; the solve
     # itself truncates, so a huge value here is a warning, not an error.
-    raw_min = float(f.s[-1])
-    condition = math.inf if raw_min == 0.0 else f.s_max / raw_min
-    alpha = _min_norm_multi(k, y)
+    raw_min = float(s[-1])
+    condition = math.inf if raw_min == 0.0 else float(s[0]) / raw_min
     return KernelInterpolant(
         x_train=x,
         alpha=alpha,
@@ -268,8 +294,3 @@ def fit_kernel_interpolant(x, y, bandwidth: float) -> KernelInterpolant:
         condition=float(condition),
         ill_conditioned=bool(condition > ILL_CONDITION_LIMIT),
     )
-
-
-def seed_for_map(seed: int, n_features: int, index: int = 0) -> int:
-    """Expose the sub-seed a sweep would use; handy for reproducing one cell."""
-    return derive_seed(seed, f"rff-map-{n_features}", index)

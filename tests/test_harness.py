@@ -97,6 +97,35 @@ def test_load_config_rejections(tmp_path):
         load_config(tmp_path / "missing.cfg")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "experiment = rff-sweep\nrepeats = 0\n",
+        "experiment = rff-sweep\nn_grid = 20, 0, 50\n",
+        "experiment = kernel-approx\nn_grid = 0\n",
+        "experiment = kernel-approx\nn_maps = 0\n",
+        "experiment = sparse-risk\ntrials = 0\n",
+        "experiment = bias-variance\ntrials = 1\n",
+        "experiment = emc\ntrials = 0\n",
+        "experiment = emc\nseed = 18446744073709551623\n",
+        "experiment = emc\nseed = -1\n",
+    ],
+)
+def test_validate_rejects_values_that_cannot_run(tmp_path, text, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_seed_range_covers_all_64_bit_seeds(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("experiment = emc\nseed = 18446744073709551615\n")
+    assert load_config(path).seed == 2**64 - 1
+    with pytest.raises(ConfigError):
+        load_config(path, seed=2**64)
+
+
 def test_effective_lines_round_trip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("experiment = emc\nseed = 11\nn_grid = 4, 8, 12\n")
@@ -390,6 +419,16 @@ def test_cli_runs_polyfit_end_to_end(tmp_path, capsys):
     assert "grid_points = 32" in comments
     # Every comment line is itself a parseable config line.
     parse_config_text("\n".join(comments[: len(comments)]))
+
+
+def test_cli_creates_the_output_directory(tmp_path, monkeypatch, capsys):
+    cfg = _cfg(tmp_path, "experiment = polyfit\noutput = out/fit.csv\ngrid_points = 8\n")
+    empty = tmp_path / "fresh"
+    empty.mkdir()
+    monkeypatch.chdir(empty)
+    assert main(["polyfit", "--config", cfg]) == 0
+    assert "wrote out/fit.csv" in capsys.readouterr().out
+    assert [p.name for p in (empty / "out").iterdir()] == ["fit.csv"]
 
 
 def test_cli_seed_override_changes_output(tmp_path):

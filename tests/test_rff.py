@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from descentlab.errors import InvalidInput
+from descentlab.harness.datasets import make_synthetic_regression
+from descentlab.linalg import svd
 from descentlab.rff import (
     ILL_CONDITION_LIMIT,
+    _min_norm_multi,
     double_descent_sweep,
     fit_kernel_interpolant,
     fit_rff,
     gaussian_kernel,
     kernel_approx_error,
     sample_map,
-    seed_for_map,
 )
 from descentlab.seeding import substream
 
@@ -59,10 +61,65 @@ def test_map_sampling_is_deterministic_per_index():
     assert not np.array_equal(a.omega, c.omega)
 
 
-def test_seed_for_map_reproduces_a_sweep_cell():
-    fmap = sample_map(8, 2, 1.0, seed=5, index=3)
-    rng = np.random.default_rng(seed_for_map(5, 8, index=3))
-    np.testing.assert_array_equal(fmap.omega, rng.standard_normal((8, 2)))
+def test_transform_matches_the_feature_formula_bit_for_bit():
+    fmap = sample_map(n_features=64, input_dim=3, bandwidth=0.7, seed=19)
+    x = substream(19, "transform-points").uniform(-1.0, 1.0, size=(9, 3))
+    for points in (x, x[4]):
+        expected = math.sqrt(2.0 / 64) * np.cos(points @ fmap.omega.T + fmap.phase)
+        np.testing.assert_array_equal(fmap.transform(points), expected)
+
+
+def _svd_min_norm(z, y):
+    """Reference: ``V_r diag(1/s_r) U_r^T y`` from the truncated thin SVD."""
+    f = svd(z)
+    r = f.rank
+    coeffs = (f.u[:, :r].T @ y).T / f.s[:r]
+    return f.vt[:r].T @ coeffs.T
+
+
+def _solve_cases():
+    rng = substream(20, "gelsd-cases")
+    tall = rng.standard_normal((60, 20))
+    wide = rng.standard_normal((20, 60))
+    # Rank 20 of 30: the duplicated rows give ten exactly dependent rows.
+    base = rng.standard_normal((20, 30))
+    square = np.vstack([base, base[:10]])
+    labels = rng.integers(0, 4, size=20)
+    one_hot = np.zeros((20, 4))
+    one_hot[np.arange(20), labels] = 1.0
+    return {
+        "tall": (tall, rng.standard_normal(60)),
+        "wide": (wide, rng.standard_normal(20)),
+        "square-rank-deficient": (square, rng.standard_normal(30)),
+        "one-hot": (wide, one_hot),
+    }
+
+
+@pytest.mark.parametrize("case", list(_solve_cases()))
+def test_gelsd_solve_agrees_with_truncated_svd(case):
+    z, y = _solve_cases()[case]
+    beta, s = _min_norm_multi(z, y)
+    assert beta.shape == (z.shape[1],) + y.shape[1:]
+    np.testing.assert_allclose(beta, _svd_min_norm(z, y), rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(s, svd(z).s, rtol=1e-9, atol=1e-12 * s[0])
+
+
+def test_gelsd_solve_returns_zero_for_a_zero_matrix():
+    beta, s = _min_norm_multi(np.zeros((5, 3)), np.ones((5, 2)))
+    np.testing.assert_array_equal(beta, np.zeros((3, 2)))
+    assert not np.any(s)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_rejects_non_finite_features(bad):
+    z = np.ones((4, 3))
+    z[2, 1] = bad
+    with pytest.raises(InvalidInput):
+        _min_norm_multi(z, np.ones(4))
+    x = np.zeros((4, 2))
+    x[0, 0] = bad
+    with pytest.raises(InvalidInput), np.errstate(invalid="ignore"):
+        fit_rff(sample_map(8, 2, 1.0, seed=0), x, np.ones(4))
 
 
 def test_features_are_unbiased_for_the_kernel():
@@ -103,6 +160,7 @@ def test_fit_rff_interpolates_when_overparameterized():
     y = rng.standard_normal(30)
     model = fit_rff(sample_map(120, 4, 1.0, seed=15), x, y)
     assert model.mse(x, y) <= 1e-12
+    assert model.train_mse == model.mse(x, y)
     assert model.beta.shape == (120,)
     assert model.beta_norm > 0.0
 
@@ -144,6 +202,48 @@ def test_sweep_shows_the_interpolation_peak():
     assert at_n.test_mse > wide.test_mse
     assert at_n.beta_norm > wide.beta_norm
     assert at_n.repeats == 3
+
+
+def _svd_sweep(x_train, y_train, x_test, y_test, grid, bandwidth, seed, repeats):
+    """The width sweep as a plain loop over the truncated-SVD solve."""
+    rows = []
+    for n in grid:
+        per_repeat = []
+        for r in range(repeats):
+            fmap = sample_map(n, x_train.shape[1], bandwidth, seed, index=r)
+            z = fmap.transform(x_train)
+            beta = _svd_min_norm(z, y_train)
+            pred = fmap.transform(x_test) @ beta
+            per_repeat.append((
+                np.mean((z @ beta - y_train) ** 2),
+                np.mean((pred - y_test) ** 2),
+                np.mean(np.sign(pred) != np.sign(y_test)),
+                np.linalg.norm(beta),
+            ))
+        per_repeat = np.array(per_repeat)
+        rows.append((n, *per_repeat[:, :3].mean(axis=0), np.median(per_repeat[:, 3]), repeats))
+    return np.array(rows)
+
+
+def test_sweep_matches_the_svd_formula_across_the_threshold():
+    n = 200
+    ds = make_synthetic_regression(
+        "rkhs-target",
+        {"n_train": n, "n_test": 300, "input_dim": 5, "n_centers": 20, "bandwidth": 1.0},
+        21,
+    )
+    grid = (50, 150, 200, 250, 800)
+    args = (ds.x_train, ds.y_train, ds.x_test, ds.y_test, grid, 3.0, 21, 3)
+    got = np.array([
+        (pt.n_features, pt.train_mse, pt.test_mse, pt.test_zero_one, pt.beta_norm, pt.repeats)
+        for pt in double_descent_sweep(*args)
+    ])
+    want = _svd_sweep(*args)
+    # Past the threshold the train MSE is rounding noise near 1e-26, so
+    # it is compared against an absolute floor as well.
+    for j, atol in enumerate((0.0, 1e-12, 0.0, 0.0, 0.0, 0.0)):
+        np.testing.assert_allclose(got[:, j], want[:, j], rtol=1e-8, atol=atol)
+    assert got[2, 4] > got[4, 4]  # the norm peaks at N = n
 
 
 def test_sweep_rejects_zero_repeats():
