@@ -13,17 +13,11 @@ import sys
 
 from descentlab.harness.datasets import (
     DATA_DIR_ENV,
+    MNIST_FILES,
     data_dir,
     load_idx,
     mnist_available,
 )
-
-EXPECTED = {
-    "train images": ("train-images-idx3-ubyte", "train-images.idx3-ubyte"),
-    "train labels": ("train-labels-idx1-ubyte", "train-labels.idx1-ubyte"),
-    "test images": ("t10k-images-idx3-ubyte", "t10k-images.idx3-ubyte"),
-    "test labels": ("t10k-labels-idx1-ubyte", "t10k-labels.idx1-ubyte"),
-}
 
 
 def main() -> int:
@@ -32,7 +26,8 @@ def main() -> int:
     print(f"data directory: {directory}  ({source})")
 
     all_found = True
-    for role, names in EXPECTED.items():
+    for key, names in MNIST_FILES.items():
+        role = key.replace("_", " ")
         found = None
         for name in names:
             path = os.path.join(directory, name)

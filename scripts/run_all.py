@@ -3,17 +3,21 @@
 
 The MNIST sweep is skipped automatically when the IDX files are not
 present; point DESCENTLAB_DATA at them (or run make_synthetic_idx.py)
-to include it.  Any failing run is reported at the end and the script
-exits nonzero, so this doubles as a slow smoke test.
+to include it.  Each CSV's sha256 is printed next to its time, so the
+outputs of two checkouts can be compared line by line.  Any config that
+fails to load or run is reported at the end and the script exits
+nonzero, so this doubles as a slow smoke test.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 import time
 from pathlib import Path
 
+from descentlab.errors import ConfigError
 from descentlab.harness.cli import main as descentlab
 from descentlab.harness.config import load_config
 from descentlab.harness.datasets import data_dir, mnist_available
@@ -40,7 +44,12 @@ def main() -> int:
 
     failures = []
     for path in cfg_paths:
-        config = load_config(path)
+        try:
+            config = load_config(path)
+        except ConfigError as exc:
+            print(f"{'error':>6}  {path.name}  (config error: {exc})")
+            failures.append(path.name)
+            continue
         if (
             config.experiment == "rff-sweep"
             and config.parameters.get("dataset") == "mnist"
@@ -56,9 +65,12 @@ def main() -> int:
         status = descentlab(argv)
         elapsed = time.perf_counter() - start
         tag = "ok" if status == 0 else f"exit {status}"
-        print(f"{tag:>6}  {path.name}  ({elapsed:.1f}s)")
-        if status != 0:
+        line = f"{tag:>6}  {path.name}  ({elapsed:.1f}s)"
+        if status == 0:
+            line += f"  sha256 {hashlib.sha256(out_csv.read_bytes()).hexdigest()}"
+        else:
             failures.append(path.name)
+        print(line)
 
     if failures:
         print(f"failed: {', '.join(failures)}", file=sys.stderr)

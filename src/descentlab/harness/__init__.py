@@ -6,12 +6,12 @@ from .datasets import (
     LabeledDataset,
     load_idx,
     load_mnist_split,
-    make_synthetic_regression,
+    make_rkhs_regression,
     mnist_available,
     one_hot,
     write_idx,
 )
-from .emc import EMCPoint, emc_scan, estimate_emc, min_norm_linear_procedure
+from .emc import EMCPoint, emc_scan, min_norm_linear_procedure
 from .runner import run
 
 __all__ = [
@@ -23,12 +23,11 @@ __all__ = [
     "load_idx",
     "write_idx",
     "load_mnist_split",
-    "make_synthetic_regression",
+    "make_rkhs_regression",
     "mnist_available",
     "one_hot",
     "EMCPoint",
     "emc_scan",
-    "estimate_emc",
     "min_norm_linear_procedure",
     "run",
 ]

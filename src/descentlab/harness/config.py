@@ -11,7 +11,7 @@ common to every experiment:
 All other keys belong to the experiment's schema below; unknown keys
 are rejected rather than ignored, so a typo cannot silently fall back
 to a default.  Values are typed: integers, floats (``inf`` allowed),
-``true``/``false``, bare strings, and comma-separated number lists.
+bare strings, and nonempty comma-separated integer lists.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class Field:
     """
 
     name: str
-    kind: str  # int | float | str | bool | int_list | float_list
+    kind: str  # int | float | str | int_list
     default: object = None
     choices: tuple | None = None
     min: int | None = None
@@ -45,7 +45,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("noise_var", "float", 0.04),
         Field("p_grid", "int_list", (0, 10, 20, 30, 36, 38, 40, 42, 44, 50, 60, 70, 80, 90, 100)),
         Field("trials", "int", 500, min=1),
-        Field("test_points", "int", 100),
+        Field("test_points", "int", 100, min=1),
     ),
     "rff-sweep": (
         Field("dataset", "str", "rkhs-target", choices=("mnist", "rkhs-target")),
@@ -76,15 +76,15 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
     ),
     "polyfit": (
         Field("degree", "int", 20),
-        Field("n", "int", 20),
+        Field("n", "int", 20, min=1),
         Field("noise_scale", "float", 0.5),
         Field("truth_degree", "int", 3),
-        Field("grid_points", "int", 256),
+        Field("grid_points", "int", 256, min=1),
         Field("via", "str", "pseudo_inverse", choices=("pseudo_inverse", "gradient_descent")),
     ),
     "bias-variance": (
         Field("degrees", "int_list", (3, 20)),
-        Field("n", "int", 20),
+        Field("n", "int", 20, min=1),
         Field("noise_scale", "float", 0.1),
         Field("trials", "int", 2000, min=2),
         Field("truth_degree", "int", 3),
@@ -130,14 +130,11 @@ def _parse_kind(field: Field, text: str):
             return int(text)
         if field.kind == "float":
             return float(text)
-        if field.kind == "bool":
-            if text.lower() in ("true", "false"):
-                return text.lower() == "true"
-            raise ValueError(text)
         if field.kind == "int_list":
-            return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
-        if field.kind == "float_list":
-            return tuple(float(tok.strip()) for tok in text.split(",") if tok.strip())
+            values = tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
+            if not values:
+                raise ConfigError(f"key {field.name!r}: needs at least one entry")
+            return values
     except ValueError:
         raise ConfigError(
             f"key {field.name!r}: cannot parse {text!r} as {field.kind}"

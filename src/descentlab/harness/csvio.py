@@ -6,7 +6,7 @@ Numbers are written in the shortest decimal form that round-trips to the
 same float, infinities as the literal ``inf``, so a rerun with the same
 config produces a byte-identical file.  Writes go through a temporary
 file in the target directory, created if missing, followed by an atomic
-rename.
+rename; an output location that cannot be created is a ConfigError.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import os
 import tempfile
 
 import numpy as np
+
+from ..errors import ConfigError
 
 
 def format_value(v) -> str:
@@ -43,8 +45,11 @@ def write_csv(path, comment_lines, columns, rows, trailing_comments=()) -> None:
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".csv-", text=True)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".csv-", text=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from None
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             for line in comment_lines:

@@ -1,10 +1,10 @@
-"""Dataset ingestion: IDX files (MNIST) and synthetic generators.
+"""Dataset ingestion: IDX files (MNIST) and a synthetic RKHS regression.
 
 MNIST arrives as four IDX files in the directory named by the
 ``DESCENTLAB_DATA`` environment variable (default ``./data``).  Pixels
 are scaled to [0, 1] by dividing by 255 and images flattened to
-784-vectors.  When the files are absent, the synthetic ``rkhs-target``
-generator stands in: it draws a noiseless member of the Gaussian-kernel
+784-vectors.  Without them, ``make_rkhs_regression`` (the ``rkhs-target``
+dataset) stands in: it draws a noiseless member of the Gaussian-kernel
 RKHS, which is the regime the infinite-width comparisons assume anyway.
 """
 
@@ -19,14 +19,14 @@ import numpy as np
 from ..errors import FormatError, InvalidInput
 from ..rff import gaussian_kernel
 from ..seeding import substream
-from ..sparse_regression import GaussianLinearProblem, sample_dataset
 
 DATA_DIR_ENV = "DESCENTLAB_DATA"
 
 IDX_MAGIC_LABELS = 0x00000801  # 1-d tensor of unsigned bytes
 IDX_MAGIC_IMAGES = 0x00000803  # 3-d tensor of unsigned bytes
 
-_MNIST_FILES = {
+# Each role's file under either accepted spelling.
+MNIST_FILES = {
     "train_images": ("train-images-idx3-ubyte", "train-images.idx3-ubyte"),
     "train_labels": ("train-labels-idx1-ubyte", "train-labels.idx1-ubyte"),
     "test_images": ("t10k-images-idx3-ubyte", "t10k-images.idx3-ubyte"),
@@ -88,7 +88,7 @@ def write_idx(path, array) -> None:
 
 def _find_mnist(directory) -> dict[str, str] | None:
     found = {}
-    for role, names in _MNIST_FILES.items():
+    for role, names in MNIST_FILES.items():
         for name in names:
             candidate = os.path.join(directory, name)
             if os.path.isfile(candidate):
@@ -206,46 +206,23 @@ def one_hot(labels, n_classes: int | None = None) -> np.ndarray:
     return out
 
 
-def make_synthetic_regression(kind: str, params: dict, seed: int) -> LabeledDataset:
-    """Generate a regression dataset of the named kind.
+def make_rkhs_regression(
+    n_train: int, n_test: int, input_dim: int, n_centers: int, bandwidth: float, seed: int
+) -> LabeledDataset:
+    """Noiseless regression on a random member of the Gaussian-kernel RKHS.
 
-    ``gaussian-linear``: the sparse-regression generative model (i.i.d.
-    normal features, linear signal of norm ``sqrt(signal_norm_sq)``,
-    additive noise).  ``rkhs-target``: features uniform on [0, 1]^d and
-    a noiseless target ``y = sum_k alpha_k k(c_k, x)`` over fixed random
-    centers, so the truth lies in the Gaussian-kernel RKHS and responses
-    are bounded by ``sum_k |alpha_k|``.
+    Features are uniform on [0, 1]^input_dim and the target is ``y =
+    sum_k alpha_k k(c_k, x)`` over fixed random centers, so responses are
+    bounded by ``sum_k |alpha_k|``.
     """
-    n_train = int(params["n_train"])
-    n_test = int(params["n_test"])
-    d = int(params["input_dim"])
-    if n_train < 1 or n_test < 0 or d < 1:
-        raise InvalidInput("need n_train >= 1, n_test >= 0, input_dim >= 1")
+    if n_train < 1 or n_test < 0 or input_dim < 1 or n_centers < 1:
+        raise InvalidInput("need n_train >= 1, n_test >= 0, input_dim >= 1, n_centers >= 1")
     n_total = n_train + n_test
-
-    if kind == "gaussian-linear":
-        signal = float(params.get("signal_norm_sq", 1.0))
-        noise_scale = float(params.get("noise_scale", 0.1))
-        rng = substream(seed, "gaussian-linear-weights")
-        w = rng.standard_normal(d)
-        w *= np.sqrt(signal) / np.linalg.norm(w)
-        problem = GaussianLinearProblem(w_true=w, noise_scale=noise_scale, n=n_total)
-        features, labels = sample_dataset(problem, seed)
-    elif kind == "rkhs-target":
-        n_centers = int(params.get("n_centers", 50))
-        bandwidth = float(params.get("bandwidth", 1.0))
-        if n_centers < 1:
-            raise InvalidInput(f"n_centers must be >= 1, got {n_centers}")
-        rng = substream(seed, "rkhs-target")
-        centers = rng.uniform(0.0, 1.0, size=(n_centers, d))
-        alpha = rng.standard_normal(n_centers)
-        features = rng.uniform(0.0, 1.0, size=(n_total, d))
-        labels = gaussian_kernel(features, centers, bandwidth) @ alpha
-    else:
-        raise InvalidInput(
-            f"unknown synthetic kind {kind!r}; expected 'gaussian-linear' or 'rkhs-target'"
-        )
-
+    rng = substream(seed, "rkhs-target")
+    centers = rng.uniform(0.0, 1.0, size=(n_centers, input_dim))
+    alpha = rng.standard_normal(n_centers)
+    features = rng.uniform(0.0, 1.0, size=(n_total, input_dim))
+    labels = gaussian_kernel(features, centers, bandwidth) @ alpha
     return LabeledDataset(
         features=features,
         labels=labels,

@@ -75,9 +75,3 @@ def emc_scan(
             break
         emc = n
     return emc, points
-
-
-def estimate_emc(procedure, sample_fn, eps, n_grid, trials, seed) -> int:
-    """The EMC estimate alone; see ``emc_scan`` for the per-size details."""
-    emc, _ = emc_scan(procedure, sample_fn, eps, n_grid, trials, seed)
-    return emc

@@ -17,16 +17,10 @@ from ..polyfit import bias_variance_decompose
 from ..rff import double_descent_sweep, kernel_approx_error, sample_map
 from ..seeding import derive_seed, substream
 from ..separable import generate_separable, implicit_bias_run
-from ..sparse_regression import (
-    GaussianLinearProblem,
-    RiskCurveRow,
-    analytic_risk_random_subset,
-    monte_carlo_risk,
-    substream_seed,
-)
+from ..sparse_regression import risk_curve
 from .config import ExperimentConfig, effective_config_lines
 from .csvio import write_csv
-from .datasets import load_mnist_split, make_synthetic_regression, one_hot
+from .datasets import load_mnist_split, make_rkhs_regression, one_hot
 from .emc import emc_scan, min_norm_linear_procedure
 
 
@@ -42,38 +36,16 @@ def _emit(config: ExperimentConfig, columns, rows, trailing=()):
 
 def run_sparse_risk(config: ExperimentConfig) -> None:
     p = config.parameters
-    d = p["d"]
-    # The analytic curve depends on w only through its norm; an evenly
-    # spread vector realizes that norm without extra randomness.
-    w = np.full(d, math.sqrt(p["signal_norm_sq"] / d))
-    problem = GaussianLinearProblem(
-        w_true=w, noise_scale=math.sqrt(p["noise_var"]), n=p["n"]
+    rows = risk_curve(
+        p["signal_norm_sq"],
+        p["noise_var"],
+        p["d"],
+        p["n"],
+        p["p_grid"],
+        p["trials"],
+        p["test_points"],
+        config.seed,
     )
-    # The analytic column is computed from the configured scalars directly;
-    # recovering them from the materialized problem (sum of d squares, a
-    # squared square root) perturbs the last bits and the printed values.
-    rows = []
-    for subset_size in p["p_grid"]:
-        subset_size = int(subset_size)
-        analytic = analytic_risk_random_subset(
-            p["signal_norm_sq"], p["noise_var"], d, p["n"], subset_size
-        )
-        mc = monte_carlo_risk(
-            problem,
-            subset_size,
-            p["trials"],
-            p["test_points"],
-            substream_seed(config.seed, subset_size),
-        )
-        rows.append(
-            RiskCurveRow(
-                p=subset_size,
-                analytic_risk=analytic,
-                mc_risk=mc.mean,
-                mc_stderr=mc.stderr,
-                trials=mc.trials,
-            )
-        )
     _emit(
         config,
         ("p", "analytic_risk", "mc_risk", "mc_stderr", "trials"),
@@ -88,15 +60,12 @@ def run_rff_sweep(config: ExperimentConfig) -> None:
         y_train = one_hot(ds.y_train, 10)
         y_test = one_hot(ds.y_test, 10)
     else:
-        ds = make_synthetic_regression(
-            "rkhs-target",
-            {
-                "n_train": p["n_train"],
-                "n_test": p["n_test"],
-                "input_dim": p["input_dim"],
-                "n_centers": p["n_centers"],
-                "bandwidth": p["target_bandwidth"],
-            },
+        ds = make_rkhs_regression(
+            p["n_train"],
+            p["n_test"],
+            p["input_dim"],
+            p["n_centers"],
+            p["target_bandwidth"],
             config.seed,
         )
         y_train, y_test = ds.y_train, ds.y_test

@@ -107,19 +107,6 @@ def kernel_projector(a) -> np.ndarray:
     return p
 
 
-def solution_set_member(x, y, u) -> np.ndarray:
-    """The solution ``pinv(X) y + (I - pinv(X) X) u`` of the normal equations.
-
-    Every minimizer of the least-squares objective has this form for some
-    ``u``, and every such vector is a minimizer.
-    """
-    x = _as_matrix(x)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (x.shape[1],):
-        raise InvalidInput(f"u has shape {u.shape}, expected ({x.shape[1]},)")
-    return min_norm_solve(x, y) + kernel_projector(x) @ u
-
-
 def penrose_residuals(a, a_pinv) -> tuple[float, float, float, float]:
     """Relative residuals of the four Penrose identities.
 

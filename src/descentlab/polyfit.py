@@ -5,8 +5,7 @@ The basis is evaluated by the Bonnet recurrence
     (k+1) P_{k+1}(x) = (2k+1) x P_k(x) - k P_{k-1}(x),
 
 which is numerically stable on [-1, 1] where |P_k| <= 1; inputs outside
-that interval are rejected (rescale them first, see
-``to_unit_interval``).  Fitting is minimum-norm least squares in this
+that interval are rejected.  Fitting is minimum-norm least squares in this
 basis, either through the pseudo-inverse or through gradient descent
 from zero; the two agree because gradient descent from the origin
 converges to the min-norm solution.
@@ -47,7 +46,7 @@ def legendre_design(xs, degree: int) -> PolyBasisDesign:
     if not np.all(np.isfinite(xs)):
         raise InvalidInput("xs contains NaN or Inf entries")
     if xs.size and (np.min(xs) < -1.0 or np.max(xs) > 1.0):
-        raise InvalidInput("xs must lie in [-1, 1]; rescale with to_unit_interval")
+        raise InvalidInput("xs must lie in [-1, 1]")
     if degree < 0 or int(degree) != degree:
         raise InvalidInput(f"degree must be a nonnegative integer, got {degree}")
 
@@ -66,14 +65,6 @@ def legendre_predict(coef, xs) -> np.ndarray:
     if coef.ndim != 1 or coef.size == 0:
         raise InvalidInput("coef must be a nonempty vector")
     return legendre_design(xs, coef.size - 1).design @ coef
-
-
-def to_unit_interval(xs, low: float, high: float) -> np.ndarray:
-    """Affinely map [low, high] onto [-1, 1]."""
-    if not high > low:
-        raise InvalidInput(f"need high > low, got [{low}, {high}]")
-    xs = np.asarray(xs, dtype=float)
-    return (2.0 * xs - (high + low)) / (high - low)
 
 
 def fit_poly_min_norm(

@@ -28,10 +28,6 @@ from .errors import InvalidInput, NumericalFailure
 from .linalg import EPS, _as_matrix
 from .seeding import substream
 
-# Condition numbers above this mark a kernel system as numerically rank
-# deficient; the interpolant is still returned but flagged.
-ILL_CONDITION_LIMIT = 1e12
-
 
 def _check_bandwidth(bandwidth: float) -> float:
     bandwidth = float(bandwidth)
@@ -117,24 +113,23 @@ def kernel_approx_error(feature_map: RandomFeatureMap, points) -> tuple[float, f
     return float(np.max(errs)), float(np.mean(errs))
 
 
-def _min_norm_multi(z, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _min_norm_multi(z, y: np.ndarray) -> np.ndarray:
     """Min-norm least squares supporting a matrix of right-hand sides.
 
-    Returns the solution and the singular values of ``z`` (descending).
     LAPACK ``gelsd`` is SVD-based and drops singular values at or below
     ``EPS * max(m, n) * s_max``, the rank rule of ``linalg.svd``, but
     never forms the singular vectors.
     """
     z = _as_matrix(z)
     try:
-        beta, _, rank, s = scipy.linalg.lstsq(
+        beta, _, rank, _ = scipy.linalg.lstsq(
             z, y, cond=EPS * max(z.shape), check_finite=False, lapack_driver="gelsd"
         )
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge for shape {z.shape}") from exc
     if rank == 0:
-        return np.zeros((z.shape[1],) + y.shape[1:]), s
-    return beta, s
+        return np.zeros((z.shape[1],) + y.shape[1:])
+    return beta
 
 
 def _mse(pred: np.ndarray, y: np.ndarray) -> float:
@@ -182,7 +177,7 @@ def fit_rff(feature_map: RandomFeatureMap, x, y) -> RFFModel:
     y = np.asarray(y, dtype=float)
     if y.shape[0] != z.shape[0]:
         raise InvalidInput(f"y has {y.shape[0]} rows, x has {z.shape[0]}")
-    beta, _ = _min_norm_multi(z, y)
+    beta = _min_norm_multi(z, y)
     return RFFModel(feature_map=feature_map, beta=beta, train_mse=_mse(z @ beta, y))
 
 
@@ -226,6 +221,8 @@ def double_descent_sweep(
     x_train = np.atleast_2d(np.asarray(x_train, dtype=float))
     x_test = np.atleast_2d(np.asarray(x_test, dtype=float))
     y_test = np.asarray(y_test, dtype=float)
+    if y_test.shape[:1] != x_test.shape[:1]:
+        raise InvalidInput(f"y_test has shape {y_test.shape}, x_test has {x_test.shape[0]} rows")
     input_dim = x_train.shape[1]
 
     points = []
@@ -253,44 +250,3 @@ def double_descent_sweep(
             )
         )
     return points
-
-
-@dataclass(frozen=True)
-class KernelInterpolant:
-    """Gaussian-kernel interpolant, the infinite-width limit of the sweep."""
-
-    x_train: np.ndarray
-    alpha: np.ndarray
-    bandwidth: float
-    condition: float
-    ill_conditioned: bool
-
-    def predict(self, x) -> np.ndarray:
-        return gaussian_kernel(x, self.x_train, self.bandwidth) @ self.alpha
-
-
-def fit_kernel_interpolant(x, y, bandwidth: float) -> KernelInterpolant:
-    """Solve ``K alpha = y`` for the Gaussian kernel in the min-norm sense.
-
-    The Gram matrix of distinct points is positive definite in exact
-    arithmetic but often numerically singular; the solve runs through the
-    truncated SVD and the result carries its condition number plus a flag
-    once that exceeds ILL_CONDITION_LIMIT.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    k = gaussian_kernel(x, x, bandwidth)
-    alpha, s = _min_norm_multi(k, y)
-    if s.size == 0 or s[0] == 0.0:
-        raise InvalidInput("kernel matrix is numerically zero")
-    # Condition of the raw Gram matrix, before truncation; the solve
-    # itself truncates, so a huge value here is a warning, not an error.
-    raw_min = float(s[-1])
-    condition = math.inf if raw_min == 0.0 else float(s[0]) / raw_min
-    return KernelInterpolant(
-        x_train=x,
-        alpha=alpha,
-        bandwidth=float(bandwidth),
-        condition=float(condition),
-        ill_conditioned=bool(condition > ILL_CONDITION_LIMIT),
-    )

@@ -199,11 +199,6 @@ def hard_margin_svm(
     )
 
 
-def max_margin_direction(x, y, witness=None, tol: float = 1e-8) -> np.ndarray:
-    """Unit normal of the max-margin separator through the origin."""
-    return hard_margin_svm(x, y, witness=witness, tol=tol).direction
-
-
 def direction_gap(w, reference) -> float:
     """Distance ``|| w/||w|| - r/||r|| ||`` between two directions.
 

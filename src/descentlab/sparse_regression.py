@@ -19,7 +19,9 @@ The expression is affine in ``(a, b)``, so averaging over a uniformly
 random size-``p`` subset just substitutes ``a -> (p/d) ||w||^2`` and
 ``b -> (1 - p/d) ||w||^2``.  That averaged curve is the double-descent
 curve: risk climbs toward the interpolation threshold ``p = n``, blows
-up in the band around it, and descends again as ``p`` grows past ``n``.
+up in the band around it, and descends again as ``p`` grows past ``n``
+(the weak-features model of Belkin, Hsu & Xu, "Two models of double
+descent for weak features", 2020).
 
 The +inf band is represented by ``math.inf`` and serialized downstream
 as the literal string ``inf``; it is a regime marker, not an overflow.
@@ -71,14 +73,6 @@ class GaussianLinearProblem:
     @property
     def signal_norm_sq(self) -> float:
         return float(np.sum(self.w_true**2))
-
-
-def sample_dataset(problem: GaussianLinearProblem, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``(X, y)`` with i.i.d. standard normal rows and additive noise."""
-    rng = substream(seed, "gaussian-linear-dataset")
-    x = rng.standard_normal((problem.n, problem.d))
-    y = x @ problem.w_true + problem.noise_scale * rng.standard_normal(problem.n)
-    return x, y
 
 
 @dataclass(frozen=True)
@@ -264,26 +258,39 @@ class RiskCurveRow:
 
 
 def risk_curve(
-    problem: GaussianLinearProblem,
+    signal_norm_sq: float,
+    noise_var: float,
+    d: int,
+    n: int,
     p_grid,
     trials: int,
+    test_points: int,
     seed: int,
-    test_points: int = 100,
 ) -> list[RiskCurveRow]:
     """Evaluate analytic and Monte Carlo risk at every ``p`` in the grid.
 
-    Each ``p`` gets its own substream family, so adding or reordering
-    grid points does not perturb the other rows.
+    ``signal_norm_sq`` is ``||w||^2`` and ``noise_var`` the noise
+    variance, as in ``analytic_risk_random_subset``.  Each ``p`` gets its
+    own substream family, so adding or reordering grid points does not
+    perturb the other rows.
     """
+    if d < 1 or not (signal_norm_sq >= 0 and noise_var >= 0):
+        raise InvalidInput("need d >= 1, signal_norm_sq >= 0 and noise_var >= 0")
+    # The analytic curve depends on w only through its norm; an evenly
+    # spread vector realizes that norm without extra randomness.
+    problem = GaussianLinearProblem(
+        w_true=np.full(d, math.sqrt(signal_norm_sq / d)),
+        noise_scale=math.sqrt(noise_var),
+        n=n,
+    )
     rows = []
     for p in p_grid:
         p = int(p)
-        analytic = analytic_risk_random_subset(
-            problem.signal_norm_sq, problem.noise_var, problem.d, problem.n, p
-        )
-        mc = monte_carlo_risk(
-            problem, p, trials, test_points, substream_seed(seed, p)
-        )
+        # The analytic column takes the given scalars directly; recovering
+        # them from the problem (a sum of d squares, a squared square root)
+        # perturbs the last bits and the printed values.
+        analytic = analytic_risk_random_subset(signal_norm_sq, noise_var, d, n, p)
+        mc = monte_carlo_risk(problem, p, trials, test_points, substream_seed(seed, p))
         rows.append(
             RiskCurveRow(
                 p=p,

@@ -16,11 +16,11 @@ from descentlab.descent import GDConfig, get_loss, max_stable_step
 from descentlab.harness.cli import main as cli_main
 from descentlab.harness.datasets import (
     load_mnist_split,
-    make_synthetic_regression,
+    make_rkhs_regression,
     mnist_available,
     one_hot,
 )
-from descentlab.harness.emc import estimate_emc, min_norm_linear_procedure
+from descentlab.harness.emc import emc_scan, min_norm_linear_procedure
 from descentlab.linalg import (
     kernel_projector,
     min_norm_solve,
@@ -140,11 +140,8 @@ def test_criterion_03_sparse_risk_curve():
         if not math.isclose(got, value, rel_tol=1e-9):
             problems.append(f"analytic p={p}: {got} != {value}")
 
-    d = 100
-    problem = GaussianLinearProblem(
-        w_true=np.full(d, math.sqrt(1.0 / d)), noise_scale=0.2, n=40
-    )
-    rows = risk_curve(problem, tuple(expected), trials=2000, seed=SEED, test_points=100)
+    rows = risk_curve(1.0, 0.04, 100, 40, tuple(expected), trials=2000, test_points=100,
+                      seed=SEED)
     worst_z = 0.0
     for row in rows:
         z = abs(row.mc_risk - row.analytic_risk) / row.mc_stderr
@@ -248,12 +245,8 @@ def test_criterion_06_rff_double_descent():
         y_test = one_hot(ds.y_test, 10)
         source = "mnist"
     else:
-        ds = make_synthetic_regression(
-            "rkhs-target",
-            {"n_train": n_train, "n_test": n_test, "input_dim": 10, "n_centers": 50,
-             "bandwidth": 1.0},
-            SEED,
-        )
+        ds = make_rkhs_regression(n_train, n_test, input_dim=10, n_centers=50,
+                                  bandwidth=1.0, seed=SEED)
         y_train, y_test = ds.y_train, ds.y_test
         source = "rkhs-target"
     grid = (250, 500, 1000, 2000, 4000, 8000)
@@ -402,14 +395,14 @@ def test_criterion_10_effective_model_complexity():
         x = rng.standard_normal((n, d))
         return x, x @ w + 0.1 * rng.standard_normal(n)
 
-    emc = estimate_emc(
+    emc = emc_scan(
         min_norm_linear_procedure,
         sample,
         1e-6,
         (10, 20, 25, 28, 29, 30, 31, 32, 35, 40),
         trials=5,
         seed=SEED,
-    )
+    )[0]
     if emc != 30:
         problems.append(f"estimated EMC {emc} != 30")
     _report(10, problems, time.monotonic() - start, 30.0, f"EMC = {emc}")

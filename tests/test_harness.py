@@ -20,13 +20,13 @@ from descentlab.harness.csvio import format_value, read_rows, write_csv
 from descentlab.harness.datasets import (
     load_idx,
     load_mnist_split,
-    make_synthetic_regression,
+    make_rkhs_regression,
     mnist_available,
     one_hot,
     stratified_indices,
     write_idx,
 )
-from descentlab.harness.emc import emc_scan, estimate_emc, min_norm_linear_procedure
+from descentlab.harness.emc import emc_scan, min_norm_linear_procedure
 from descentlab.seeding import substream
 
 
@@ -109,6 +109,16 @@ def test_load_config_rejections(tmp_path):
         "experiment = emc\ntrials = 0\n",
         "experiment = emc\nseed = 18446744073709551623\n",
         "experiment = emc\nseed = -1\n",
+        "experiment = sparse-risk\np_grid =\n",
+        "experiment = sparse-risk\np_grid = ,\n",
+        "experiment = bias-variance\ndegrees =\n",
+        "experiment = rff-sweep\nn_grid =\n",
+        "experiment = kernel-approx\nn_grid =\n",
+        "experiment = emc\nn_grid =\n",
+        "experiment = polyfit\nn = 0\n",
+        "experiment = polyfit\ngrid_points = 0\n",
+        "experiment = sparse-risk\ntest_points = 0\n",
+        "experiment = bias-variance\nn = 0\n",
     ],
 )
 def test_validate_rejects_values_that_cannot_run(tmp_path, text, capsys):
@@ -290,26 +300,18 @@ def test_stratified_indices_balance():
 
 
 def test_synthetic_regression_kinds():
-    params = {"n_train": 30, "n_test": 10, "input_dim": 4, "n_centers": 6}
-    ds = make_synthetic_regression("rkhs-target", params, seed=84)
+    ds = make_rkhs_regression(30, 10, input_dim=4, n_centers=6, bandwidth=1.0, seed=84)
     assert ds.x_train.shape == (30, 4)
     assert ds.x_test.shape == (10, 4)
-    again = make_synthetic_regression("rkhs-target", params, seed=84)
+    again = make_rkhs_regression(30, 10, input_dim=4, n_centers=6, bandwidth=1.0, seed=84)
     np.testing.assert_array_equal(ds.features, again.features)
     np.testing.assert_array_equal(ds.labels, again.labels)
-
-    lin = make_synthetic_regression(
-        "gaussian-linear", {"n_train": 20, "n_test": 5, "input_dim": 3}, seed=84
-    )
-    assert lin.x_train.shape == (20, 3)
-
     with pytest.raises(InvalidInput):
-        make_synthetic_regression("polynomial", params, seed=84)
+        make_rkhs_regression(30, 10, input_dim=4, n_centers=0, bandwidth=1.0, seed=84)
 
 
 def test_rkhs_target_labels_are_bounded():
-    params = {"n_train": 50, "n_test": 0, "input_dim": 3, "n_centers": 8}
-    ds = make_synthetic_regression("rkhs-target", params, seed=85)
+    ds = make_rkhs_regression(50, 0, input_dim=3, n_centers=8, bandwidth=1.0, seed=85)
     # |y| <= sum_k |alpha_k| since each kernel value is in (0, 1].
     alpha = substream(85, "rkhs-target")
     alpha.uniform(0.0, 1.0, size=(8, 3))  # skip the centers draw
@@ -373,9 +375,9 @@ def test_emc_of_min_norm_linear_is_the_dimension():
         x = rng.standard_normal((n, d))
         return x, x @ w + 0.1 * rng.standard_normal(n)
 
-    emc = estimate_emc(
+    emc = emc_scan(
         min_norm_linear_procedure, sample, 1e-6, (5, 10, 11, 15), trials=4, seed=86
-    )
+    )[0]
     assert emc == d
 
 
@@ -429,6 +431,17 @@ def test_cli_creates_the_output_directory(tmp_path, monkeypatch, capsys):
     assert main(["polyfit", "--config", cfg]) == 0
     assert "wrote out/fit.csv" in capsys.readouterr().out
     assert [p.name for p in (empty / "out").iterdir()] == ["fit.csv"]
+
+
+def test_cli_unwritable_output_is_a_one_line_config_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path, "experiment = polyfit\ngrid_points = 8\n")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["polyfit", "--config", cfg, "--out", str(blocker / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert str(blocker / "x.csv") in err
+    assert err.count("\n") == 1
 
 
 def test_cli_seed_override_changes_output(tmp_path):

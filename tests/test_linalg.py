@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from descentlab.descent import gd_limit_point
 from descentlab.errors import InvalidInput
 from descentlab.linalg import (
     LinearPredictor,
@@ -13,7 +14,6 @@ from descentlab.linalg import (
     min_norm_solve,
     penrose_residuals,
     pseudo_inverse,
-    solution_set_member,
     svd,
 )
 from descentlab.seeding import substream
@@ -100,18 +100,19 @@ def test_min_norm_is_the_smallest_minimizer():
     y = rng.standard_normal(4)
     w_star = min_norm_solve(x, y)
     for k in range(5):
-        other = solution_set_member(x, y, rng.standard_normal(10))
+        other = gd_limit_point(x, y, rng.standard_normal(10))
         # Same residual, never smaller norm.
         np.testing.assert_allclose(x @ other, x @ w_star, atol=1e-9)
         assert np.linalg.norm(other) >= np.linalg.norm(w_star) - 1e-9
 
 
-def test_solution_set_member_hand_case():
+def test_solution_set_hand_case():
     # X = [[1, 0]], y = [2]: solutions are (2, t).  The min-norm one is
-    # (2, 0), and offsetting by u = (5, 7) keeps only the kernel part.
+    # (2, 0), and offsetting by u = (5, 7) keeps only the kernel part:
+    # pinv(X) y + (I - pinv(X) X) u, the limit of GD started at u.
     x = [[1.0, 0.0]]
     np.testing.assert_allclose(min_norm_solve(x, [2.0]), [2.0, 0.0])
-    member = solution_set_member(x, [2.0], [5.0, 7.0])
+    member = gd_limit_point(x, [2.0], [5.0, 7.0])
     np.testing.assert_allclose(member, [2.0, 7.0])
 
 
@@ -130,7 +131,7 @@ def test_shape_validation_messages():
     with pytest.raises(InvalidInput):
         min_norm_solve(np.eye(3), np.ones(4))
     with pytest.raises(InvalidInput):
-        solution_set_member(np.eye(3), np.ones(3), np.ones(5))
+        gd_limit_point(np.eye(3), np.ones(3), np.ones(5))
 
 
 def test_fit_min_norm_predictor():

@@ -12,7 +12,6 @@ from descentlab.polyfit import (
     legendre_design,
     legendre_predict,
     random_target_poly,
-    to_unit_interval,
 )
 from descentlab.seeding import derive_seed, substream
 
@@ -67,13 +66,6 @@ def test_domain_is_enforced():
         legendre_design(np.array([-2.0]), degree=3)
     with pytest.raises(InvalidInput):
         legendre_design(np.array([np.nan]), degree=3)
-
-
-def test_to_unit_interval_endpoints():
-    out = to_unit_interval(np.array([3.0, 5.5, 8.0]), low=3.0, high=8.0)
-    np.testing.assert_allclose(out, [-1.0, 0.0, 1.0])
-    with pytest.raises(InvalidInput):
-        to_unit_interval(np.array([0.0]), low=1.0, high=1.0)
 
 
 # ------------------------------------------------------------------ fitting

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 
 from descentlab.errors import InvalidInput
-from descentlab.harness.datasets import make_synthetic_regression
+from descentlab.harness.datasets import make_rkhs_regression
 from descentlab.linalg import svd
 from descentlab.rff import (
-    ILL_CONDITION_LIMIT,
     _min_norm_multi,
     double_descent_sweep,
-    fit_kernel_interpolant,
     fit_rff,
     gaussian_kernel,
     kernel_approx_error,
@@ -98,16 +96,14 @@ def _solve_cases():
 @pytest.mark.parametrize("case", list(_solve_cases()))
 def test_gelsd_solve_agrees_with_truncated_svd(case):
     z, y = _solve_cases()[case]
-    beta, s = _min_norm_multi(z, y)
+    beta = _min_norm_multi(z, y)
     assert beta.shape == (z.shape[1],) + y.shape[1:]
     np.testing.assert_allclose(beta, _svd_min_norm(z, y), rtol=1e-9, atol=0.0)
-    np.testing.assert_allclose(s, svd(z).s, rtol=1e-9, atol=1e-12 * s[0])
 
 
 def test_gelsd_solve_returns_zero_for_a_zero_matrix():
-    beta, s = _min_norm_multi(np.zeros((5, 3)), np.ones((5, 2)))
+    beta = _min_norm_multi(np.zeros((5, 3)), np.ones((5, 2)))
     np.testing.assert_array_equal(beta, np.zeros((3, 2)))
-    assert not np.any(s)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -227,11 +223,7 @@ def _svd_sweep(x_train, y_train, x_test, y_test, grid, bandwidth, seed, repeats)
 
 def test_sweep_matches_the_svd_formula_across_the_threshold():
     n = 200
-    ds = make_synthetic_regression(
-        "rkhs-target",
-        {"n_train": n, "n_test": 300, "input_dim": 5, "n_centers": 20, "bandwidth": 1.0},
-        21,
-    )
+    ds = make_rkhs_regression(n, 300, input_dim=5, n_centers=20, bandwidth=1.0, seed=21)
     grid = (50, 150, 200, 250, 800)
     args = (ds.x_train, ds.y_train, ds.x_test, ds.y_test, grid, 3.0, 21, 3)
     got = np.array([
@@ -252,28 +244,9 @@ def test_sweep_rejects_zero_repeats():
                              (4,), 1.0, seed=0, repeats=0)
 
 
-def test_kernel_interpolant_hits_training_points():
-    rng = substream(18, "interp")
-    x = rng.uniform(0.0, 1.0, size=(12, 2))
-    y = rng.standard_normal(12)
-    model = fit_kernel_interpolant(x, y, bandwidth=0.3)
-    np.testing.assert_allclose(model.predict(x), y, atol=1e-6)
-    assert model.condition >= 1.0
-    assert model.ill_conditioned == (model.condition > ILL_CONDITION_LIMIT)
-
-
-def test_kernel_interpolant_survives_duplicate_points():
-    # Two identical rows make the Gram matrix singular; the truncated
-    # solve still interpolates when the duplicated targets agree.
-    x = np.array([[0.1], [0.1], [0.9]])
-    y = np.array([1.0, 1.0, -1.0])
-    model = fit_kernel_interpolant(x, y, bandwidth=0.5)
-    np.testing.assert_allclose(model.predict(x), y, atol=1e-8)
-    # A singular Gram matrix is the extreme of the warning flag.
-    assert model.ill_conditioned
-
-
-def test_tight_cluster_is_flagged_ill_conditioned():
-    x = np.linspace(0.0, 1e-7, 12)[:, None]
-    model = fit_kernel_interpolant(x, np.ones(12), bandwidth=1.0)
-    assert model.ill_conditioned
+def test_sweep_rejects_a_y_test_of_the_wrong_length():
+    x = np.zeros((3, 1))
+    with pytest.raises(InvalidInput):
+        double_descent_sweep(x, np.zeros(3), x, np.zeros(1), (4,), 1.0, seed=0)
+    with pytest.raises(InvalidInput):
+        double_descent_sweep(x, np.zeros(3), x, np.zeros((2, 10)), (4,), 1.0, seed=0)

@@ -16,7 +16,6 @@ from descentlab.separable import (
     generate_separable,
     hard_margin_svm,
     implicit_bias_run,
-    max_margin_direction,
 )
 
 
@@ -153,12 +152,7 @@ def test_svm_dual_primal_consistency():
     np.testing.assert_allclose(margins[sol.support], 1.0, atol=1e-6)
     off = np.setdiff1d(np.arange(data.n), sol.support)
     assert np.all(sol.alpha[off] <= 1e-8)
-
-
-def test_max_margin_direction_is_unit():
-    data = generate_separable(15, 3, 0.5, seed=57)
-    u = max_margin_direction(data.points, data.labels, witness=data.witness)
-    assert np.linalg.norm(u) == pytest.approx(1.0)
+    assert np.linalg.norm(sol.direction) == pytest.approx(1.0)
 
 
 # ----------------------------------------------------------- direction gap

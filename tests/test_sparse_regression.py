@@ -17,7 +17,6 @@ from descentlab.sparse_regression import (
     fit_subset_min_norm,
     monte_carlo_risk,
     risk_curve,
-    sample_dataset,
     substream_seed,
 )
 
@@ -148,15 +147,6 @@ def test_fit_subset_predictor_lives_in_full_space():
 # ------------------------------------------------------------- Monte Carlo
 
 
-def test_sample_dataset_is_deterministic():
-    problem = GaussianLinearProblem(w_true=np.ones(4), noise_scale=0.1, n=6)
-    x1, y1 = sample_dataset(problem, 99)
-    x2, y2 = sample_dataset(problem, 99)
-    np.testing.assert_array_equal(x1, x2)
-    np.testing.assert_array_equal(y1, y2)
-    assert x1.shape == (6, 4)
-
-
 def test_conditional_risk_of_the_truth_is_noise():
     problem = GaussianLinearProblem(w_true=np.array([1.0, -2.0]), noise_scale=0.3, n=5)
     predictor = fit_subset_min_norm(np.eye(2), problem.w_true, SubsetSelection(np.arange(2), 2))
@@ -193,18 +183,20 @@ def test_monte_carlo_rejects_mismatched_subset():
 
 
 def test_risk_curve_rows_match_direct_calls():
-    problem = GaussianLinearProblem(w_true=np.ones(6) / np.sqrt(6.0), noise_scale=0.2, n=3)
-    rows = risk_curve(problem, (1, 6), trials=30, seed=41, test_points=10)
+    rows = risk_curve(1.0, 0.04, 6, 3, (1, 6), trials=30, test_points=10, seed=41)
     assert [r.p for r in rows] == [1, 6]
+    # The evenly spread w of the given norm, and the scalars as given.
+    problem = GaussianLinearProblem(w_true=np.full(6, math.sqrt(1.0 / 6)), noise_scale=0.2, n=3)
     for row in rows:
         direct = monte_carlo_risk(
             problem, row.p, trials=30, test_points=10, seed=substream_seed(41, row.p)
         )
         assert row.mc_risk == direct.mean
         assert row.mc_stderr == direct.stderr
-        assert row.analytic_risk == analytic_risk_random_subset(
-            problem.signal_norm_sq, problem.noise_var, 6, 3, row.p
-        )
+        assert row.analytic_risk == analytic_risk_random_subset(1.0, 0.04, 6, 3, row.p)
+    for bad in ((-1.0, 0.04, 6), (1.0, -0.04, 6), (1.0, 0.04, 0)):
+        with pytest.raises(InvalidInput):
+            risk_curve(*bad, 3, (1,), trials=2, test_points=1, seed=41)
 
 
 def test_substream_seed_depends_on_p():
