@@ -10,12 +10,13 @@ common to every experiment:
 
 All other keys belong to the experiment's schema below; unknown keys
 are rejected rather than ignored, so a typo cannot silently fall back
-to a default.  Values are typed: integers, floats (``inf`` allowed),
-bare strings, and nonempty comma-separated integer lists.
+to a default.  Values are typed: integers, finite floats, bare strings,
+and nonempty comma-separated integer lists.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -49,8 +50,8 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
     ),
     "rff-sweep": (
         Field("dataset", "str", "rkhs-target", choices=("mnist", "rkhs-target")),
-        Field("n_train", "int", 1000),
-        Field("n_test", "int", 1000),
+        Field("n_train", "int", 1000, min=1),
+        Field("n_test", "int", 1000, min=1),
         Field("n_grid", "int_list", (20, 50, 100, 250, 500, 1000, 2000, 4000, 8000), min=1),
         Field("bandwidth", "float", 5.0),
         Field("repeats", "int", 5, min=1),
@@ -90,9 +91,9 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("truth_degree", "int", 3),
     ),
     "emc": (
-        Field("d", "int", 30),
+        Field("d", "int", 30, min=1),
         Field("eps", "float", 1e-6),
-        Field("n_grid", "int_list", (10, 20, 25, 28, 29, 30, 31, 32, 35, 40)),
+        Field("n_grid", "int_list", (10, 20, 25, 28, 29, 30, 31, 32, 35, 40), min=1),
         Field("trials", "int", 5, min=1),
         Field("noise_scale", "float", 0.1),
     ),
@@ -129,7 +130,10 @@ def _parse_kind(field: Field, text: str):
         if field.kind == "int":
             return int(text)
         if field.kind == "float":
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ConfigError(f"key {field.name!r}: {text!r} is not a finite number")
+            return value
         if field.kind == "int_list":
             values = tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
             if not values:

@@ -119,13 +119,21 @@ def test_load_config_rejections(tmp_path):
         "experiment = polyfit\ngrid_points = 0\n",
         "experiment = sparse-risk\ntest_points = 0\n",
         "experiment = bias-variance\nn = 0\n",
+        "experiment = emc\nd = 0\n",
+        "experiment = emc\nn_grid = 0, 5\n",
+        "experiment = rff-sweep\nn_train = 0\n",
+        "experiment = rff-sweep\nn_test = 0\n",
+        "experiment = polyfit\nnoise_scale = nan\n",
+        "experiment = bias-variance\nnoise_scale = inf\n",
+        "experiment = sparse-risk\nnoise_var = -inf\n",
     ],
 )
 def test_validate_rejects_values_that_cannot_run(tmp_path, text, capsys):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     assert main(["validate", "--config", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_seed_range_covers_all_64_bit_seeds(tmp_path):

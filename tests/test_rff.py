@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from descentlab.errors import InvalidInput
 from descentlab.harness.datasets import make_rkhs_regression
-from descentlab.linalg import svd
+from descentlab.linalg import EPS, svd
 from descentlab.rff import (
+    _gram_min_norm,
     _min_norm_multi,
     double_descent_sweep,
     fit_rff,
@@ -104,6 +106,58 @@ def test_gelsd_solve_agrees_with_truncated_svd(case):
 def test_gelsd_solve_returns_zero_for_a_zero_matrix():
     beta = _min_norm_multi(np.zeros((5, 3)), np.ones((5, 2)))
     np.testing.assert_array_equal(beta, np.zeros((3, 2)))
+
+
+def _gelsd(z, y):
+    """Reference: the ``gelsd`` solve with the ``linalg`` cutoff rule."""
+    return scipy.linalg.lstsq(z, y, cond=EPS * max(z.shape), lapack_driver="gelsd")[0]
+
+
+@pytest.mark.parametrize("case", ["tall", "wide", "one-hot"])
+def test_gram_route_agrees_with_gelsd(case):
+    z, y = _solve_cases()[case]
+    beta = _gram_min_norm(z, y)
+    assert beta is not None and beta.shape == (z.shape[1],) + y.shape[1:]
+    np.testing.assert_allclose(beta, _gelsd(z, y), rtol=1e-9, atol=0.0)
+    np.testing.assert_array_equal(_min_norm_multi(z, y), beta)
+
+
+def _fallback_cases():
+    # Square RFF features at N = n: condition number near 3e10, so the
+    # Cholesky factorization of the Gram matrix breaks down.
+    ds = make_rkhs_regression(200, 1, input_dim=5, n_centers=20, bandwidth=1.0, seed=21)
+    near_singular = sample_map(200, 5, 3.0, seed=21).transform(ds.x_train)
+    square, y = _solve_cases()["square-rank-deficient"]
+    return {
+        "near-singular": (near_singular, ds.y_train),
+        "duplicated-rows": (square, y),
+        "zero": (np.zeros((5, 3)), np.ones((5, 2))),
+        "empty": (np.zeros((0, 3)), np.zeros(0)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_fallback_cases()))
+def test_ill_conditioned_solves_fall_back_to_gelsd(case):
+    z, y = _fallback_cases()[case]
+    assert _gram_min_norm(z, y) is None
+    np.testing.assert_array_equal(_min_norm_multi(z, y), _gelsd(z, y))
+
+
+def test_sweep_takes_the_gram_route_past_the_threshold(monkeypatch):
+    # gelsd runs only where the Gram route gives up; record the widths.
+    fallback_widths = []
+    lstsq = scipy.linalg.lstsq
+
+    def counting_lstsq(z, *args, **kwargs):
+        fallback_widths.append(z.shape[1])
+        return lstsq(z, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lstsq", counting_lstsq)
+    n = 200
+    ds = make_rkhs_regression(n, 50, input_dim=10, n_centers=20, bandwidth=1.0, seed=21)
+    double_descent_sweep(ds.x_train, ds.y_train, ds.x_test, ds.y_test,
+                         (50, n, 2 * n, 4 * n, 8 * n), bandwidth=5.0, seed=21, repeats=2)
+    assert all(width <= n for width in fallback_widths), fallback_widths
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
