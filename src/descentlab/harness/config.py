@@ -11,7 +11,10 @@ common to every experiment:
 All other keys belong to the experiment's schema below; unknown keys
 are rejected rather than ignored, so a typo cannot silently fall back
 to a default.  Values are typed: integers, finite floats, bare strings,
-and nonempty comma-separated integer lists.
+and nonempty comma-separated integer lists.  Each ``Field`` declares
+its bounds (a minimum, a strict lower bound, or another key that caps
+it, as ``p_grid`` entries are capped by ``d``), so whatever the runner
+cannot use is a config error at load time.
 """
 
 from __future__ import annotations
@@ -28,23 +31,33 @@ RESERVED_KEYS = ("experiment", "seed", "output")
 class Field:
     """One schema entry: name, value kind, default (None means required).
 
-    ``min`` bounds a number, or every entry of a number list, from below.
+    The bounds apply to a number, or to every entry of a number list:
+    ``min`` from below, ``above`` strictly from below, and ``at_most``
+    from above by the value of the named key of the same schema.
     """
 
     name: str
     kind: str  # int | float | str | int_list
     default: object = None
     choices: tuple | None = None
-    min: int | None = None
+    min: float | None = None
+    above: float | None = None
+    at_most: str | None = None
 
 
 SCHEMAS: dict[str, tuple[Field, ...]] = {
     "sparse-risk": (
-        Field("d", "int", 100),
-        Field("n", "int", 40),
-        Field("signal_norm_sq", "float", 1.0),
-        Field("noise_var", "float", 0.04),
-        Field("p_grid", "int_list", (0, 10, 20, 30, 36, 38, 40, 42, 44, 50, 60, 70, 80, 90, 100)),
+        Field("d", "int", 100, min=1),
+        Field("n", "int", 40, min=1),
+        Field("signal_norm_sq", "float", 1.0, min=0),
+        Field("noise_var", "float", 0.04, min=0),
+        Field(
+            "p_grid",
+            "int_list",
+            (0, 10, 20, 30, 36, 38, 40, 42, 44, 50, 60, 70, 80, 90, 100),
+            min=0,
+            at_most="d",
+        ),
         Field("trials", "int", 500, min=1),
         Field("test_points", "int", 100, min=1),
     ),
@@ -53,46 +66,46 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("n_train", "int", 1000, min=1),
         Field("n_test", "int", 1000, min=1),
         Field("n_grid", "int_list", (20, 50, 100, 250, 500, 1000, 2000, 4000, 8000), min=1),
-        Field("bandwidth", "float", 5.0),
+        Field("bandwidth", "float", 5.0, above=0),
         Field("repeats", "int", 5, min=1),
-        Field("input_dim", "int", 10),
-        Field("n_centers", "int", 50),
-        Field("target_bandwidth", "float", 1.0),
+        Field("input_dim", "int", 10, min=1),
+        Field("n_centers", "int", 50, min=1),
+        Field("target_bandwidth", "float", 1.0, above=0),
     ),
     "kernel-approx": (
-        Field("n_points", "int", 50),
-        Field("input_dim", "int", 5),
-        Field("bandwidth", "float", 1.0),
+        Field("n_points", "int", 50, min=2),
+        Field("input_dim", "int", 5, min=1),
+        Field("bandwidth", "float", 1.0, above=0),
         Field("n_grid", "int_list", (100, 300, 1000, 3000, 10000), min=1),
         Field("n_maps", "int", 20, min=1),
     ),
     "implicit-bias": (
-        Field("n", "int", 50),
-        Field("d", "int", 2),
-        Field("margin", "float", 0.5),
+        Field("n", "int", 50, min=2),
+        Field("d", "int", 2, min=1),
+        Field("margin", "float", 0.5, above=0),
         Field("loss", "str", "logistic", choices=("logistic", "exponential")),
-        Field("step_fraction", "float", 0.5),
-        Field("max_iters", "int", 100_000),
-        Field("record_every", "int", 100),
+        Field("step_fraction", "float", 0.5, above=0),
+        Field("max_iters", "int", 100_000, min=1),
+        Field("record_every", "int", 100, min=1),
     ),
     "polyfit": (
-        Field("degree", "int", 20),
+        Field("degree", "int", 20, min=0),
         Field("n", "int", 20, min=1),
         Field("noise_scale", "float", 0.5),
-        Field("truth_degree", "int", 3),
+        Field("truth_degree", "int", 3, min=0),
         Field("grid_points", "int", 256, min=1),
         Field("via", "str", "pseudo_inverse", choices=("pseudo_inverse", "gradient_descent")),
     ),
     "bias-variance": (
-        Field("degrees", "int_list", (3, 20)),
+        Field("degrees", "int_list", (3, 20), min=0),
         Field("n", "int", 20, min=1),
-        Field("noise_scale", "float", 0.1),
+        Field("noise_scale", "float", 0.1, min=0),
         Field("trials", "int", 2000, min=2),
-        Field("truth_degree", "int", 3),
+        Field("truth_degree", "int", 3, min=0),
     ),
     "emc": (
         Field("d", "int", 30, min=1),
-        Field("eps", "float", 1e-6),
+        Field("eps", "float", 1e-6, min=0),
         Field("n_grid", "int_list", (10, 20, 25, 28, 29, 30, 31, 32, 35, 40), min=1),
         Field("trials", "int", 5, min=1),
         Field("noise_scale", "float", 0.1),
@@ -116,12 +129,17 @@ class ExperimentConfig:
     output_path: str
 
 
+def _entries(value) -> tuple:
+    return value if isinstance(value, tuple) else (value,)
+
+
 def _parse_value(field: Field, text: str):
     value = _parse_kind(field, text)
-    if field.min is not None:
-        for v in value if isinstance(value, tuple) else (value,):
-            if v < field.min:
-                raise ConfigError(f"key {field.name!r}: {v} is below the minimum {field.min}")
+    for v in _entries(value):
+        if field.min is not None and v < field.min:
+            raise ConfigError(f"key {field.name!r}: {v} is below the minimum {field.min}")
+        if field.above is not None and v <= field.above:
+            raise ConfigError(f"key {field.name!r}: {v} must be above {field.above}")
     return value
 
 
@@ -227,6 +245,13 @@ def load_config(path, experiment=None, seed=None, output=None) -> ExperimentConf
             parameters[f.name] = f.default
         else:
             raise ConfigError(f"missing required key {f.name!r} for {name!r}")
+    for f in schema:
+        if f.at_most is None:
+            continue
+        limit = parameters[f.at_most]
+        for v in _entries(parameters[f.name]):
+            if v > limit:
+                raise ConfigError(f"key {f.name!r}: {v} is above {f.at_most} = {limit}")
     return ExperimentConfig(
         experiment=name, seed=int(seed), parameters=parameters, output_path=str(output)
     )

@@ -13,6 +13,7 @@ equations is ``pinv(X) y + ker(X)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,24 +45,36 @@ class SVDResult:
         return float(self.s[self.rank - 1])
 
 
-def _as_matrix(a) -> np.ndarray:
+def _as_matrix(a, stacked: bool = False) -> np.ndarray:
+    """``a`` as a finite float matrix, or with ``stacked`` a stack ``(..., m, n)``."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise InvalidInput(f"expected a 2-d array, got shape {a.shape}")
+    if a.ndim != 2 and not (stacked and a.ndim > 2):
+        expected = "a 2-d array or a stack of them" if stacked else "a 2-d array"
+        raise InvalidInput(f"expected {expected}, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise InvalidInput("matrix contains NaN or Inf entries")
     return a
 
 
+def _factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD factors of a matrix or, in one LAPACK call, of a stack."""
+    try:
+        return np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD did not converge for shape {a.shape}") from exc
+
+
+def _rank_cut(s: np.ndarray, shape: tuple[int, int]) -> tuple[float, int]:
+    """Cutoff and numerical rank of one matrix from its singular values."""
+    cutoff = EPS * max(shape) * (float(s[0]) if s.size else 0.0)
+    return cutoff, int(np.count_nonzero(s > cutoff))
+
+
 def svd(a) -> SVDResult:
     """Thin SVD with numerical rank via the relative cutoff rule."""
     a = _as_matrix(a)
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge for shape {a.shape}") from exc
-    cutoff = EPS * max(a.shape) * (float(s[0]) if s.size else 0.0)
-    rank = int(np.count_nonzero(s > cutoff))
+    u, s, vt = _factors(a)
+    cutoff, rank = _rank_cut(s, a.shape)
     return SVDResult(u=u, s=s, vt=vt, rank=rank, cutoff=cutoff)
 
 
@@ -81,16 +94,31 @@ def min_norm_solve(x, y) -> np.ndarray:
     Applies ``V_r diag(1/s_r) U_r^T`` to ``y`` directly, which is cheaper
     and slightly better conditioned than materializing the pseudo-inverse
     when only one right-hand side is needed.
+
+    ``x`` may also be a stack ``(..., m, n)`` with ``y`` of shape
+    ``(..., m)``: the stack is factored by one SVD call, then each member
+    gets its own rank cut and solve, so the result equals per-matrix
+    calls bit for bit while the per-call overhead is paid once.
     """
-    x = _as_matrix(x)
+    x = _as_matrix(x, stacked=True)
     y = np.asarray(y, dtype=float)
-    if y.shape != (x.shape[0],):
-        raise InvalidInput(f"y has shape {y.shape}, expected ({x.shape[0]},)")
-    f = svd(x)
-    r = f.rank
-    if r == 0:
-        return np.zeros(x.shape[1])
-    return f.vt[:r].T @ ((f.u[:, :r].T @ y) / f.s[:r])
+    if y.shape != x.shape[:-1]:
+        raise InvalidInput(f"y has shape {y.shape}, expected {x.shape[:-1]}")
+    if x.ndim == 2:
+        f = svd(x)
+        return _apply_pinv(f.u, f.s, f.vt, f.rank, y)
+    k, (m, n) = math.prod(x.shape[:-2]), x.shape[-2:]
+    u, s, vt = _factors(x.reshape(k, m, n))
+    w = np.empty(x.shape[:-2] + (n,))
+    for i, (wi, yi) in enumerate(zip(w.reshape(k, n), y.reshape(k, m))):
+        wi[...] = _apply_pinv(u[i], s[i], vt[i], _rank_cut(s[i], (m, n))[1], yi)
+    return w
+
+
+def _apply_pinv(u, s, vt, rank: int, y: np.ndarray) -> np.ndarray:
+    if rank == 0:
+        return np.zeros(vt.shape[1])
+    return vt[:rank].T @ ((u[:, :rank].T @ y) / s[:rank])
 
 
 def kernel_projector(a) -> np.ndarray:

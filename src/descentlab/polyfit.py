@@ -14,6 +14,15 @@ The striking demo: with n = 20 noisy samples of a cubic, the min-norm
 fit of degree 1000 tracks the cubic more closely than the degree-20 fit,
 which interpolates the noise wildly.  Capacity, measured as parameter
 count, stops being the right complexity axis exactly here.
+
+The bias-variance decomposition fits its trials in blocks of
+``BLOCK_TRIALS``: each block's samples are stacked into one ``(B, n)``
+array, the basis comes from one pass of the recurrence over the stack,
+and one stacked SVD solves every fit.  The estimator seam takes such a
+block and returns a callable whose value on the probe grid broadcasts
+to ``(B, P)``.  Every trial keeps its own random substream and gets
+exactly the numbers a fit of its own would give, so the block size
+never changes a result.
 """
 
 from __future__ import annotations
@@ -31,7 +40,8 @@ from .seeding import substream
 
 @dataclass(frozen=True)
 class PolyBasisDesign:
-    """Design matrix with column k holding P_k at the sample points."""
+    """Design array of shape ``xs.shape + (degree + 1,)``: entry k of the
+    last axis holds P_k at each sample point."""
 
     xs: np.ndarray
     degree: int
@@ -39,10 +49,13 @@ class PolyBasisDesign:
 
 
 def legendre_design(xs, degree: int) -> PolyBasisDesign:
-    """Evaluate the Legendre basis up to ``degree`` at points in [-1, 1]."""
+    """Evaluate the Legendre basis up to ``degree`` at points in [-1, 1].
+
+    ``xs`` may have any shape; a ``(B, n)`` stack of sample vectors gives
+    the ``(B, n, degree + 1)`` stack of their design matrices from one
+    pass of the recurrence.
+    """
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1:
-        raise InvalidInput(f"xs must be 1-d, got shape {xs.shape}")
     if not np.all(np.isfinite(xs)):
         raise InvalidInput("xs contains NaN or Inf entries")
     if xs.size and (np.min(xs) < -1.0 or np.max(xs) > 1.0):
@@ -50,17 +63,18 @@ def legendre_design(xs, degree: int) -> PolyBasisDesign:
     if degree < 0 or int(degree) != degree:
         raise InvalidInput(f"degree must be a nonnegative integer, got {degree}")
 
-    design = np.empty((xs.size, degree + 1))
-    design[:, 0] = 1.0
+    design = np.empty(xs.shape + (degree + 1,))
+    design[..., 0] = 1.0
     if degree >= 1:
-        design[:, 1] = xs
+        design[..., 1] = xs
     for k in range(1, degree):
-        design[:, k + 1] = ((2 * k + 1) * xs * design[:, k] - k * design[:, k - 1]) / (k + 1)
+        design[..., k + 1] = ((2 * k + 1) * xs * design[..., k] - k * design[..., k - 1]) / (k + 1)
     return PolyBasisDesign(xs=xs, degree=degree, design=design)
 
 
 def legendre_predict(coef, xs) -> np.ndarray:
-    """Evaluate the polynomial with the given Legendre coefficients."""
+    """Evaluate the polynomial with the given Legendre coefficients at
+    points ``xs`` of any shape."""
     coef = np.asarray(coef, dtype=float)
     if coef.ndim != 1 or coef.size == 0:
         raise InvalidInput("coef must be a nonempty vector")
@@ -80,12 +94,14 @@ def fit_poly_min_norm(
     ``via="pseudo_inverse"`` solves through the SVD directly;
     ``via="gradient_descent"`` runs descent from zero with a step just
     inside the stability limit, reaching the same coefficients up to the
-    stopping tolerance.
+    stopping tolerance.  With ``via="pseudo_inverse"``, ``xs`` and ``ys``
+    may also be ``(B, n)`` stacks of samples, giving ``(B, degree + 1)``
+    coefficients, row for row equal to separate fits.
     """
     ys = np.asarray(ys, dtype=float)
     basis = legendre_design(xs, degree)
-    if ys.shape != (basis.design.shape[0],):
-        raise InvalidInput(f"ys has shape {ys.shape}, expected ({basis.design.shape[0]},)")
+    if ys.shape != basis.xs.shape:
+        raise InvalidInput(f"ys has shape {ys.shape}, expected {basis.xs.shape}")
     if via == "pseudo_inverse":
         return min_norm_solve(basis.design, ys)
     if via == "gradient_descent":
@@ -128,13 +144,37 @@ class BiasVariance:
 
 Estimator = Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
 
+# Trials fitted together by ``bias_variance_decompose``: enough to pay the
+# per-call overhead of the basis and the SVD once per block, few enough
+# to keep the stacked design small.
+BLOCK_TRIALS = 64
 
-def legendre_estimator(degree: int) -> Estimator:
-    """The default estimator: min-norm Legendre regression of fixed degree."""
+
+def legendre_estimator(degree: int, probe: np.ndarray | None = None) -> Estimator:
+    """The default estimator: min-norm Legendre regression of fixed degree.
+
+    It fits a block of trials at once: ``xs`` and ``ys`` of shape
+    ``(B, n)`` give a callable whose value at points ``x_eval`` has shape
+    ``(B,) + x_eval.shape``, one matrix-vector product per trial.  The
+    design at ``probe``, when given, is built once here and reused each
+    time a fit is evaluated at that same array.
+    """
+    probe_design = None if probe is None else legendre_design(probe, degree).design
 
     def fit(xs: np.ndarray, ys: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         coef = fit_poly_min_norm(xs, ys, degree)
-        return lambda x_eval: legendre_predict(coef, x_eval)
+
+        def predict(x_eval: np.ndarray) -> np.ndarray:
+            if probe_design is not None and x_eval is probe:
+                design = probe_design
+            else:
+                design = legendre_design(x_eval, degree).design
+            # One product per trial: a single matmul over the block can
+            # change the last bits.
+            values = [design @ c for c in coef.reshape(-1, degree + 1)]
+            return np.stack(values).reshape(coef.shape[:-1] + design.shape[:-1])
+
+        return predict
 
     return fit
 
@@ -165,23 +205,30 @@ def bias_variance_decompose(
         raise InvalidInput(f"n must be >= 1, got {n}")
     if noise_scale < 0:
         raise InvalidInput(f"noise_scale must be >= 0, got {noise_scale}")
-    if estimator is None:
-        estimator = legendre_estimator(degree)
     if probe is None:
         probe = np.linspace(-1.0, 1.0, 101)
     probe = np.asarray(probe, dtype=float)
+    if estimator is None:
+        estimator = legendre_estimator(degree, probe)
     truth_on_probe = np.asarray(truth_fn(probe), dtype=float)
 
     preds = np.empty((trials, probe.size))
     totals = np.empty(trials)
-    for r in range(trials):
-        rng = substream(seed, "bias-variance-trial", r)
-        xs = rng.uniform(-1.0, 1.0, size=n)
-        ys = np.asarray(truth_fn(xs), dtype=float) + noise_scale * rng.standard_normal(n)
-        model = estimator(xs, ys)
-        preds[r] = model(probe)
-        fresh = truth_on_probe + noise_scale * rng.standard_normal(probe.size)
-        totals[r] = np.mean((preds[r] - fresh) ** 2)
+    for start in range(0, trials, BLOCK_TRIALS):
+        block = slice(start, min(start + BLOCK_TRIALS, trials))
+        size = block.stop - start
+        xs = np.empty((size, n))
+        noise = np.empty((size, n))
+        fresh_noise = np.empty((size, probe.size))
+        for i in range(size):
+            rng = substream(seed, "bias-variance-trial", start + i)
+            xs[i] = rng.uniform(-1.0, 1.0, size=n)
+            noise[i] = rng.standard_normal(n)
+            fresh_noise[i] = rng.standard_normal(probe.size)
+        ys = np.asarray(truth_fn(xs), dtype=float) + noise_scale * noise
+        preds[block] = estimator(xs, ys)(probe)
+        fresh = truth_on_probe + noise_scale * fresh_noise
+        totals[block] = np.mean((preds[block] - fresh) ** 2, axis=1)
 
     avg_pred = preds.mean(axis=0)
     bias_sq = float(np.mean((truth_on_probe - avg_pred) ** 2))

@@ -126,6 +126,33 @@ def test_load_config_rejections(tmp_path):
         "experiment = polyfit\nnoise_scale = nan\n",
         "experiment = bias-variance\nnoise_scale = inf\n",
         "experiment = sparse-risk\nnoise_var = -inf\n",
+        "experiment = implicit-bias\nmax_iters = 0\n",
+        "experiment = implicit-bias\nrecord_every = 0\n",
+        "experiment = implicit-bias\nstep_fraction = 0\n",
+        "experiment = implicit-bias\nmargin = -1\n",
+        "experiment = implicit-bias\nn = 1\n",
+        "experiment = implicit-bias\nd = 0\n",
+        "experiment = polyfit\ndegree = -1\n",
+        "experiment = polyfit\ntruth_degree = -2\n",
+        "experiment = bias-variance\ndegrees = 3, -1\n",
+        "experiment = bias-variance\ntruth_degree = -1\n",
+        "experiment = bias-variance\nnoise_scale = -0.1\n",
+        "experiment = kernel-approx\nn_points = 1\n",
+        "experiment = kernel-approx\ninput_dim = 0\n",
+        "experiment = kernel-approx\nbandwidth = -1\n",
+        "experiment = rff-sweep\nbandwidth = 0\n",
+        "experiment = rff-sweep\nbandwidth = -1\n",
+        "experiment = rff-sweep\ntarget_bandwidth = 0\n",
+        "experiment = rff-sweep\ninput_dim = 0\n",
+        "experiment = rff-sweep\nn_centers = 0\n",
+        "experiment = emc\neps = -1\n",
+        "experiment = sparse-risk\nd = 0\n",
+        "experiment = sparse-risk\nn = 0\n",
+        "experiment = sparse-risk\nsignal_norm_sq = -1\n",
+        "experiment = sparse-risk\np_grid = -1, 10\n",
+        "experiment = sparse-risk\np_grid = 0, 10, 120\n",
+        # The default p_grid runs to 100, past this d.
+        "experiment = sparse-risk\nd = 50\n",
     ],
 )
 def test_validate_rejects_values_that_cannot_run(tmp_path, text, capsys):
@@ -134,6 +161,22 @@ def test_validate_rejects_values_that_cannot_run(tmp_path, text, capsys):
     assert main(["validate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "experiment = sparse-risk\nd = 120\np_grid = 0, 10, 120\n",
+        "experiment = emc\neps = 0\n",
+        "experiment = bias-variance\ndegrees = 0, 40\nnoise_scale = 0\n",
+        "experiment = implicit-bias\nn = 2\nd = 1\nstep_fraction = 1e-9\n",
+        "experiment = kernel-approx\nn_points = 2\n",
+    ],
+)
+def test_validate_accepts_values_on_the_bounds(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 0
 
 
 def test_seed_range_covers_all_64_bit_seeds(tmp_path):

@@ -94,6 +94,55 @@ def test_min_norm_solve_agrees_with_lstsq():
         np.testing.assert_allclose(min_norm_solve(x, y), expected, atol=1e-10)
 
 
+def _stack_members(rng, m, n):
+    """Full-rank, rank-one, all-zero, duplicate-column and tiny members.
+
+    The tiny member sits far below the others' cutoffs, so a rank cut
+    shared across the stack would zero it.
+    """
+    full = rng.standard_normal((m, n))
+    rank_one = np.outer(rng.standard_normal(m), rng.standard_normal(n))
+    dup = rng.standard_normal((m, n))
+    dup[:, -1] = 3.0 * dup[:, 0]
+    tiny = 1e-14 * rng.standard_normal((m, n))
+    return np.stack([full, rank_one, np.zeros((m, n)), dup, tiny])
+
+
+@pytest.mark.parametrize("shape", [(9, 4), (4, 9), (6, 6), (1, 5), (5, 1)])
+def test_stacked_min_norm_solve_equals_per_matrix_calls(shape):
+    # Tall, wide and square stacks, each holding rank-deficient and
+    # all-zero members; every member's solution must be exactly the one
+    # a lone call gives, rank cut included.
+    rng = substream(12, "stacked-solve", 10 * shape[0] + shape[1])
+    x = _stack_members(rng, *shape)
+    y = rng.standard_normal(x.shape[:-1])
+    w = min_norm_solve(x, y)
+    assert w.shape == (x.shape[0], shape[1])
+    for i in range(x.shape[0]):
+        np.testing.assert_array_equal(w[i], min_norm_solve(x[i], y[i]))
+    np.testing.assert_array_equal(w[2], np.zeros(shape[1]))
+    assert np.any(w[4] != 0)
+    # Extra stack axes are kept.
+    w4 = min_norm_solve(x.reshape((1,) + x.shape), y.reshape((1,) + y.shape))
+    np.testing.assert_array_equal(w4[0], w)
+
+
+def test_stacked_min_norm_solve_rejects_bad_input():
+    x = np.ones((3, 4, 2))
+    with pytest.raises(InvalidInput):
+        min_norm_solve(x, np.ones((3, 2)))
+    with pytest.raises(InvalidInput):
+        min_norm_solve(x, np.ones(4))
+    bad = x.copy()
+    bad[2, 1, 0] = np.nan
+    with pytest.raises(InvalidInput):
+        min_norm_solve(bad, np.ones((3, 4)))
+    with pytest.raises(InvalidInput):
+        min_norm_solve(np.ones(4), np.ones(4))
+    with pytest.raises(InvalidInput):
+        svd(x)
+
+
 def test_min_norm_is_the_smallest_minimizer():
     rng = substream(9, "min-norm-min")
     x = rng.standard_normal((4, 10))

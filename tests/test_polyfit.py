@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from descentlab import polyfit
 from descentlab.errors import InvalidInput
 from descentlab.polyfit import (
     bias_variance_decompose,
@@ -57,6 +58,16 @@ def test_orthogonality_by_quadrature():
 def test_basis_values_bounded_by_one(x, degree):
     design = legendre_design(np.array([x]), degree).design
     assert np.max(np.abs(design)) <= 1.0 + 1e-12
+
+
+def test_stacked_basis_equals_row_by_row():
+    rng = substream(64, "stacked-basis")
+    xs = rng.uniform(-1.0, 1.0, (7, 20))
+    for degree in (0, 1, 5, 40):
+        stacked = legendre_design(xs, degree).design
+        assert stacked.shape == (7, 20, degree + 1)
+        for i in range(7):
+            np.testing.assert_array_equal(stacked[i], legendre_design(xs[i], degree).design)
 
 
 def test_domain_is_enforced():
@@ -189,6 +200,61 @@ def test_decomposition_identity_smoke():
     lhs = bv.bias_sq + bv.variance + bv.noise
     assert abs(lhs - bv.total) <= 4.0 * bv.total_stderr
     assert bv.trials == 400
+
+
+def _per_trial_decomposition(truth_fn, degree, n, noise_scale, trials, seed):
+    """The decomposition fitted one trial at a time, as a reference."""
+    probe = np.linspace(-1.0, 1.0, 101)
+    truth_on_probe = truth_fn(probe)
+    preds = np.empty((trials, probe.size))
+    totals = np.empty(trials)
+    for r in range(trials):
+        rng = substream(seed, "bias-variance-trial", r)
+        xs = rng.uniform(-1.0, 1.0, size=n)
+        ys = truth_fn(xs) + noise_scale * rng.standard_normal(n)
+        preds[r] = legendre_predict(fit_poly_min_norm(xs, ys, degree), probe)
+        fresh = truth_on_probe + noise_scale * rng.standard_normal(probe.size)
+        totals[r] = np.mean((preds[r] - fresh) ** 2)
+    avg_pred = preds.mean(axis=0)
+    return (
+        float(np.mean((truth_on_probe - avg_pred) ** 2)),
+        float(np.mean((preds - avg_pred) ** 2)),
+        float(np.mean(totals)),
+        float(np.std(totals, ddof=1) / np.sqrt(trials)),
+    )
+
+
+@pytest.mark.parametrize("degree", [3, 11, 12, 30])
+def test_block_fit_equals_per_trial_fits(degree):
+    # 150 trials leave a partial last block.  With n = 12 samples, degree
+    # 11 is the first that interpolates (12 coefficients), so the degrees
+    # run below, at and above the threshold.
+    truth = random_target_poly(3, seed=75)
+
+    def truth_fn(x):
+        return legendre_predict(truth, x)
+
+    bv = bias_variance_decompose(truth_fn, degree, n=12, noise_scale=0.2, trials=150, seed=76)
+    got = (bv.bias_sq, bv.variance, bv.total, bv.total_stderr)
+    assert got == _per_trial_decomposition(truth_fn, degree, 12, 0.2, 150, 76)
+
+
+def test_block_size_does_not_change_the_result(monkeypatch):
+    truth = random_target_poly(3, seed=77)
+
+    def truth_fn(x):
+        return legendre_predict(truth, x)
+
+    def run():
+        return [
+            bias_variance_decompose(truth_fn, degree, n=10, noise_scale=0.1, trials=30, seed=78)
+            for degree in (2, 9, 25)
+        ]
+
+    default = run()
+    for block in (1, 7):
+        monkeypatch.setattr(polyfit, "BLOCK_TRIALS", block)
+        assert run() == default
 
 
 def test_bias_variance_validation():
