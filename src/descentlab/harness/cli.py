@@ -6,7 +6,8 @@ Usage:
     descentlab validate --config <path>
 
 Exit status 0 on success, 1 when the experiment itself fails (bad data
-files or a diverging run), 2 for configuration problems.
+files, a diverging run, or a run too large for memory), 2 for
+configuration problems.
 """
 
 from __future__ import annotations
@@ -64,6 +65,9 @@ def main(argv=None) -> int:
         return 2
     except DescentLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1
 
 

@@ -12,9 +12,10 @@ All other keys belong to the experiment's schema below; unknown keys
 are rejected rather than ignored, so a typo cannot silently fall back
 to a default.  Values are typed: integers, finite floats, bare strings,
 and nonempty comma-separated integer lists.  Each ``Field`` declares
-its bounds (a minimum, a strict lower bound, or another key that caps
-it, as ``p_grid`` entries are capped by ``d``), so whatever the runner
-cannot use is a config error at load time.
+its bounds (a minimum, a strict lower bound, another key that caps it,
+as ``p_grid`` entries are capped by ``d``, or, for a list, strictly
+increasing entries), so whatever the runner cannot use is a config
+error at load time.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ class Field:
 
     The bounds apply to a number, or to every entry of a number list:
     ``min`` from below, ``above`` strictly from below, and ``at_most``
-    from above by the value of the named key of the same schema.
+    from above by the value of the named key of the same schema.  A list
+    with ``increasing`` set must have strictly increasing entries.
     """
 
     name: str
@@ -43,6 +45,7 @@ class Field:
     min: float | None = None
     above: float | None = None
     at_most: str | None = None
+    increasing: bool = False
 
 
 SCHEMAS: dict[str, tuple[Field, ...]] = {
@@ -65,7 +68,13 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("dataset", "str", "rkhs-target", choices=("mnist", "rkhs-target")),
         Field("n_train", "int", 1000, min=1),
         Field("n_test", "int", 1000, min=1),
-        Field("n_grid", "int_list", (20, 50, 100, 250, 500, 1000, 2000, 4000, 8000), min=1),
+        Field(
+            "n_grid",
+            "int_list",
+            (20, 50, 100, 250, 500, 1000, 2000, 4000, 8000),
+            min=1,
+            increasing=True,
+        ),
         Field("bandwidth", "float", 5.0, above=0),
         Field("repeats", "int", 5, min=1),
         Field("input_dim", "int", 10, min=1),
@@ -76,7 +85,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("n_points", "int", 50, min=2),
         Field("input_dim", "int", 5, min=1),
         Field("bandwidth", "float", 1.0, above=0),
-        Field("n_grid", "int_list", (100, 300, 1000, 3000, 10000), min=1),
+        Field("n_grid", "int_list", (100, 300, 1000, 3000, 10000), min=1, increasing=True),
         Field("n_maps", "int", 20, min=1),
     ),
     "implicit-bias": (
@@ -97,7 +106,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("via", "str", "pseudo_inverse", choices=("pseudo_inverse", "gradient_descent")),
     ),
     "bias-variance": (
-        Field("degrees", "int_list", (3, 20), min=0),
+        Field("degrees", "int_list", (3, 20), min=0, increasing=True),
         Field("n", "int", 20, min=1),
         Field("noise_scale", "float", 0.1, min=0),
         Field("trials", "int", 2000, min=2),
@@ -106,7 +115,13 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
     "emc": (
         Field("d", "int", 30, min=1),
         Field("eps", "float", 1e-6, min=0),
-        Field("n_grid", "int_list", (10, 20, 25, 28, 29, 30, 31, 32, 35, 40), min=1),
+        Field(
+            "n_grid",
+            "int_list",
+            (10, 20, 25, 28, 29, 30, 31, 32, 35, 40),
+            min=1,
+            increasing=True,
+        ),
         Field("trials", "int", 5, min=1),
         Field("noise_scale", "float", 0.1),
     ),
@@ -140,6 +155,8 @@ def _parse_value(field: Field, text: str):
             raise ConfigError(f"key {field.name!r}: {v} is below the minimum {field.min}")
         if field.above is not None and v <= field.above:
             raise ConfigError(f"key {field.name!r}: {v} must be above {field.above}")
+    if field.increasing and any(a >= b for a, b in zip(value, value[1:])):
+        raise ConfigError(f"key {field.name!r}: entries must be strictly increasing, got {text}")
     return value
 
 

@@ -65,17 +65,3 @@ def write_csv(path, comment_lines, columns, rows, trailing_comments=()) -> None:
             os.unlink(tmp_path)
         raise
 
-
-def read_rows(path) -> tuple[list[str], list[str], list[list[str]]]:
-    """Read back (comment lines, column names, raw string rows)."""
-    comments, columns, rows = [], None, []
-    with open(path, "r", newline="\n") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                comments.append(line[1:].strip())
-            elif columns is None:
-                columns = line.split(",")
-            elif line:
-                rows.append(line.split(","))
-    return comments, columns or [], rows

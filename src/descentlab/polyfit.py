@@ -21,8 +21,8 @@ array, the basis comes from one pass of the recurrence over the stack,
 and one stacked SVD solves every fit.  The estimator seam takes such a
 block and returns a callable whose value on the probe grid broadcasts
 to ``(B, P)``.  Every trial keeps its own random substream and gets
-exactly the numbers a fit of its own would give, so the block size
-never changes a result.
+exactly the numbers of a one-trial block, so the block size never
+changes a result.
 """
 
 from __future__ import annotations
@@ -91,7 +91,9 @@ def fit_poly_min_norm(
 ) -> np.ndarray:
     """Min-norm least-squares coefficients in the Legendre basis.
 
-    ``via="pseudo_inverse"`` solves through the SVD directly;
+    ``via="pseudo_inverse"`` solves through the stacked SVD of
+    ``linalg.min_norm_solve``, a lone fit as a one-member stack, so it
+    gets exactly the numbers of a trial in a block;
     ``via="gradient_descent"`` runs descent from zero with a step just
     inside the stability limit, reaching the same coefficients up to the
     stopping tolerance.  With ``via="pseudo_inverse"``, ``xs`` and ``ys``
@@ -103,7 +105,7 @@ def fit_poly_min_norm(
     if ys.shape != basis.xs.shape:
         raise InvalidInput(f"ys has shape {ys.shape}, expected {basis.xs.shape}")
     if via == "pseudo_inverse":
-        return min_norm_solve(basis.design, ys)
+        return min_norm_solve(basis.design[None], ys[None])[0]
     if via == "gradient_descent":
         smax = svd(basis.design).s_max
         if smax == 0:

@@ -13,13 +13,6 @@ Sweeping ``N`` across the interpolation threshold ``N = n_train`` is the
 canonical double-descent experiment; the sweep helper here records the
 train and test errors at each width along with the norm of the fitted
 coefficients.
-
-Each fit solves through the Cholesky factor of the smaller Gram matrix
-(``z z^T`` or ``z^T z``) with iterative refinement, which is several
-times cheaper than an SVD away from the threshold.  Near ``N = n_train``
-the features are numerically singular and squaring the condition
-number would lose the answer, so those fits, and any other whose
-Gram solve cannot be certified, go to LAPACK ``gelsd`` instead.
 """
 
 from __future__ import annotations
@@ -28,11 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.spatial.distance import cdist
 
-from .errors import InvalidInput, NumericalFailure
-from .linalg import EPS, _as_matrix
+from .errors import InvalidInput
+from .linalg import min_norm_solve
 from .seeding import substream
 
 
@@ -120,81 +112,6 @@ def kernel_approx_error(feature_map: RandomFeatureMap, points) -> tuple[float, f
     return float(np.max(errs)), float(np.mean(errs))
 
 
-# Iterative refinement of a Gram-route solve: at most this many
-# correction steps, each at least halving the one before, until a
-# correction is at most REFINE_TOL times the solution norm.
-REFINE_STEPS = 8
-REFINE_TOL = 1e-10
-
-
-def _gram_min_norm(z: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """Min-norm least squares through a Cholesky factor of the Gram matrix.
-
-    A wide ``z`` (at least as many columns as rows) gives ``beta = z^T a``
-    with ``(z z^T) a = y``; a tall one solves ``(z^T z) beta = z^T y``.
-    The Gram matrix squares the condition number, so a solution is only
-    returned when the Cholesky factorization succeeds, the LAPACK
-    estimate of its reciprocal condition number exceeds the square of the
-    ``gelsd`` cutoff (so no singular value ``gelsd`` would drop is kept),
-    and iterative refinement, with residuals ``y - z beta`` taken from
-    ``z`` itself, converges.  Otherwise the result is None.
-    """
-    m, n = z.shape
-    if min(m, n) == 0:
-        return None
-    wide = n >= m
-    gram = z @ z.T if wide else z.T @ z
-    anorm = np.abs(gram).sum(axis=0).max()
-    chol, info = scipy.linalg.lapack.dpotrf(gram, clean=False)
-    if info != 0:
-        return None
-    rcond, info = scipy.linalg.lapack.dpocon(chol, anorm)
-    if info != 0 or not rcond > (EPS * max(m, n)) ** 2:
-        return None
-
-    def solve(residual: np.ndarray) -> np.ndarray:
-        a, _ = scipy.linalg.lapack.dpotrs(chol, residual if wide else z.T @ residual)
-        return z.T @ a if wide else a
-
-    rhs = y.reshape(m, -1)
-    beta = solve(rhs)
-    last = math.inf
-    for _ in range(REFINE_STEPS):
-        step = solve(rhs - z @ beta)
-        beta += step
-        size = np.linalg.norm(step)
-        if size <= REFINE_TOL * np.linalg.norm(beta):
-            return beta.reshape((n,) + y.shape[1:])
-        if not size <= 0.5 * last:
-            return None
-        last = size
-    return None
-
-
-def _min_norm_multi(z, y: np.ndarray) -> np.ndarray:
-    """Min-norm least squares supporting a matrix of right-hand sides.
-
-    Well-conditioned systems go through the refined Cholesky of the Gram
-    matrix (``_gram_min_norm``).  The rest, near-singular and
-    rank-deficient ones, fall back to LAPACK ``gelsd``: SVD-based, it
-    drops singular values at or below ``EPS * max(m, n) * s_max``, the
-    rank rule of ``linalg.svd``, but never forms the singular vectors.
-    """
-    z = _as_matrix(z)
-    beta = _gram_min_norm(z, y)
-    if beta is not None:
-        return beta
-    try:
-        beta, _, rank, _ = scipy.linalg.lstsq(
-            z, y, cond=EPS * max(z.shape), check_finite=False, lapack_driver="gelsd"
-        )
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge for shape {z.shape}") from exc
-    if rank == 0:
-        return np.zeros((z.shape[1],) + y.shape[1:])
-    return beta
-
-
 def _mse(pred: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((pred - y) ** 2))
 
@@ -238,9 +155,7 @@ def fit_rff(feature_map: RandomFeatureMap, x, y) -> RFFModel:
     """
     z = feature_map.transform(x)
     y = np.asarray(y, dtype=float)
-    if y.shape[0] != z.shape[0]:
-        raise InvalidInput(f"y has {y.shape[0]} rows, x has {z.shape[0]}")
-    beta = _min_norm_multi(z, y)
+    beta = min_norm_solve(z, y)
     return RFFModel(feature_map=feature_map, beta=beta, train_mse=_mse(z @ beta, y))
 
 

@@ -66,14 +66,6 @@ class GaussianLinearProblem:
     def d(self) -> int:
         return self.w_true.size
 
-    @property
-    def noise_var(self) -> float:
-        return self.noise_scale**2
-
-    @property
-    def signal_norm_sq(self) -> float:
-        return float(np.sum(self.w_true**2))
-
 
 @dataclass(frozen=True)
 class SubsetSelection:
@@ -185,19 +177,6 @@ class MonteCarloRisk:
     median: float
     stderr: float
     trials: int
-
-
-def conditional_risk(problem: GaussianLinearProblem, predictor: LinearPredictor) -> float:
-    """Exact risk of one fitted predictor under the Gaussian model.
-
-    For isotropic features the expected squared error decomposes as
-    ``||w - coef||^2 + noise_var`` with no sampling involved; useful as a
-    zero-test-noise cross-check on the test-draw Monte Carlo estimate.
-    """
-    coef = np.asarray(predictor.coef, dtype=float)
-    if coef.shape != problem.w_true.shape:
-        raise InvalidInput("predictor dimension does not match the problem")
-    return float(np.sum((problem.w_true - coef) ** 2)) + problem.noise_var
 
 
 def monte_carlo_risk(

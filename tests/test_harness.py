@@ -16,7 +16,7 @@ from descentlab.harness.config import (
     load_config,
     parse_config_text,
 )
-from descentlab.harness.csvio import format_value, read_rows, write_csv
+from descentlab.harness.csvio import format_value, write_csv
 from descentlab.harness.datasets import (
     load_idx,
     load_mnist_split,
@@ -153,6 +153,11 @@ def test_load_config_rejections(tmp_path):
         "experiment = sparse-risk\np_grid = 0, 10, 120\n",
         # The default p_grid runs to 100, past this d.
         "experiment = sparse-risk\nd = 50\n",
+        # Grids that must be strictly increasing.
+        "experiment = emc\nn_grid = 10, 5\n",
+        "experiment = kernel-approx\nn_grid = 100, 50, 50\n",
+        "experiment = rff-sweep\nn_grid = 20, 20\n",
+        "experiment = bias-variance\ndegrees = 3, 20, 5\n",
     ],
 )
 def test_validate_rejects_values_that_cannot_run(tmp_path, text, capsys):
@@ -231,6 +236,21 @@ def test_format_value_forms():
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_format_value_round_trips_floats(x):
     assert float(format_value(x)) == x
+
+
+def read_rows(path) -> tuple[list[str], list[str], list[list[str]]]:
+    """Read back (comment lines, column names, raw string rows)."""
+    comments, columns, rows = [], None, []
+    with open(path, "r", newline="\n") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if line.startswith("#"):
+                comments.append(line[1:].strip())
+            elif columns is None:
+                columns = line.split(",")
+            elif line:
+                rows.append(line.split(","))
+    return comments, columns or [], rows
 
 
 def test_write_read_round_trip(tmp_path):
@@ -492,6 +512,20 @@ def test_cli_unwritable_output_is_a_one_line_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert str(blocker / "x.csv") in err
+    assert err.count("\n") == 1
+
+
+def test_cli_out_of_memory_is_a_one_line_run_error(tmp_path, monkeypatch, capsys):
+    # A grid too large to allocate raises MemoryError inside the run; the
+    # run is replaced here so that nothing is allocated for real.
+    def out_of_memory(config):
+        raise MemoryError("Unable to allocate 74.5 TiB for an array")
+
+    monkeypatch.setattr("descentlab.harness.cli.run", out_of_memory)
+    cfg = _cfg(tmp_path, "experiment = rff-sweep\nn_grid = 1000000000000\n")
+    assert main(["rff-sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "74.5 TiB" in err
     assert err.count("\n") == 1
 
 

@@ -1,14 +1,20 @@
 """Tests for the SVD / pseudo-inverse / minimum-norm layer."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descentlab.descent import gd_limit_point
 from descentlab.errors import InvalidInput
+from descentlab.harness.datasets import make_rkhs_regression
 from descentlab.linalg import (
+    EPS,
     LinearPredictor,
+    _gram_min_norm,
     fit_min_norm,
     kernel_projector,
     min_norm_solve,
@@ -16,6 +22,7 @@ from descentlab.linalg import (
     pseudo_inverse,
     svd,
 )
+from descentlab.rff import sample_map
 from descentlab.seeding import substream
 
 
@@ -112,14 +119,16 @@ def _stack_members(rng, m, n):
 def test_stacked_min_norm_solve_equals_per_matrix_calls(shape):
     # Tall, wide and square stacks, each holding rank-deficient and
     # all-zero members; every member's solution must be exactly the one
-    # a lone call gives, rank cut included.
+    # of a one-member stack, rank cut included, and agree with the
+    # single-matrix route (Gram or gelsd) to rounding.
     rng = substream(12, "stacked-solve", 10 * shape[0] + shape[1])
     x = _stack_members(rng, *shape)
     y = rng.standard_normal(x.shape[:-1])
     w = min_norm_solve(x, y)
     assert w.shape == (x.shape[0], shape[1])
     for i in range(x.shape[0]):
-        np.testing.assert_array_equal(w[i], min_norm_solve(x[i], y[i]))
+        np.testing.assert_array_equal(w[i], min_norm_solve(x[i : i + 1], y[i : i + 1])[0])
+        np.testing.assert_allclose(w[i], min_norm_solve(x[i], y[i]), rtol=1e-12, atol=0.0)
     np.testing.assert_array_equal(w[2], np.zeros(shape[1]))
     assert np.any(w[4] != 0)
     # Extra stack axes are kept.
@@ -141,6 +150,88 @@ def test_stacked_min_norm_solve_rejects_bad_input():
         min_norm_solve(np.ones(4), np.ones(4))
     with pytest.raises(InvalidInput):
         svd(x)
+
+
+def _svd_min_norm(z, y):
+    """Reference: ``V_r diag(1/s_r) U_r^T y`` from the truncated thin SVD."""
+    f = svd(z)
+    r = f.rank
+    coeffs = (f.u[:, :r].T @ y).T / f.s[:r]
+    return f.vt[:r].T @ coeffs.T
+
+
+def _solve_cases():
+    rng = substream(20, "gelsd-cases")
+    tall = rng.standard_normal((60, 20))
+    wide = rng.standard_normal((20, 60))
+    # Rank 20 of 30: the duplicated rows give ten exactly dependent rows.
+    base = rng.standard_normal((20, 30))
+    square = np.vstack([base, base[:10]])
+    labels = rng.integers(0, 4, size=20)
+    one_hot = np.zeros((20, 4))
+    one_hot[np.arange(20), labels] = 1.0
+    return {
+        "tall": (tall, rng.standard_normal(60)),
+        "wide": (wide, rng.standard_normal(20)),
+        "square-rank-deficient": (square, rng.standard_normal(30)),
+        "one-hot": (wide, one_hot),
+    }
+
+
+@pytest.mark.parametrize("case", list(_solve_cases()))
+def test_gelsd_solve_agrees_with_truncated_svd(case):
+    z, y = _solve_cases()[case]
+    beta = min_norm_solve(z, y)
+    assert beta.shape == (z.shape[1],) + y.shape[1:]
+    np.testing.assert_allclose(beta, _svd_min_norm(z, y), rtol=1e-9, atol=0.0)
+
+
+def test_gelsd_solve_returns_zero_for_a_zero_matrix():
+    beta = min_norm_solve(np.zeros((5, 3)), np.ones((5, 2)))
+    np.testing.assert_array_equal(beta, np.zeros((3, 2)))
+
+
+def _gelsd(z, y):
+    """Reference: the ``gelsd`` solve with the ``linalg`` cutoff rule."""
+    return scipy.linalg.lstsq(z, y, cond=EPS * max(z.shape), lapack_driver="gelsd")[0]
+
+
+@pytest.mark.parametrize("case", ["tall", "wide", "one-hot"])
+def test_gram_route_agrees_with_gelsd(case):
+    z, y = _solve_cases()[case]
+    beta = _gram_min_norm(z, y)
+    assert beta is not None and beta.shape == (z.shape[1],) + y.shape[1:]
+    np.testing.assert_allclose(beta, _gelsd(z, y), rtol=1e-9, atol=0.0)
+    np.testing.assert_array_equal(min_norm_solve(z, y), beta)
+
+
+def _fallback_cases():
+    # Square RFF features at N = n: condition number near 3e10, so the
+    # Cholesky factorization of the Gram matrix breaks down.
+    ds = make_rkhs_regression(200, 1, input_dim=5, n_centers=20, bandwidth=1.0, seed=21)
+    near_singular = sample_map(200, 5, 3.0, seed=21).transform(ds.x_train)
+    square, y = _solve_cases()["square-rank-deficient"]
+    return {
+        "near-singular": (near_singular, ds.y_train),
+        "duplicated-rows": (square, y),
+        "zero": (np.zeros((5, 3)), np.ones((5, 2))),
+        "empty": (np.zeros((0, 3)), np.zeros(0)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_fallback_cases()))
+def test_ill_conditioned_solves_fall_back_to_gelsd(case):
+    z, y = _fallback_cases()[case]
+    assert _gram_min_norm(z, y) is None
+    np.testing.assert_array_equal(min_norm_solve(z, y), _gelsd(z, y))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_rejects_non_finite_matrices(bad):
+    z = np.ones((4, 3))
+    z[2, 1] = bad
+    with pytest.raises(InvalidInput):
+        min_norm_solve(z, np.ones(4))
 
 
 def test_min_norm_is_the_smallest_minimizer():
@@ -179,6 +270,8 @@ def test_kernel_projector_properties():
 def test_shape_validation_messages():
     with pytest.raises(InvalidInput):
         min_norm_solve(np.eye(3), np.ones(4))
+    with pytest.raises(InvalidInput):
+        min_norm_solve(np.eye(3), np.ones((3, 2, 1)))
     with pytest.raises(InvalidInput):
         gd_limit_point(np.eye(3), np.ones(3), np.ones(5))
 

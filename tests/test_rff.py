@@ -8,10 +8,8 @@ import scipy.linalg
 
 from descentlab.errors import InvalidInput
 from descentlab.harness.datasets import make_rkhs_regression
-from descentlab.linalg import EPS, svd
+from descentlab.linalg import min_norm_solve
 from descentlab.rff import (
-    _gram_min_norm,
-    _min_norm_multi,
     double_descent_sweep,
     fit_rff,
     gaussian_kernel,
@@ -69,80 +67,6 @@ def test_transform_matches_the_feature_formula_bit_for_bit():
         np.testing.assert_array_equal(fmap.transform(points), expected)
 
 
-def _svd_min_norm(z, y):
-    """Reference: ``V_r diag(1/s_r) U_r^T y`` from the truncated thin SVD."""
-    f = svd(z)
-    r = f.rank
-    coeffs = (f.u[:, :r].T @ y).T / f.s[:r]
-    return f.vt[:r].T @ coeffs.T
-
-
-def _solve_cases():
-    rng = substream(20, "gelsd-cases")
-    tall = rng.standard_normal((60, 20))
-    wide = rng.standard_normal((20, 60))
-    # Rank 20 of 30: the duplicated rows give ten exactly dependent rows.
-    base = rng.standard_normal((20, 30))
-    square = np.vstack([base, base[:10]])
-    labels = rng.integers(0, 4, size=20)
-    one_hot = np.zeros((20, 4))
-    one_hot[np.arange(20), labels] = 1.0
-    return {
-        "tall": (tall, rng.standard_normal(60)),
-        "wide": (wide, rng.standard_normal(20)),
-        "square-rank-deficient": (square, rng.standard_normal(30)),
-        "one-hot": (wide, one_hot),
-    }
-
-
-@pytest.mark.parametrize("case", list(_solve_cases()))
-def test_gelsd_solve_agrees_with_truncated_svd(case):
-    z, y = _solve_cases()[case]
-    beta = _min_norm_multi(z, y)
-    assert beta.shape == (z.shape[1],) + y.shape[1:]
-    np.testing.assert_allclose(beta, _svd_min_norm(z, y), rtol=1e-9, atol=0.0)
-
-
-def test_gelsd_solve_returns_zero_for_a_zero_matrix():
-    beta = _min_norm_multi(np.zeros((5, 3)), np.ones((5, 2)))
-    np.testing.assert_array_equal(beta, np.zeros((3, 2)))
-
-
-def _gelsd(z, y):
-    """Reference: the ``gelsd`` solve with the ``linalg`` cutoff rule."""
-    return scipy.linalg.lstsq(z, y, cond=EPS * max(z.shape), lapack_driver="gelsd")[0]
-
-
-@pytest.mark.parametrize("case", ["tall", "wide", "one-hot"])
-def test_gram_route_agrees_with_gelsd(case):
-    z, y = _solve_cases()[case]
-    beta = _gram_min_norm(z, y)
-    assert beta is not None and beta.shape == (z.shape[1],) + y.shape[1:]
-    np.testing.assert_allclose(beta, _gelsd(z, y), rtol=1e-9, atol=0.0)
-    np.testing.assert_array_equal(_min_norm_multi(z, y), beta)
-
-
-def _fallback_cases():
-    # Square RFF features at N = n: condition number near 3e10, so the
-    # Cholesky factorization of the Gram matrix breaks down.
-    ds = make_rkhs_regression(200, 1, input_dim=5, n_centers=20, bandwidth=1.0, seed=21)
-    near_singular = sample_map(200, 5, 3.0, seed=21).transform(ds.x_train)
-    square, y = _solve_cases()["square-rank-deficient"]
-    return {
-        "near-singular": (near_singular, ds.y_train),
-        "duplicated-rows": (square, y),
-        "zero": (np.zeros((5, 3)), np.ones((5, 2))),
-        "empty": (np.zeros((0, 3)), np.zeros(0)),
-    }
-
-
-@pytest.mark.parametrize("case", list(_fallback_cases()))
-def test_ill_conditioned_solves_fall_back_to_gelsd(case):
-    z, y = _fallback_cases()[case]
-    assert _gram_min_norm(z, y) is None
-    np.testing.assert_array_equal(_min_norm_multi(z, y), _gelsd(z, y))
-
-
 def test_sweep_takes_the_gram_route_past_the_threshold(monkeypatch):
     # gelsd runs only where the Gram route gives up; record the widths.
     fallback_widths = []
@@ -162,10 +86,6 @@ def test_sweep_takes_the_gram_route_past_the_threshold(monkeypatch):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_solve_rejects_non_finite_features(bad):
-    z = np.ones((4, 3))
-    z[2, 1] = bad
-    with pytest.raises(InvalidInput):
-        _min_norm_multi(z, np.ones(4))
     x = np.zeros((4, 2))
     x[0, 0] = bad
     with pytest.raises(InvalidInput), np.errstate(invalid="ignore"):
@@ -255,14 +175,15 @@ def test_sweep_shows_the_interpolation_peak():
 
 
 def _svd_sweep(x_train, y_train, x_test, y_test, grid, bandwidth, seed, repeats):
-    """The width sweep as a plain loop over the truncated-SVD solve."""
+    """The width sweep as a plain loop over the truncated-SVD solve, which
+    ``min_norm_solve`` applies to a one-member stack."""
     rows = []
     for n in grid:
         per_repeat = []
         for r in range(repeats):
             fmap = sample_map(n, x_train.shape[1], bandwidth, seed, index=r)
             z = fmap.transform(x_train)
-            beta = _svd_min_norm(z, y_train)
+            beta = min_norm_solve(z[None], y_train[None])[0]
             pred = fmap.transform(x_test) @ beta
             per_repeat.append((
                 np.mean((z @ beta - y_train) ** 2),

@@ -13,7 +13,6 @@ from descentlab.sparse_regression import (
     SubsetSelection,
     analytic_risk_fixed_subset,
     analytic_risk_random_subset,
-    conditional_risk,
     fit_subset_min_norm,
     monte_carlo_risk,
     risk_curve,
@@ -145,12 +144,6 @@ def test_fit_subset_predictor_lives_in_full_space():
 
 
 # ------------------------------------------------------------- Monte Carlo
-
-
-def test_conditional_risk_of_the_truth_is_noise():
-    problem = GaussianLinearProblem(w_true=np.array([1.0, -2.0]), noise_scale=0.3, n=5)
-    predictor = fit_subset_min_norm(np.eye(2), problem.w_true, SubsetSelection(np.arange(2), 2))
-    assert conditional_risk(problem, predictor) == pytest.approx(0.09)
 
 
 def test_monte_carlo_matches_analytic_fixed_subset():
