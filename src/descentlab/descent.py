@@ -22,6 +22,7 @@ re-checks the step size whenever the loss fails to decrease.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,11 +200,17 @@ def gd_least_squares(x, y, config: GDConfig, w0=None) -> LeastSquaresGD:
         )
 
     grad_scale = 1.0 + float(np.linalg.norm(x.T @ y))
+    # The step loop reads only locals: for small problems the attribute
+    # lookups and numpy's Python-level wrappers cost more than the
+    # arithmetic.  math.sqrt(g @ g) is exactly np.linalg.norm(g) for a
+    # real vector, so the iterates are unchanged.
+    step_size, max_iters, record_every = config.step_size, config.max_iters, config.record_every
+    grad_limit = config.grad_tol * grad_scale
     ts, losses = [], []
     converged = False
     n_iters = 0
     initial_value = None
-    for k in range(config.max_iters + 1):
+    for k in range(max_iters + 1):
         resid = x @ w - y
         value = 0.5 * float(resid @ resid)
         if initial_value is None:
@@ -213,18 +220,18 @@ def gd_least_squares(x, y, config: GDConfig, w0=None) -> LeastSquaresGD:
                 f"loss grew to {value:g} at iteration {k} "
                 f"(started at {initial_value:g})"
             )
-        if k % config.record_every == 0:
+        if k % record_every == 0:
             ts.append(k)
             losses.append(value)
         grad = x.T @ resid
-        if np.linalg.norm(grad) <= config.grad_tol * grad_scale:
+        if math.sqrt(grad @ grad) <= grad_limit:
             converged = True
             n_iters = k
             break
-        if k == config.max_iters:
+        if k == max_iters:
             n_iters = k
             break
-        w = w - config.step_size * grad
+        w = w - step_size * grad
     if ts[-1] != n_iters:
         ts.append(n_iters)
         losses.append(0.5 * float(np.sum((x @ w - y) ** 2)))
@@ -279,37 +286,43 @@ def gd_classification(x, y, loss, config: GDConfig, w0=None) -> ClassificationGD
     ts, losses, norms, margin_list, dirs = [], [], [], [], []
 
     def snapshot(k, w, margins, value):
-        norm = float(np.linalg.norm(w))
+        norm = math.sqrt(w @ w)
         ts.append(k)
         losses.append(value)
         norms.append(norm)
         if norm > 0:
-            margin_list.append(float(np.min(margins)) / norm)
+            margin_list.append(float(margins.min()) / norm)
             dirs.append(w / norm)
         else:
             margin_list.append(0.0)
             dirs.append(np.zeros_like(w))
 
+    # As in gd_least_squares, the step loop reads only locals and calls
+    # no numpy wrapper: math.sqrt(g @ g) is exactly np.linalg.norm(g),
+    # a.sum() is np.sum(a), and math.isfinite tests the Python float.
+    step_size, max_iters, record_every = config.step_size, config.max_iters, config.record_every
+    grad_tol = config.grad_tol
+    values, dvalues = loss.values, loss.dvalues
     margins = signed @ w
-    value = float(np.sum(loss.values(margins)))
+    value = float(values(margins).sum())
     initial_value = value
     prev_value = value
     eff_beta = loss.smoothness(margins)
     n_iters = 0
-    for k in range(config.max_iters + 1):
-        if k % config.record_every == 0:
+    for k in range(max_iters + 1):
+        if k % record_every == 0:
             snapshot(k, w, margins, value)
-        grad = loss.dvalues(margins) @ signed
-        if np.linalg.norm(grad) <= config.grad_tol:
+        grad = dvalues(margins) @ signed
+        if math.sqrt(grad @ grad) <= grad_tol:
             n_iters = k
             break
-        if k == config.max_iters:
+        if k == max_iters:
             n_iters = k
             break
-        w = w - config.step_size * grad
+        w = w - step_size * grad
         margins = signed @ w
-        value = float(np.sum(loss.values(margins)))
-        if not np.isfinite(value) or value > DIVERGENCE_FACTOR * initial_value:
+        value = float(values(margins).sum())
+        if not math.isfinite(value) or value > DIVERGENCE_FACTOR * initial_value:
             raise DivergenceError(
                 f"loss reached {value:g} at iteration {k + 1} "
                 f"(started at {initial_value:g}); reduce step_size"
@@ -319,10 +332,10 @@ def gd_classification(x, y, loss, config: GDConfig, w0=None) -> ClassificationGD
             # step, so re-estimate the smoothness where we actually are.
             eff_beta = max(eff_beta, loss.smoothness(margins))
             safe = 2.0 / (eff_beta * smax2)
-            if config.step_size > safe:
+            if step_size > safe:
                 raise DivergenceError(
                     f"loss increased at iteration {k + 1} and step_size "
-                    f"{config.step_size:g} exceeds the local stability "
+                    f"{step_size:g} exceeds the local stability "
                     f"bound {safe:g}"
                 )
         prev_value = value

@@ -165,6 +165,8 @@ def min_norm_solve(x, y) -> np.ndarray:
     """
     x = _as_matrix(x, stacked=True)
     y = np.asarray(y, dtype=float)
+    if not np.all(np.isfinite(y)):
+        raise InvalidInput("y contains NaN or Inf entries")
     if x.ndim == 2:
         m = x.shape[0]
         if y.ndim not in (1, 2) or y.shape[0] != m:

@@ -18,6 +18,9 @@ coefficients.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +29,41 @@ from scipy.spatial.distance import cdist
 from .errors import InvalidInput
 from .linalg import min_norm_solve
 from .seeding import substream
+
+
+# The elementwise tail of a featurization (phase shift, cos, scale) runs
+# on blocks of this many rows, one block per task on a thread pool; numpy
+# releases the GIL inside the ufunc loops, so the blocks run on all the
+# CPUs the process may use.  Each element is computed by the same ufunc
+# calls whatever the blocking, so the features do not depend on it.
+BLOCK_ROWS = 64
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _featurize_pool() -> ThreadPoolExecutor:
+    """The shared pool, started on first use with one thread per usable CPU."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            try:
+                cpus = len(os.sched_getaffinity(0))
+            except AttributeError:  # no affinity call outside Linux
+                cpus = os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(max_workers=cpus, thread_name_prefix="rff-featurize")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but none of its threads, so
+    # work handed to it would never run; the child starts its own.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _check_bandwidth(bandwidth: float) -> float:
@@ -70,11 +108,22 @@ class RandomFeatureMap:
                 f"x has {x.shape[1]} columns, feature map expects {self.input_dim}"
             )
         # In place: same arithmetic as scale * cos(x @ omega.T + phase),
-        # without the two extra (rows, n_features) temporaries.
+        # without the two extra (rows, n_features) temporaries.  The GEMM
+        # stays whole, because splitting it into row blocks could move bits.
         z = x @ self.omega.T
-        z += self.phase
-        np.cos(z, out=z)
-        z *= math.sqrt(2.0 / self.n_features)
+        scale = math.sqrt(2.0 / self.n_features)
+
+        def tail(block: np.ndarray) -> None:
+            block += self.phase
+            np.cos(block, out=block)
+            block *= scale
+
+        if z.shape[0] <= BLOCK_ROWS:
+            tail(z)
+        else:
+            blocks = (z[i : i + BLOCK_ROWS] for i in range(0, z.shape[0], BLOCK_ROWS))
+            # Reading every result re-raises any error from a block.
+            list(_featurize_pool().map(tail, blocks))
         return z[0] if single else z
 
 

@@ -252,3 +252,109 @@ def test_effective_smoothness_tracks_the_start_point():
     )
     assert run.effective_smoothness == pytest.approx(np.exp(1.5))
     assert np.all(np.diff(run.loss) < 0)
+
+
+# ----------------------------------- step loops against a reference idiom
+
+
+def _reference_least_squares(x, y, config, w0):
+    """The least-squares loop written with numpy's wrappers, as a reference."""
+    x, y, w = np.asarray(x, float), np.asarray(y, float), np.array(w0, float)
+    grad_scale = 1.0 + float(np.linalg.norm(x.T @ y))
+    ts, losses = [], []
+    converged, n_iters = False, 0
+    for k in range(config.max_iters + 1):
+        resid = x @ w - y
+        value = 0.5 * float(resid @ resid)
+        if k % config.record_every == 0:
+            ts.append(k)
+            losses.append(value)
+        grad = x.T @ resid
+        if np.linalg.norm(grad) <= config.grad_tol * grad_scale:
+            converged, n_iters = True, k
+            break
+        if k == config.max_iters:
+            n_iters = k
+            break
+        w = w - config.step_size * grad
+    if ts[-1] != n_iters:
+        ts.append(n_iters)
+        losses.append(0.5 * float(np.sum((x @ w - y) ** 2)))
+    return w, converged, n_iters, np.asarray(ts), np.asarray(losses)
+
+
+def _reference_classification(x, y, loss, config, w0):
+    """The classification loop written with numpy's wrappers, as a reference."""
+    x, y, w = np.asarray(x, float), np.asarray(y, float), np.array(w0, float)
+    signed = x * y[:, None]
+    ts, values, norms, margin_list, dirs = [], [], [], [], []
+
+    def snapshot(k, w, margins, value):
+        norm = float(np.linalg.norm(w))
+        ts.append(k)
+        values.append(value)
+        norms.append(norm)
+        margin_list.append(float(np.min(margins)) / norm if norm > 0 else 0.0)
+        dirs.append(w / norm if norm > 0 else np.zeros_like(w))
+
+    margins = signed @ w
+    value = float(np.sum(loss.values(margins)))
+    n_iters = 0
+    for k in range(config.max_iters + 1):
+        if k % config.record_every == 0:
+            snapshot(k, w, margins, value)
+        grad = loss.dvalues(margins) @ signed
+        if np.linalg.norm(grad) <= config.grad_tol:
+            n_iters = k
+            break
+        if k == config.max_iters:
+            n_iters = k
+            break
+        w = w - config.step_size * grad
+        margins = signed @ w
+        value = float(np.sum(loss.values(margins)))
+        assert np.isfinite(value)
+    if ts[-1] != n_iters:
+        snapshot(n_iters, w, margins, value)
+    return (w, np.asarray(ts), np.asarray(values), np.asarray(norms),
+            np.asarray(margin_list), np.asarray(dirs))
+
+
+@pytest.mark.parametrize("grad_tol", [0.0, 1e-6])
+def test_least_squares_loop_matches_the_reference_bit_for_bit(grad_tol):
+    rng = substream(31, "gd-reference-ls")
+    x = rng.standard_normal((4, 7))
+    y = rng.standard_normal(4)
+    w0 = rng.standard_normal(7)
+    config = GDConfig(step_size=0.9 / svd(x).s_max ** 2, max_iters=3000,
+                      grad_tol=grad_tol, record_every=7)
+    run = gd_least_squares(x, y, config, w0=w0)
+    w, converged, n_iters, t, losses = _reference_least_squares(x, y, config, w0)
+    assert (run.converged, run.n_iters) == (converged, n_iters)
+    assert converged == (grad_tol > 0)
+    np.testing.assert_array_equal(run.w, w)
+    np.testing.assert_array_equal(run.t, t)
+    np.testing.assert_array_equal(run.losses, losses)
+
+
+@pytest.mark.parametrize("loss_name", ["logistic", "exponential"])
+@pytest.mark.parametrize("grad_tol", [0.0, 0.1])
+def test_classification_loop_matches_the_reference_bit_for_bit(loss_name, grad_tol):
+    rng = substream(32, "gd-reference-cls")
+    y = np.where(rng.uniform(size=12) < 0.5, -1.0, 1.0)
+    x = rng.standard_normal((12, 3)) + 0.8 * y[:, None]
+    x[:, 2] = 1.0  # an intercept column
+    loss = get_loss(loss_name)
+    w0 = 0.1 * rng.standard_normal(3)
+    step = 0.5 * max_stable_step(x, loss.beta or loss.smoothness(x * y[:, None] @ w0))
+    config = GDConfig(step_size=step, max_iters=1500, grad_tol=grad_tol, record_every=11)
+    run = gd_classification(x, y, loss, config, w0=w0)
+    w, t, values, norms, margins, dirs = _reference_classification(x, y, loss, config, w0)
+    assert run.n_iters == t[-1]
+    assert (run.n_iters < config.max_iters) == (grad_tol > 0)
+    np.testing.assert_array_equal(run.w, w)
+    np.testing.assert_array_equal(run.t, t)
+    np.testing.assert_array_equal(run.loss, values)
+    np.testing.assert_array_equal(run.w_norm, norms)
+    np.testing.assert_array_equal(run.min_margin, margins)
+    np.testing.assert_array_equal(run.directions, dirs)

@@ -234,6 +234,24 @@ def test_solve_rejects_non_finite_matrices(bad):
         min_norm_solve(z, np.ones(4))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_rejects_non_finite_targets(bad):
+    rng = substream(8, "non-finite-targets")
+    x = rng.standard_normal((4, 3))
+    y = np.ones(4)
+    y[1] = bad
+    with pytest.raises(InvalidInput, match="y contains"):
+        min_norm_solve(x, y)
+    ys = np.ones((4, 2))
+    ys[3, 1] = bad
+    with pytest.raises(InvalidInput, match="y contains"):
+        min_norm_solve(x, ys)
+    stack_y = np.ones((3, 4))
+    stack_y[2, 1] = bad
+    with pytest.raises(InvalidInput, match="y contains"):
+        min_norm_solve(rng.standard_normal((3, 4, 3)), stack_y)
+
+
 def test_min_norm_is_the_smallest_minimizer():
     rng = substream(9, "min-norm-min")
     x = rng.standard_normal((4, 10))

@@ -1,6 +1,11 @@
 """Tests for random Fourier features and the kernel machinery."""
 
 import math
+import multiprocessing
+import os
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,8 +13,10 @@ import scipy.linalg
 
 from descentlab.errors import InvalidInput
 from descentlab.harness.datasets import make_rkhs_regression
+from descentlab import rff
 from descentlab.linalg import min_norm_solve
 from descentlab.rff import (
+    BLOCK_ROWS,
     double_descent_sweep,
     fit_rff,
     gaussian_kernel,
@@ -59,12 +66,72 @@ def test_map_sampling_is_deterministic_per_index():
     assert not np.array_equal(a.omega, c.omega)
 
 
-def test_transform_matches_the_feature_formula_bit_for_bit():
+@pytest.mark.parametrize(
+    "rows",
+    [None, 9, BLOCK_ROWS, 2 * BLOCK_ROWS, 6 * BLOCK_ROWS + 5],
+    ids=["1-d", "under-one-block", "1-block", "2-blocks", "7-blocks"],
+)
+def test_transform_matches_the_feature_formula_bit_for_bit(rows):
+    # Past one block the elementwise tail runs block by block on the
+    # thread pool; every blocking must give the serial formula's bits.
     fmap = sample_map(n_features=64, input_dim=3, bandwidth=0.7, seed=19)
-    x = substream(19, "transform-points").uniform(-1.0, 1.0, size=(9, 3))
-    for points in (x, x[4]):
-        expected = math.sqrt(2.0 / 64) * np.cos(points @ fmap.omega.T + fmap.phase)
-        np.testing.assert_array_equal(fmap.transform(points), expected)
+    x = substream(19, "transform-points").uniform(-1.0, 1.0, size=(rows or 1, 3))
+    points = x[0] if rows is None else x
+    expected = math.sqrt(2.0 / 64) * np.cos(points @ fmap.omega.T + fmap.phase)
+    np.testing.assert_array_equal(fmap.transform(points), expected)
+
+
+def test_concurrent_transforms_start_one_pool(monkeypatch):
+    started = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(rff, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(rff, "_pool", None)
+    fmap = sample_map(n_features=32, input_dim=3, bandwidth=1.0, seed=6)
+    x = substream(6, "concurrent-points").uniform(-1.0, 1.0, size=(5 * BLOCK_ROWS, 3))
+    expected = math.sqrt(2.0 / 32) * np.cos(x @ fmap.omega.T + fmap.phase)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as callers:
+            futures = [callers.submit(fmap.transform, x) for _ in range(16)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in started:
+            pool.shutdown()
+    assert len(started) == 1
+    for z in results:
+        np.testing.assert_array_equal(z, expected)
+
+
+def _featurize_in_child(fmap, x, expected):
+    np.testing.assert_array_equal(fmap.transform(x), expected)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_featurizes_on_its_own_pool():
+    fmap = sample_map(n_features=16, input_dim=2, bandwidth=1.0, seed=4)
+    x = substream(4, "fork-points").uniform(-1.0, 1.0, size=(3 * BLOCK_ROWS, 2))
+    expected = fmap.transform(x)  # starts the parent's pool
+    child = multiprocessing.get_context("fork").Process(
+        target=_featurize_in_child, args=(fmap, x, expected)
+    )
+    with warnings.catch_warnings():
+        # Python 3.12 warns on forking a process that has threads.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child.start()
+    child.join(timeout=60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung, "the forked child never finished its featurization"
+    assert child.exitcode == 0
 
 
 def test_sweep_takes_the_gram_route_past_the_threshold(monkeypatch):
@@ -90,6 +157,14 @@ def test_solve_rejects_non_finite_features(bad):
     x[0, 0] = bad
     with pytest.raises(InvalidInput), np.errstate(invalid="ignore"):
         fit_rff(sample_map(8, 2, 1.0, seed=0), x, np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_rejects_non_finite_targets(bad):
+    y = np.ones(4)
+    y[2] = bad
+    with pytest.raises(InvalidInput, match="y contains"):
+        fit_rff(sample_map(8, 2, 1.0, seed=0), np.zeros((4, 2)), y)
 
 
 def test_features_are_unbiased_for_the_kernel():
