@@ -172,6 +172,15 @@ def _check_xy(x, y):
     return x, y
 
 
+def _check_labels(x, y):
+    """``_check_xy`` for classification: labels must be -1 or +1."""
+    x, y = _check_xy(x, y)
+    labels = np.unique(y)
+    if not np.all(np.isin(labels, (-1.0, 1.0))):
+        raise InvalidInput(f"labels must be -1/+1, got values {labels}")
+    return x, y
+
+
 def _check_w0(x, w0):
     w = np.zeros(x.shape[1]) if w0 is None else np.array(w0, dtype=float)
     if w.shape != (x.shape[1],):
@@ -274,10 +283,7 @@ def gd_classification(x, y, loss, config: GDConfig, w0=None) -> ClassificationGD
     the initial value, raises DivergenceError.
     """
     config.validate()
-    x, y = _check_xy(x, y)
-    labels = np.unique(y)
-    if not np.all(np.isin(labels, (-1.0, 1.0))):
-        raise InvalidInput(f"labels must be -1/+1, got values {labels}")
+    x, y = _check_labels(x, y)
     w = _check_w0(x, w0)
 
     smax2 = svd(x).s_max ** 2

@@ -3,7 +3,7 @@
 from .config import EXPERIMENTS, ExperimentConfig, load_config
 from .datasets import (
     DATA_DIR_ENV,
-    LabeledDataset,
+    Split,
     load_idx,
     load_mnist_split,
     make_rkhs_regression,
@@ -19,7 +19,7 @@ __all__ = [
     "ExperimentConfig",
     "load_config",
     "DATA_DIR_ENV",
-    "LabeledDataset",
+    "Split",
     "load_idx",
     "write_idx",
     "load_mnist_split",

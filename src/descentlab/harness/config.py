@@ -12,10 +12,10 @@ All other keys belong to the experiment's schema below; unknown keys
 are rejected rather than ignored, so a typo cannot silently fall back
 to a default.  Values are typed: integers, finite floats, bare strings,
 and nonempty comma-separated integer lists.  Each ``Field`` declares
-its bounds (a minimum, a strict lower bound, another key that caps it,
-as ``p_grid`` entries are capped by ``d``, or, for a list, strictly
-increasing entries), so whatever the runner cannot use is a config
-error at load time.
+its bounds (a minimum, strict lower and upper bounds, another key that
+caps it, as ``p_grid`` entries are capped by ``d``, or, for a list,
+strictly increasing entries), so whatever the runner cannot use is a
+config error at load time.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ class Field:
     """One schema entry: name, value kind, default (None means required).
 
     The bounds apply to a number, or to every entry of a number list:
-    ``min`` from below, ``above`` strictly from below, and ``at_most``
-    from above by the value of the named key of the same schema.  A list
-    with ``increasing`` set must have strictly increasing entries.
+    ``min`` from below, ``above`` strictly from below, ``below`` strictly
+    from above, and ``at_most`` from above by the value of the named key
+    of the same schema.  A list with ``increasing`` set must have
+    strictly increasing entries.
     """
 
     name: str
@@ -44,6 +45,7 @@ class Field:
     choices: tuple | None = None
     min: float | None = None
     above: float | None = None
+    below: float | None = None
     at_most: str | None = None
     increasing: bool = False
 
@@ -93,7 +95,9 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
         Field("d", "int", 2, min=1),
         Field("margin", "float", 0.5, above=0),
         Field("loss", "str", "logistic", choices=("logistic", "exponential")),
-        Field("step_fraction", "float", 0.5, above=0),
+        # A fraction of the stable step: at 1 or more the run's own
+        # stability gate refuses the step.
+        Field("step_fraction", "float", 0.5, above=0, below=1),
         Field("max_iters", "int", 100_000, min=1),
         Field("record_every", "int", 100, min=1),
     ),
@@ -155,6 +159,8 @@ def _parse_value(field: Field, text: str):
             raise ConfigError(f"key {field.name!r}: {v} is below the minimum {field.min}")
         if field.above is not None and v <= field.above:
             raise ConfigError(f"key {field.name!r}: {v} must be above {field.above}")
+        if field.below is not None and v >= field.below:
+            raise ConfigError(f"key {field.name!r}: {v} must be below {field.below}")
     if field.increasing and any(a >= b for a, b in zip(value, value[1:])):
         raise ConfigError(f"key {field.name!r}: entries must be strictly increasing, got {text}")
     return value

@@ -86,63 +86,35 @@ def write_idx(path, array) -> None:
         fh.write(array.tobytes())
 
 
-def _find_mnist(directory) -> dict[str, str] | None:
+def _find_mnist(directory) -> dict[str, str | None]:
+    """Each role's file under the first accepted spelling present, or None."""
     found = {}
     for role, names in MNIST_FILES.items():
-        for name in names:
-            candidate = os.path.join(directory, name)
-            if os.path.isfile(candidate):
-                found[role] = candidate
-                break
-        else:
-            return None
+        paths = (os.path.join(directory, name) for name in names)
+        found[role] = next((path for path in paths if os.path.isfile(path)), None)
     return found
 
 
 def mnist_available(directory=None) -> bool:
-    return _find_mnist(directory or data_dir()) is not None
+    return None not in _find_mnist(directory or data_dir()).values()
 
 
 @dataclass(frozen=True)
-class LabeledDataset:
-    """Features and labels with a disjoint, covering train/test split."""
+class Split:
+    """Train and test arrays of one dataset."""
 
-    features: np.ndarray
-    labels: np.ndarray
-    train_idx: np.ndarray
-    test_idx: np.ndarray
-
-    def __post_init__(self):
-        n = self.features.shape[0]
-        if self.labels.shape[0] != n:
-            raise InvalidInput("features and labels disagree on the sample count")
-        tr, te = set(self.train_idx.tolist()), set(self.test_idx.tolist())
-        if tr & te:
-            raise InvalidInput("train and test splits overlap")
-        if tr | te != set(range(n)):
-            raise InvalidInput("train and test splits must cover every row")
-
-    @property
-    def x_train(self) -> np.ndarray:
-        return self.features[self.train_idx]
-
-    @property
-    def y_train(self) -> np.ndarray:
-        return self.labels[self.train_idx]
-
-    @property
-    def x_test(self) -> np.ndarray:
-        return self.features[self.test_idx]
-
-    @property
-    def y_test(self) -> np.ndarray:
-        return self.labels[self.test_idx]
+    x_train: np.ndarray
+    y_train: np.ndarray
+    x_test: np.ndarray
+    y_test: np.ndarray
 
 
 def stratified_indices(labels, total: int, rng: np.random.Generator) -> np.ndarray:
     """Pick ``total`` indices spread as evenly as possible across classes."""
     labels = np.asarray(labels)
     classes = np.unique(labels)
+    if classes.size == 0:
+        raise InvalidInput("no labels to sample from")
     base, extra = divmod(total, classes.size)
     chosen = []
     for k, c in enumerate(classes):
@@ -156,42 +128,45 @@ def stratified_indices(labels, total: int, rng: np.random.Generator) -> np.ndarr
     return np.sort(np.concatenate(chosen))
 
 
-def load_mnist_split(
-    n_train: int, n_test: int, seed: int, directory=None
-) -> LabeledDataset:
+def _check_mnist(data: dict[str, np.ndarray]) -> None:
+    """FormatError unless each set is 3-d images with as many digit labels."""
+    for part in ("train", "test"):
+        images, labels = data[f"{part}_images"], data[f"{part}_labels"]
+        if images.ndim != 3 or labels.ndim != 1:
+            raise FormatError(
+                f"MNIST {part} files must hold 3-d images and 1-d labels, got "
+                f"{images.ndim}-d images and {labels.ndim}-d labels"
+            )
+        if images.shape[0] != labels.shape[0]:
+            raise FormatError(f"MNIST {part} images and labels disagree on count")
+        if labels.size and labels.max() > 9:
+            raise FormatError(f"MNIST {part} labels must be digits 0-9, got {labels.max()}")
+
+
+def load_mnist_split(n_train: int, n_test: int, seed: int, directory=None) -> Split:
     """Stratified MNIST subsample with pixels scaled to [0, 1].
 
-    Raises FormatError when the IDX files are not present; callers that
-    want a fallback should check ``mnist_available`` first.
+    Raises FormatError when the IDX files are not present or do not hold
+    images and digit labels; callers that want a fallback should check
+    ``mnist_available`` first.
     """
     directory = directory or data_dir()
     paths = _find_mnist(directory)
-    if paths is None:
+    if None in paths.values():
         raise FormatError(
             f"MNIST IDX files not found in {directory!r}; set ${DATA_DIR_ENV} "
             "to the directory holding them"
         )
-    train_images = load_idx(paths["train_images"])
-    train_labels = load_idx(paths["train_labels"])
-    test_images = load_idx(paths["test_images"])
-    test_labels = load_idx(paths["test_labels"])
-    if train_images.shape[0] != train_labels.shape[0]:
-        raise FormatError("MNIST train images and labels disagree on count")
-    if test_images.shape[0] != test_labels.shape[0]:
-        raise FormatError("MNIST test images and labels disagree on count")
-
+    data = {role: load_idx(path) for role, path in paths.items()}
+    _check_mnist(data)
     rng = substream(seed, "mnist-subsample")
-    tr = stratified_indices(train_labels, n_train, rng)
-    te = stratified_indices(test_labels, n_test, rng)
-    x_tr = train_images[tr].reshape(tr.size, -1).astype(float) / 255.0
-    x_te = test_images[te].reshape(te.size, -1).astype(float) / 255.0
-    features = np.vstack([x_tr, x_te])
-    labels = np.concatenate([train_labels[tr], test_labels[te]]).astype(int)
-    return LabeledDataset(
-        features=features,
-        labels=labels,
-        train_idx=np.arange(0, tr.size, dtype=int),
-        test_idx=np.arange(tr.size, tr.size + te.size, dtype=int),
+    tr = stratified_indices(data["train_labels"], n_train, rng)
+    te = stratified_indices(data["test_labels"], n_test, rng)
+    return Split(
+        x_train=data["train_images"][tr].reshape(tr.size, -1).astype(float) / 255.0,
+        y_train=data["train_labels"][tr].astype(int),
+        x_test=data["test_images"][te].reshape(te.size, -1).astype(float) / 255.0,
+        y_test=data["test_labels"][te].astype(int),
     )
 
 
@@ -201,6 +176,8 @@ def one_hot(labels, n_classes: int | None = None) -> np.ndarray:
     if labels.size and labels.min() < 0:
         raise InvalidInput("class labels must be nonnegative")
     k = n_classes if n_classes is not None else int(labels.max()) + 1
+    if labels.size and labels.max() >= k:
+        raise InvalidInput(f"class label {labels.max()} is not below n_classes = {k}")
     out = np.zeros((labels.size, k))
     out[np.arange(labels.size), labels] = 1.0
     return out
@@ -208,7 +185,7 @@ def one_hot(labels, n_classes: int | None = None) -> np.ndarray:
 
 def make_rkhs_regression(
     n_train: int, n_test: int, input_dim: int, n_centers: int, bandwidth: float, seed: int
-) -> LabeledDataset:
+) -> Split:
     """Noiseless regression on a random member of the Gaussian-kernel RKHS.
 
     Features are uniform on [0, 1]^input_dim and the target is ``y =
@@ -223,9 +200,9 @@ def make_rkhs_regression(
     alpha = rng.standard_normal(n_centers)
     features = rng.uniform(0.0, 1.0, size=(n_total, input_dim))
     labels = gaussian_kernel(features, centers, bandwidth) @ alpha
-    return LabeledDataset(
-        features=features,
-        labels=labels,
-        train_idx=np.arange(0, n_train, dtype=int),
-        test_idx=np.arange(n_train, n_total, dtype=int),
+    return Split(
+        x_train=features[:n_train],
+        y_train=labels[:n_train],
+        x_test=features[n_train:],
+        y_test=labels[n_train:],
     )

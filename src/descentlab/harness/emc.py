@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from ..errors import InvalidInput
-from ..linalg import fit_min_norm
+from ..linalg import min_norm_solve
 from ..seeding import substream
 
 
@@ -32,8 +32,7 @@ class EMCPoint:
 
 def min_norm_linear_procedure(x, y) -> float:
     """Training MSE of the min-norm linear fit; the canonical procedure."""
-    predictor = fit_min_norm(x, y)
-    return predictor.mse(x, y)
+    return float(np.mean((x @ min_norm_solve(x, y) - y) ** 2))
 
 
 def emc_scan(

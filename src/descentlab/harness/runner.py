@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from ..descent import GDConfig, get_loss, max_stable_step
+from ..errors import NumericalFailure
 from ..polyfit import fit_poly_min_norm, legendre_predict, random_target_poly
 from ..polyfit import bias_variance_decompose
 from ..rff import double_descent_sweep, kernel_approx_error, sample_map
@@ -112,7 +113,12 @@ def run_implicit_bias(config: ExperimentConfig) -> None:
     data = generate_separable(p["n"], p["d"], p["margin"], config.seed)
     loss = get_loss(p["loss"])
     beta0 = loss.smoothness(np.zeros(p["n"]))
-    step = p["step_fraction"] * max_stable_step(data.points, beta0)
+    bound = max_stable_step(data.points, beta0)
+    step = p["step_fraction"] * bound
+    if step == 0:
+        raise NumericalFailure(
+            f"step_fraction {p['step_fraction']:g} of max_stable_step {bound:g} underflows to 0"
+        )
     gd_config = GDConfig(
         step_size=step,
         max_iters=p["max_iters"],

@@ -47,13 +47,6 @@ class SVDResult:
     def s_max(self) -> float:
         return float(self.s[0]) if self.s.size else 0.0
 
-    @property
-    def s_min_positive(self) -> float:
-        """Smallest singular value above the truncation cutoff."""
-        if self.rank == 0:
-            return 0.0
-        return float(self.s[self.rank - 1])
-
 
 def _as_matrix(a, stacked: bool = False) -> np.ndarray:
     """``a`` as a finite float matrix, or with ``stacked`` a stack ``(..., m, n)``."""
@@ -231,30 +224,3 @@ def penrose_residuals(a, a_pinv) -> tuple[float, float, float, float]:
         rel(ag.T, ag),
         rel(ga.T, ga),
     )
-
-
-@dataclass(frozen=True)
-class LinearPredictor:
-    """A fitted linear map ``x -> x @ coef``.
-
-    ``active`` optionally names the coordinates the fit was allowed to
-    use; coefficients outside it are structurally zero.  None means all
-    coordinates were available.
-    """
-
-    coef: np.ndarray
-    active: np.ndarray | None = None
-
-    def predict(self, x) -> np.ndarray:
-        x = _as_matrix(x)
-        return x @ self.coef
-
-    def mse(self, x, y) -> float:
-        y = np.asarray(y, dtype=float)
-        resid = self.predict(x) - y
-        return float(np.mean(resid**2))
-
-
-def fit_min_norm(x, y) -> LinearPredictor:
-    """Fit the minimum-norm least-squares predictor."""
-    return LinearPredictor(coef=min_norm_solve(x, y))

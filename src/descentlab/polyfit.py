@@ -38,22 +38,13 @@ from .linalg import min_norm_solve, svd
 from .seeding import substream
 
 
-@dataclass(frozen=True)
-class PolyBasisDesign:
-    """Design array of shape ``xs.shape + (degree + 1,)``: entry k of the
-    last axis holds P_k at each sample point."""
-
-    xs: np.ndarray
-    degree: int
-    design: np.ndarray
-
-
-def legendre_design(xs, degree: int) -> PolyBasisDesign:
+def legendre_design(xs, degree: int) -> np.ndarray:
     """Evaluate the Legendre basis up to ``degree`` at points in [-1, 1].
 
-    ``xs`` may have any shape; a ``(B, n)`` stack of sample vectors gives
-    the ``(B, n, degree + 1)`` stack of their design matrices from one
-    pass of the recurrence.
+    The design has shape ``xs.shape + (degree + 1,)``: entry k of the
+    last axis holds P_k at each point.  A ``(B, n)`` stack of sample
+    vectors thus gives the ``(B, n, degree + 1)`` stack of their design
+    matrices from one pass of the recurrence.
     """
     xs = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(xs)):
@@ -69,7 +60,7 @@ def legendre_design(xs, degree: int) -> PolyBasisDesign:
         design[..., 1] = xs
     for k in range(1, degree):
         design[..., k + 1] = ((2 * k + 1) * xs * design[..., k] - k * design[..., k - 1]) / (k + 1)
-    return PolyBasisDesign(xs=xs, degree=degree, design=design)
+    return design
 
 
 def legendre_predict(coef, xs) -> np.ndarray:
@@ -78,7 +69,7 @@ def legendre_predict(coef, xs) -> np.ndarray:
     coef = np.asarray(coef, dtype=float)
     if coef.ndim != 1 or coef.size == 0:
         raise InvalidInput("coef must be a nonempty vector")
-    return legendre_design(xs, coef.size - 1).design @ coef
+    return legendre_design(xs, coef.size - 1) @ coef
 
 
 def fit_poly_min_norm(
@@ -101,13 +92,13 @@ def fit_poly_min_norm(
     coefficients, row for row equal to separate fits.
     """
     ys = np.asarray(ys, dtype=float)
-    basis = legendre_design(xs, degree)
-    if ys.shape != basis.xs.shape:
-        raise InvalidInput(f"ys has shape {ys.shape}, expected {basis.xs.shape}")
+    design = legendre_design(xs, degree)
+    if ys.shape != design.shape[:-1]:
+        raise InvalidInput(f"ys has shape {ys.shape}, expected {design.shape[:-1]}")
     if via == "pseudo_inverse":
-        return min_norm_solve(basis.design[None], ys[None])[0]
+        return min_norm_solve(design[None], ys[None])[0]
     if via == "gradient_descent":
-        smax = svd(basis.design).s_max
+        smax = svd(design).s_max
         if smax == 0:
             return np.zeros(degree + 1)
         config = GDConfig(
@@ -116,7 +107,7 @@ def fit_poly_min_norm(
             grad_tol=gd_grad_tol,
             record_every=gd_max_iters,
         )
-        return gd_least_squares(basis.design, ys, config).w
+        return gd_least_squares(design, ys, config).w
     raise InvalidInput(f"via must be 'pseudo_inverse' or 'gradient_descent', got {via!r}")
 
 
@@ -161,7 +152,7 @@ def legendre_estimator(degree: int, probe: np.ndarray | None = None) -> Estimato
     design at ``probe``, when given, is built once here and reused each
     time a fit is evaluated at that same array.
     """
-    probe_design = None if probe is None else legendre_design(probe, degree).design
+    probe_design = None if probe is None else legendre_design(probe, degree)
 
     def fit(xs: np.ndarray, ys: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         coef = fit_poly_min_norm(xs, ys, degree)
@@ -170,7 +161,7 @@ def legendre_estimator(degree: int, probe: np.ndarray | None = None) -> Estimato
             if probe_design is not None and x_eval is probe:
                 design = probe_design
             else:
-                design = legendre_design(x_eval, degree).design
+                design = legendre_design(x_eval, degree)
             # One product per trial: a single matmul over the block can
             # change the last bits.
             values = [design @ c for c in coef.reshape(-1, degree + 1)]

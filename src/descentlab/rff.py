@@ -183,13 +183,6 @@ class RFFModel:
     def predict(self, x) -> np.ndarray:
         return self.feature_map.transform(x) @ self.beta
 
-    def mse(self, x, y) -> float:
-        return _mse(self.predict(x), np.asarray(y, dtype=float))
-
-    def zero_one_error(self, x, y) -> float:
-        """Fraction misclassified: argmax rows for one-hot, sign otherwise."""
-        return _zero_one(self.predict(x), np.asarray(y, dtype=float))
-
     @property
     def beta_norm(self) -> float:
         return float(np.linalg.norm(self.beta))

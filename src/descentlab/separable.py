@@ -24,9 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import ClassificationGD, GDConfig, gd_classification, max_stable_step
+from .descent import (
+    ClassificationGD,
+    GDConfig,
+    _check_labels,
+    gd_classification,
+    max_stable_step,
+)
 from .errors import ConfigError, InvalidInput, NotSeparableError, NumericalFailure
-from .linalg import _as_matrix
 from .seeding import substream
 
 
@@ -62,17 +67,6 @@ class SeparableDataset:
     @property
     def d(self) -> int:
         return self.points.shape[1]
-
-
-def _check_labels(x, y):
-    x = _as_matrix(x)
-    y = np.asarray(y, dtype=float)
-    if y.shape != (x.shape[0],):
-        raise InvalidInput(f"y has shape {y.shape}, expected ({x.shape[0]},)")
-    labels = np.unique(y)
-    if not np.all(np.isin(labels, (-1.0, 1.0))):
-        raise InvalidInput(f"labels must be -1/+1, got values {labels}")
-    return x, y
 
 
 def generate_separable(n: int, d: int, margin: float, seed: int) -> SeparableDataset:

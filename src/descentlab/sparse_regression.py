@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import LinearPredictor, min_norm_solve
+from .linalg import min_norm_solve
 from .seeding import derive_seed, substream
 
 
@@ -88,12 +88,6 @@ class SubsetSelection:
     def p(self) -> int:
         return int(self.kept.size)
 
-    @property
-    def discarded(self) -> np.ndarray:
-        mask = np.ones(self.d, dtype=bool)
-        mask[self.kept] = False
-        return np.flatnonzero(mask)
-
     @classmethod
     def random(cls, d: int, p: int, rng: np.random.Generator) -> "SubsetSelection":
         """Uniformly random subset: shuffle all d indices, take the first p."""
@@ -102,12 +96,12 @@ class SubsetSelection:
         return cls(kept=rng.permutation(d)[:p], d=d)
 
 
-def fit_subset_min_norm(x, y, sel: SubsetSelection) -> LinearPredictor:
+def fit_subset_min_norm(x, y, sel: SubsetSelection) -> np.ndarray:
     """Min-norm fit on the kept columns, zeros on the discarded ones.
 
     The returned coefficients live in the full d-dimensional space, so
-    the predictor can be applied to complete feature vectors directly.
-    An empty subset yields the zero predictor.
+    they apply to complete feature vectors directly.  An empty subset
+    yields the zero vector.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != sel.d:
@@ -115,7 +109,7 @@ def fit_subset_min_norm(x, y, sel: SubsetSelection) -> LinearPredictor:
     coef = np.zeros(sel.d)
     if sel.p > 0:
         coef[sel.kept] = min_norm_solve(x[:, sel.kept], y)
-    return LinearPredictor(coef=coef, active=sel.kept)
+    return coef
 
 
 def _three_case_risk(a: float, b: float, p: int, n: int, s2: float) -> float:
@@ -211,10 +205,10 @@ def monte_carlo_risk(
         sel = subset if subset is not None else SubsetSelection.random(d, p, rng)
         x = rng.standard_normal((n, d))
         y = x @ w + sigma * rng.standard_normal(n)
-        predictor = fit_subset_min_norm(x, y, sel)
+        coef = fit_subset_min_norm(x, y, sel)
         xt = rng.standard_normal((test_points, d))
         yt = xt @ w + sigma * rng.standard_normal(test_points)
-        risks[i] = float(np.mean((yt - xt @ predictor.coef) ** 2))
+        risks[i] = float(np.mean((yt - xt @ coef) ** 2))
 
     stderr = float(np.std(risks, ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
     return MonteCarloRisk(
@@ -269,7 +263,9 @@ def risk_curve(
         # them from the problem (a sum of d squares, a squared square root)
         # perturbs the last bits and the printed values.
         analytic = analytic_risk_random_subset(signal_norm_sq, noise_var, d, n, p)
-        mc = monte_carlo_risk(problem, p, trials, test_points, substream_seed(seed, p))
+        mc = monte_carlo_risk(
+            problem, p, trials, test_points, derive_seed(seed, "risk-curve-p", p)
+        )
         rows.append(
             RiskCurveRow(
                 p=p,
@@ -280,8 +276,3 @@ def risk_curve(
             )
         )
     return rows
-
-
-def substream_seed(seed: int, p: int) -> int:
-    """Sub-seed for the Monte Carlo column at one grid point."""
-    return derive_seed(seed, "risk-curve-p", p)

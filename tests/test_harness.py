@@ -1,7 +1,10 @@
 """Tests for configs, CSV output, IDX files, datasets, EMC, and the CLI."""
 
+import contextlib
+import io
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -129,6 +132,7 @@ def test_load_config_rejections(tmp_path):
         "experiment = implicit-bias\nmax_iters = 0\n",
         "experiment = implicit-bias\nrecord_every = 0\n",
         "experiment = implicit-bias\nstep_fraction = 0\n",
+        "experiment = implicit-bias\nstep_fraction = 1\n",
         "experiment = implicit-bias\nmargin = -1\n",
         "experiment = implicit-bias\nn = 1\n",
         "experiment = implicit-bias\nd = 0\n",
@@ -175,6 +179,7 @@ def test_validate_rejects_values_that_cannot_run(tmp_path, text, capsys):
         "experiment = emc\neps = 0\n",
         "experiment = bias-variance\ndegrees = 0, 40\nnoise_scale = 0\n",
         "experiment = implicit-bias\nn = 2\nd = 1\nstep_fraction = 1e-9\n",
+        "experiment = implicit-bias\nstep_fraction = 0.999999\n",
         "experiment = kernel-approx\nn_points = 2\n",
     ],
 )
@@ -358,6 +363,8 @@ def test_one_hot_encoding():
     assert one_hot(np.array([1, 3])).shape == (2, 4)
     with pytest.raises(InvalidInput):
         one_hot(np.array([-1]))
+    with pytest.raises(InvalidInput):
+        one_hot(np.array([0, 10]), n_classes=10)
 
 
 def test_stratified_indices_balance():
@@ -375,8 +382,9 @@ def test_synthetic_regression_kinds():
     assert ds.x_train.shape == (30, 4)
     assert ds.x_test.shape == (10, 4)
     again = make_rkhs_regression(30, 10, input_dim=4, n_centers=6, bandwidth=1.0, seed=84)
-    np.testing.assert_array_equal(ds.features, again.features)
-    np.testing.assert_array_equal(ds.labels, again.labels)
+    assert ds.y_train.shape == (30,) and ds.y_test.shape == (10,)
+    for name in ("x_train", "y_train", "x_test", "y_test"):
+        np.testing.assert_array_equal(getattr(ds, name), getattr(again, name))
     with pytest.raises(InvalidInput):
         make_rkhs_regression(30, 10, input_dim=4, n_centers=0, bandwidth=1.0, seed=84)
 
@@ -387,7 +395,8 @@ def test_rkhs_target_labels_are_bounded():
     alpha = substream(85, "rkhs-target")
     alpha.uniform(0.0, 1.0, size=(8, 3))  # skip the centers draw
     bound = np.sum(np.abs(alpha.standard_normal(8)))
-    assert np.max(np.abs(ds.labels)) <= bound
+    assert ds.y_test.size == 0
+    assert np.max(np.abs(ds.y_train)) <= bound
 
 
 # --------------------------------------------------------------------- EMC
@@ -529,6 +538,15 @@ def test_cli_out_of_memory_is_a_one_line_run_error(tmp_path, monkeypatch, capsys
     assert err.count("\n") == 1
 
 
+def test_cli_step_underflow_is_a_one_line_run_error(tmp_path, capsys):
+    # The smallest positive fraction passes validate, but the step it
+    # gives rounds to zero; validate cannot see that without the data.
+    cfg = _cfg(tmp_path, "experiment = implicit-bias\nstep_fraction = 5e-324\nmax_iters = 5\n")
+    assert main(["implicit-bias", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "underflows" in err and err.count("\n") == 1
+
+
 def test_cli_seed_override_changes_output(tmp_path):
     cfg = _cfg(tmp_path, "experiment = polyfit\ngrid_points = 16\nn = 8\ndegree = 5\n")
     a, b, c = (str(tmp_path / f"{k}.csv") for k in "abc")
@@ -554,3 +572,146 @@ def test_cli_emc_run_reports_trailing_value(tmp_path):
     # Early exit: the scan stops at n = 9, never visiting 12.
     assert [r[0] for r in rows] == ["4", "8", "9"]
     assert [r[2] for r in rows] == ["1", "1", "0"]
+
+
+@pytest.mark.parametrize("case", ["label-above-9", "swapped-files", "empty-files"])
+def test_cli_malformed_mnist_is_a_one_line_run_error(tmp_path, monkeypatch, capsys, case):
+    _write_fake_mnist(tmp_path)
+    images = tmp_path / "train-images-idx3-ubyte"
+    labels = tmp_path / "train-labels-idx1-ubyte"
+    if case == "label-above-9":
+        bad = np.repeat(np.arange(10), 6)
+        bad[0] = 10
+        write_idx(labels, bad)
+    elif case == "swapped-files":
+        image_bytes, label_bytes = images.read_bytes(), labels.read_bytes()
+        images.write_bytes(label_bytes)
+        labels.write_bytes(image_bytes)
+    else:
+        write_idx(images, np.zeros((0, 4, 4)))
+        write_idx(labels, np.zeros(0))
+    monkeypatch.setenv("DESCENTLAB_DATA", str(tmp_path))
+    cfg = _cfg(
+        tmp_path,
+        "experiment = rff-sweep\ndataset = mnist\nn_train = 20\nn_test = 10\n"
+        "n_grid = 5\nrepeats = 1\n",
+    )
+    assert main(["rff-sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ------------------------------------------------------- validate, then run
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+def _grid(lo, hi):
+    return st.sets(st.integers(lo, hi), min_size=1, max_size=3).map(
+        lambda values: ", ".join(str(v) for v in sorted(values))
+    )
+
+
+# Small configs for every experiment but the MNIST sweep, which needs
+# files.  Ranges reach a little past some bounds so that validate has
+# something to reject.
+_SMALL_CONFIGS = {
+    "sparse-risk": st.builds(
+        dict,
+        d=_ints(1, 8),
+        n=_ints(1, 6),
+        signal_norm_sq=_floats(0, 2),
+        noise_var=_floats(0, 1),
+        p_grid=_grid(0, 9),
+        trials=_ints(1, 4),
+        test_points=_ints(1, 4),
+    ),
+    "rff-sweep": st.builds(
+        dict,
+        n_train=_ints(1, 8),
+        n_test=_ints(1, 4),
+        n_grid=_grid(1, 16),
+        bandwidth=_floats(1e-3, 100),
+        repeats=_ints(1, 2),
+        input_dim=_ints(1, 3),
+        n_centers=_ints(1, 4),
+        target_bandwidth=_floats(1e-3, 100),
+    ),
+    "kernel-approx": st.builds(
+        dict,
+        n_points=_ints(2, 6),
+        input_dim=_ints(1, 3),
+        bandwidth=_floats(1e-3, 100),
+        n_grid=_grid(1, 40),
+        n_maps=_ints(1, 3),
+    ),
+    "implicit-bias": st.builds(
+        dict,
+        n=_ints(2, 8),
+        d=_ints(1, 3),
+        margin=_floats(1e-3, 3),
+        loss=st.sampled_from(["logistic", "exponential"]),
+        step_fraction=_floats(0, 1.5),
+        max_iters=_ints(1, 300),
+        record_every=_ints(1, 100),
+    ),
+    "polyfit": st.builds(
+        dict,
+        degree=_ints(0, 30),
+        n=_ints(1, 10),
+        noise_scale=_floats(-1, 1),
+        truth_degree=_ints(0, 6),
+        grid_points=_ints(1, 20),
+        via=st.sampled_from(["pseudo_inverse", "gradient_descent"]),
+    ),
+    "bias-variance": st.builds(
+        dict,
+        degrees=_grid(0, 12),
+        n=_ints(1, 6),
+        noise_scale=_floats(0, 1),
+        trials=_ints(2, 5),
+        truth_degree=_ints(0, 5),
+    ),
+    "emc": st.builds(
+        dict,
+        d=_ints(1, 6),
+        eps=_floats(0, 1),
+        n_grid=_grid(1, 10),
+        trials=_ints(1, 3),
+        noise_scale=_floats(-1, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_CONFIGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**64 - 1))
+def test_whatever_validate_accepts_runs_or_fails_in_one_line(name, data, seed):
+    """A config that validate accepts writes its CSV (exit 0) or ends in
+    one ``error:`` line (exit 1); it is never a traceback, and never a
+    config error, which validate should have reported."""
+    keys = data.draw(_SMALL_CONFIGS[name])
+    text = f"experiment = {name}\nseed = {seed}\n"
+    text += "".join(f"{key} = {value}\n" for key, value in keys.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "out.csv")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            if main(["validate", "--config", cfg]) != 0:
+                return
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main([name, "--config", cfg, "--out", out])
+        if status == 0:
+            assert os.path.isfile(out)
+            assert err.getvalue() == ""
+        else:
+            assert status == 1, text + err.getvalue()
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -13,9 +13,7 @@ from descentlab.errors import InvalidInput
 from descentlab.harness.datasets import make_rkhs_regression
 from descentlab.linalg import (
     EPS,
-    LinearPredictor,
     _gram_min_norm,
-    fit_min_norm,
     kernel_projector,
     min_norm_solve,
     penrose_residuals,
@@ -81,8 +79,8 @@ def test_svd_extreme_singular_values():
     a = np.diag([3.0, 2.0, 1e-3])
     f = svd(a)
     assert f.s_max == pytest.approx(3.0)
-    assert f.s_min_positive == pytest.approx(1e-3)
-    assert svd(np.zeros((2, 2))).s_min_positive == 0.0
+    assert f.rank == 3
+    assert svd(np.zeros((2, 2))).rank == 0
 
 
 def test_svd_rejects_bad_input():
@@ -292,19 +290,3 @@ def test_shape_validation_messages():
         min_norm_solve(np.eye(3), np.ones((3, 2, 1)))
     with pytest.raises(InvalidInput):
         gd_limit_point(np.eye(3), np.ones(3), np.ones(5))
-
-
-def test_fit_min_norm_predictor():
-    rng = substream(11, "predictor")
-    x = rng.standard_normal((6, 4))
-    w = rng.standard_normal(4)
-    y = x @ w
-    predictor = fit_min_norm(x, y)
-    assert predictor.mse(x, y) <= 1e-16
-    np.testing.assert_allclose(predictor.predict(x), y, atol=1e-9)
-    assert predictor.active is None
-
-
-def test_linear_predictor_active_marker():
-    predictor = LinearPredictor(coef=np.array([0.0, 2.0, 0.0]), active=np.array([1]))
-    np.testing.assert_allclose(predictor.predict([[1.0, 3.0, 5.0]]), [6.0])

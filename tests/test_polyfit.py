@@ -21,19 +21,19 @@ from descentlab.seeding import derive_seed, substream
 
 
 def test_basis_at_one_is_all_ones():
-    design = legendre_design(np.array([1.0]), degree=7).design
+    design = legendre_design(np.array([1.0]), degree=7)
     np.testing.assert_allclose(design, np.ones((1, 8)))
 
 
 def test_basis_at_zero_degree_two():
     # P_0(0) = 1, P_1(0) = 0, P_2(0) = -1/2 from the recurrence.
-    design = legendre_design(np.array([0.0]), degree=2).design
+    design = legendre_design(np.array([0.0]), degree=2)
     np.testing.assert_allclose(design[0], [1.0, 0.0, -0.5])
 
 
 def test_basis_matches_numpy_legendre():
     xs = np.linspace(-1.0, 1.0, 17)
-    design = legendre_design(xs, degree=6).design
+    design = legendre_design(xs, degree=6)
     for k in range(7):
         coef = np.zeros(k + 1)
         coef[k] = 1.0
@@ -47,7 +47,7 @@ def test_orthogonality_by_quadrature():
     # vanish off the diagonal and equal 2/(2k+1) on it.
     cells = 2000
     xs = -1.0 + (np.arange(cells) + 0.5) * (2.0 / cells)
-    design = legendre_design(xs, degree=5).design
+    design = legendre_design(xs, degree=5)
     gram = design.T @ design * (2.0 / cells)
     expected = np.diag([2.0 / (2 * k + 1) for k in range(6)])
     np.testing.assert_allclose(gram, expected, atol=1e-5)
@@ -56,7 +56,7 @@ def test_orthogonality_by_quadrature():
 @settings(max_examples=80, deadline=None)
 @given(x=st.floats(-1.0, 1.0), degree=st.integers(0, 12))
 def test_basis_values_bounded_by_one(x, degree):
-    design = legendre_design(np.array([x]), degree).design
+    design = legendre_design(np.array([x]), degree)
     assert np.max(np.abs(design)) <= 1.0 + 1e-12
 
 
@@ -64,10 +64,10 @@ def test_stacked_basis_equals_row_by_row():
     rng = substream(64, "stacked-basis")
     xs = rng.uniform(-1.0, 1.0, (7, 20))
     for degree in (0, 1, 5, 40):
-        stacked = legendre_design(xs, degree).design
+        stacked = legendre_design(xs, degree)
         assert stacked.shape == (7, 20, degree + 1)
         for i in range(7):
-            np.testing.assert_array_equal(stacked[i], legendre_design(xs[i], degree).design)
+            np.testing.assert_array_equal(stacked[i], legendre_design(xs[i], degree))
 
 
 def test_domain_is_enforced():

@@ -204,8 +204,9 @@ def test_fit_rff_interpolates_when_overparameterized():
     x = rng.uniform(0.0, 1.0, size=(30, 4))
     y = rng.standard_normal(30)
     model = fit_rff(sample_map(120, 4, 1.0, seed=15), x, y)
-    assert model.mse(x, y) <= 1e-12
-    assert model.train_mse == model.mse(x, y)
+    train_mse = float(np.mean((model.predict(x) - y) ** 2))
+    assert train_mse <= 1e-12
+    assert model.train_mse == train_mse
     assert model.beta.shape == (120,)
     assert model.beta_norm > 0.0
 
@@ -218,8 +219,9 @@ def test_fit_rff_multioutput_one_hot():
     y[np.arange(20), labels] = 1.0
     model = fit_rff(sample_map(80, 3, 1.0, seed=16), x, y)
     assert model.beta.shape == (80, 3)
-    assert model.mse(x, y) <= 1e-10
-    assert model.zero_one_error(x, y) == 0.0
+    pred = model.predict(x)
+    assert np.mean((pred - y) ** 2) <= 1e-10
+    np.testing.assert_array_equal(np.argmax(pred, axis=1), labels)
 
 
 def test_fit_rff_rejects_row_mismatch():

@@ -16,7 +16,6 @@ from descentlab.sparse_regression import (
     fit_subset_min_norm,
     monte_carlo_risk,
     risk_curve,
-    substream_seed,
 )
 
 
@@ -109,7 +108,6 @@ def test_subset_selection_basics():
     sel = SubsetSelection(kept=np.array([4, 1, 2]), d=6)
     assert sel.p == 3
     assert list(sel.kept) == [1, 2, 4]  # stored sorted
-    assert list(sel.discarded) == [0, 3, 5]
     with pytest.raises(InvalidInput):
         SubsetSelection(kept=np.array([0, 0]), d=4)
     with pytest.raises(InvalidInput):
@@ -127,20 +125,19 @@ def test_random_subset_is_uniformly_sized():
         SubsetSelection.random(8, 9, rng)
 
 
-def test_fit_subset_predictor_lives_in_full_space():
+def test_fit_subset_coefficients_live_in_full_space():
     rng = substream(33, "subset-fit")
     x = rng.standard_normal((5, 9))
     w = rng.standard_normal(9)
     y = x @ w
     sel = SubsetSelection(kept=np.array([0, 2, 7]), d=9)
-    predictor = fit_subset_min_norm(x, y, sel)
-    assert predictor.coef.shape == (9,)
-    assert np.all(predictor.coef[sel.discarded] == 0.0)
-    assert list(predictor.active) == [0, 2, 7]
+    coef = fit_subset_min_norm(x, y, sel)
+    assert coef.shape == (9,)
+    assert np.all(np.delete(coef, sel.kept) == 0.0)
     # With p < n the sub-design is overdetermined; the fit is the least
     # squares solution on the kept columns.
     expected = np.linalg.lstsq(x[:, sel.kept], y, rcond=None)[0]
-    np.testing.assert_allclose(predictor.coef[sel.kept], expected, atol=1e-9)
+    np.testing.assert_allclose(coef[sel.kept], expected, atol=1e-9)
 
 
 # ------------------------------------------------------------- Monte Carlo
@@ -182,7 +179,7 @@ def test_risk_curve_rows_match_direct_calls():
     problem = GaussianLinearProblem(w_true=np.full(6, math.sqrt(1.0 / 6)), noise_scale=0.2, n=3)
     for row in rows:
         direct = monte_carlo_risk(
-            problem, row.p, trials=30, test_points=10, seed=substream_seed(41, row.p)
+            problem, row.p, trials=30, test_points=10, seed=derive_seed(41, "risk-curve-p", row.p)
         )
         assert row.mc_risk == direct.mean
         assert row.mc_stderr == direct.stderr
@@ -190,8 +187,3 @@ def test_risk_curve_rows_match_direct_calls():
     for bad in ((-1.0, 0.04, 6), (1.0, -0.04, 6), (1.0, 0.04, 0)):
         with pytest.raises(InvalidInput):
             risk_curve(*bad, 3, (1,), trials=2, test_points=1, seed=41)
-
-
-def test_substream_seed_depends_on_p():
-    assert substream_seed(5, 10) != substream_seed(5, 11)
-    assert substream_seed(5, 10) == derive_seed(5, "risk-curve-p", 10)
