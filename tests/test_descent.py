@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descentlab.descent import (
@@ -100,14 +100,16 @@ def test_gd_limit_matches_closed_form(seed):
     x = rng.standard_normal((m, n))
     y = rng.standard_normal(m)
     w0 = rng.standard_normal(n)
-    s = svd(x).s
-    # 100k steps of 0.9 / s_max^2 shrink the error along the weakest
-    # row-space direction by about exp(-0.9e5 / cond^2); past cond^2 =
-    # 2000 the run stops short of its limit (seed 3535: cond^2 = 26721).
-    assume((s[0] / s[-1]) ** 2 <= 2000)
-    config = GDConfig(step_size=0.9 / s[0] ** 2, max_iters=100_000, grad_tol=1e-12)
+    step_size = 0.9 / svd(x).s_max ** 2
+    config = GDConfig(step_size=step_size, max_iters=100_000, grad_tol=1e-12)
     run = gd_least_squares(x, y, config, w0=w0)
-    np.testing.assert_allclose(run.w, gd_limit_point(x, y, w0), atol=1e-6)
+    # After k steps GD sits at w* + (I - eta X^T X)^k (w0 - w*), with w* the
+    # limit point.  A well-conditioned draw is at w* itself; on an
+    # ill-conditioned one 100k steps stop short of it, by exactly this much.
+    w_star = gd_limit_point(x, y, w0)
+    contraction = np.eye(n) - step_size * x.T @ x
+    expected = w_star + np.linalg.matrix_power(contraction, run.n_iters) @ (w0 - w_star)
+    np.testing.assert_allclose(run.w, expected, atol=1e-6)
 
 
 def test_trajectory_recording_includes_final_step():

@@ -1,10 +1,12 @@
 """Tests for configs, CSV output, IDX files, datasets, EMC, and the CLI."""
 
 import contextlib
+import importlib.util
 import io
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -350,6 +352,38 @@ def test_mnist_availability_and_loading(tmp_path, monkeypatch):
 def test_mnist_dotted_filenames_are_found(tmp_path):
     _write_fake_mnist(tmp_path, dotted=True)
     assert mnist_available(str(tmp_path))
+
+
+def _run_check_data(directory, monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "check_data.py")
+    spec = importlib.util.spec_from_file_location("check_data", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setenv("DESCENTLAB_DATA", str(directory))
+    return script.main()
+
+
+@pytest.mark.parametrize("case", ["good", "swapped-files", "label-above-9", "missing-file"])
+def test_check_data_script_reports_usable_sets_only(tmp_path, monkeypatch, capsys, case):
+    _write_fake_mnist(tmp_path)
+    images = tmp_path / "t10k-images-idx3-ubyte"
+    labels = tmp_path / "t10k-labels-idx1-ubyte"
+    if case == "swapped-files":
+        image_bytes, label_bytes = images.read_bytes(), labels.read_bytes()
+        images.write_bytes(label_bytes)
+        labels.write_bytes(image_bytes)
+    elif case == "label-above-9":
+        bad = np.repeat(np.arange(10), 3)
+        bad[-1] = 10
+        write_idx(labels, bad)
+    elif case == "missing-file":
+        labels.unlink()
+    status = _run_check_data(tmp_path, monkeypatch)
+    last = capsys.readouterr().out.splitlines()[-1]
+    if case == "good":
+        assert (status, last) == (0, "usable")
+    else:
+        assert status == 1 and last.startswith("not usable")
 
 
 # ---------------------------------------------------------------- datasets
@@ -707,8 +741,15 @@ def test_whatever_validate_accepts_runs_or_fails_in_one_line(name, data, seed):
             if main(["validate", "--config", cfg]) != 0:
                 return
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with (
+            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stderr(err),
+            warnings.catch_warnings(record=True) as caught,
+        ):
+            warnings.simplefilter("always")
             status = main([name, "--config", cfg, "--out", out])
+        # A numpy overflow would show here, not on the redirected stderr.
+        assert not caught, text + "\n".join(str(w.message) for w in caught)
         if status == 0:
             assert os.path.isfile(out)
             assert err.getvalue() == ""
