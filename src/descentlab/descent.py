@@ -23,7 +23,7 @@ re-checks the step size whenever the loss fails to decrease.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -159,7 +159,6 @@ class ClassificationGD:
     min_margin: np.ndarray
     directions: np.ndarray
     effective_smoothness: float
-    loss_name: str = field(default="", compare=False)
 
 
 def _check_xy(x, y):
@@ -357,5 +356,4 @@ def gd_classification(x, y, loss, config: GDConfig, w0=None) -> ClassificationGD
         min_margin=np.asarray(margin_list),
         directions=np.asarray(dirs),
         effective_smoothness=eff_beta,
-        loss_name=loss.name,
     )

@@ -6,8 +6,8 @@ Usage:
     descentlab validate --config <path>
 
 Exit status 0 on success, 1 when the experiment itself fails (bad data
-files, a diverging run, or a run too large for memory), 2 for
-configuration problems.
+files, a diverging run, a float overflow, or a run too large for
+memory), 2 for configuration problems.
 """
 
 from __future__ import annotations
@@ -68,6 +68,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"error: numerical overflow: {exc}", file=sys.stderr)
         return 1
 
 

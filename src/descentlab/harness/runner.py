@@ -7,6 +7,7 @@ no matter how trials are scheduled.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,13 @@ def _emit(config: ExperimentConfig, columns, rows, trailing=()):
     )
 
 
+def _emit_records(config: ExperimentConfig, records, trailing=()):
+    """Write dataclass records: the field names are the CSV header, in
+    field order, and each record is one row."""
+    names = [f.name for f in dataclasses.fields(records[0])]
+    _emit(config, names, ([getattr(r, name) for name in names] for r in records), trailing)
+
+
 def run_sparse_risk(config: ExperimentConfig) -> None:
     p = config.parameters
     rows = risk_curve(
@@ -47,11 +55,7 @@ def run_sparse_risk(config: ExperimentConfig) -> None:
         p["test_points"],
         config.seed,
     )
-    _emit(
-        config,
-        ("p", "analytic_risk", "mc_risk", "mc_stderr", "trials"),
-        [(r.p, r.analytic_risk, r.mc_risk, r.mc_stderr, r.trials) for r in rows],
-    )
+    _emit_records(config, rows)
 
 
 def run_rff_sweep(config: ExperimentConfig) -> None:
@@ -80,14 +84,7 @@ def run_rff_sweep(config: ExperimentConfig) -> None:
         config.seed,
         repeats=p["repeats"],
     )
-    _emit(
-        config,
-        ("n_features", "train_mse", "test_mse", "test_zero_one", "beta_norm", "repeats"),
-        [
-            (pt.n_features, pt.train_mse, pt.test_mse, pt.test_zero_one, pt.beta_norm, pt.repeats)
-            for pt in points
-        ],
-    )
+    _emit_records(config, points)
 
 
 def run_kernel_approx(config: ExperimentConfig) -> None:
@@ -110,10 +107,10 @@ def run_kernel_approx(config: ExperimentConfig) -> None:
 
 def run_implicit_bias(config: ExperimentConfig) -> None:
     p = config.parameters
-    data = generate_separable(p["n"], p["d"], p["margin"], config.seed)
+    x, y, witness = generate_separable(p["n"], p["d"], p["margin"], config.seed)
     loss = get_loss(p["loss"])
     beta0 = loss.smoothness(np.zeros(p["n"]))
-    bound = max_stable_step(data.points, beta0)
+    bound = max_stable_step(x, beta0)
     step = p["step_fraction"] * bound
     if step == 0:
         raise NumericalFailure(
@@ -125,12 +122,11 @@ def run_implicit_bias(config: ExperimentConfig) -> None:
         grad_tol=0.0,
         record_every=p["record_every"],
     )
-    result = implicit_bias_run(data, loss, gd_config)
-    tr = result.trajectory
+    tr, gaps = implicit_bias_run(x, y, loss, gd_config, witness=witness)
     _emit(
         config,
         ("t", "loss", "w_norm", "min_margin", "direction_gap"),
-        list(zip(tr.t, tr.loss, tr.w_norm, tr.min_margin, result.gap_series)),
+        list(zip(tr.t, tr.loss, tr.w_norm, tr.min_margin, gaps)),
     )
 
 
@@ -216,12 +212,7 @@ def run_emc(config: ExperimentConfig) -> None:
         p["trials"],
         config.seed,
     )
-    _emit(
-        config,
-        ("n", "mean_train_error", "interpolates"),
-        [(pt.n, pt.mean_train_error, pt.interpolates) for pt in points],
-        trailing=(f"emc = {emc}",),
-    )
+    _emit_records(config, points, trailing=(f"emc = {emc}",))
 
 
 RUNNERS = {

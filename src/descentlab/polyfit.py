@@ -19,10 +19,10 @@ The bias-variance decomposition fits its trials in blocks of
 ``BLOCK_TRIALS``: each block's samples are stacked into one ``(B, n)``
 array, the basis comes from one pass of the recurrence over the stack,
 and one stacked SVD solves every fit.  The estimator seam takes such a
-block and returns a callable whose value on the probe grid broadcasts
-to ``(B, P)``.  Every trial keeps its own random substream and gets
-exactly the numbers of a one-trial block, so the block size never
-changes a result.
+block and returns a callable whose value on the probe grid ``PROBE``
+broadcasts to ``(B, PROBE.size)``.  Every trial keeps its own random
+substream and gets exactly the numbers of a one-trial block, so the
+block size never changes a result.
 """
 
 from __future__ import annotations
@@ -36,6 +36,11 @@ from .descent import GDConfig, gd_least_squares
 from .errors import InvalidInput
 from .linalg import min_norm_solve, svd
 from .seeding import substream
+
+# The gradient-descent route of fit_poly_min_norm stops at this relative
+# gradient norm, or after this many steps.
+GD_MAX_ITERS = 100_000
+GD_GRAD_TOL = 1e-12
 
 
 def legendre_design(xs, degree: int) -> np.ndarray:
@@ -72,14 +77,7 @@ def legendre_predict(coef, xs) -> np.ndarray:
     return legendre_design(xs, coef.size - 1) @ coef
 
 
-def fit_poly_min_norm(
-    xs,
-    ys,
-    degree: int,
-    via: str = "pseudo_inverse",
-    gd_max_iters: int = 100_000,
-    gd_grad_tol: float = 1e-12,
-) -> np.ndarray:
+def fit_poly_min_norm(xs, ys, degree: int, via: str = "pseudo_inverse") -> np.ndarray:
     """Min-norm least-squares coefficients in the Legendre basis.
 
     ``via="pseudo_inverse"`` solves through the stacked SVD of
@@ -87,8 +85,9 @@ def fit_poly_min_norm(
     gets exactly the numbers of a trial in a block;
     ``via="gradient_descent"`` runs descent from zero with a step just
     inside the stability limit, reaching the same coefficients up to the
-    stopping tolerance.  With ``via="pseudo_inverse"``, ``xs`` and ``ys``
-    may also be ``(B, n)`` stacks of samples, giving ``(B, degree + 1)``
+    stopping tolerance ``GD_GRAD_TOL`` (or after ``GD_MAX_ITERS`` steps).
+    With ``via="pseudo_inverse"``, ``xs`` and ``ys`` may also be
+    ``(B, n)`` stacks of samples, giving ``(B, degree + 1)``
     coefficients, row for row equal to separate fits.
     """
     ys = np.asarray(ys, dtype=float)
@@ -103,9 +102,9 @@ def fit_poly_min_norm(
             return np.zeros(degree + 1)
         config = GDConfig(
             step_size=0.9 / smax**2,
-            max_iters=gd_max_iters,
-            grad_tol=gd_grad_tol,
-            record_every=gd_max_iters,
+            max_iters=GD_MAX_ITERS,
+            grad_tol=GD_GRAD_TOL,
+            record_every=GD_MAX_ITERS,
         )
         return gd_least_squares(design, ys, config).w
     raise InvalidInput(f"via must be 'pseudo_inverse' or 'gradient_descent', got {via!r}")
@@ -137,37 +136,36 @@ class BiasVariance:
 
 Estimator = Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
 
+# The points at which ``bias_variance_decompose`` compares the fits with
+# the truth.
+PROBE = np.linspace(-1.0, 1.0, 101)
+
 # Trials fitted together by ``bias_variance_decompose``: enough to pay the
 # per-call overhead of the basis and the SVD once per block, few enough
 # to keep the stacked design small.
 BLOCK_TRIALS = 64
 
 
-def legendre_estimator(degree: int, probe: np.ndarray | None = None) -> Estimator:
+def legendre_estimator(degree: int) -> Estimator:
     """The default estimator: min-norm Legendre regression of fixed degree.
 
     It fits a block of trials at once: ``xs`` and ``ys`` of shape
-    ``(B, n)`` give a callable whose value at points ``x_eval`` has shape
-    ``(B,) + x_eval.shape``, one matrix-vector product per trial.  The
-    design at ``probe``, when given, is built once here and reused each
-    time a fit is evaluated at that same array.
+    ``(B, n)`` give a callable whose value is the ``(B, PROBE.size)``
+    array of the fits on ``PROBE``, the only points
+    ``bias_variance_decompose`` evaluates at.  The design at ``PROBE``
+    is built once, here.
     """
-    probe_design = None if probe is None else legendre_design(probe, degree)
+    probe_design = legendre_design(PROBE, degree)
 
     def fit(xs: np.ndarray, ys: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         coef = fit_poly_min_norm(xs, ys, degree)
 
-        def predict(x_eval: np.ndarray) -> np.ndarray:
-            if probe_design is not None and x_eval is probe:
-                design = probe_design
-            else:
-                design = legendre_design(x_eval, degree)
+        def on_probe(_probe: np.ndarray) -> np.ndarray:
             # One product per trial: a single matmul over the block can
             # change the last bits.
-            values = [design @ c for c in coef.reshape(-1, degree + 1)]
-            return np.stack(values).reshape(coef.shape[:-1] + design.shape[:-1])
+            return np.stack([probe_design @ c for c in coef])
 
-        return predict
+        return on_probe
 
     return fit
 
@@ -180,9 +178,8 @@ def bias_variance_decompose(
     trials: int,
     seed: int,
     estimator: Estimator | None = None,
-    probe: np.ndarray | None = None,
 ) -> BiasVariance:
-    """Decompose the expected squared error at a fixed probe grid.
+    """Decompose the expected squared error on the probe grid ``PROBE``.
 
     Each trial draws ``n`` uniform sample points on [-1, 1], noisy
     targets, fits the estimator (min-norm Legendre regression of
@@ -198,28 +195,25 @@ def bias_variance_decompose(
         raise InvalidInput(f"n must be >= 1, got {n}")
     if noise_scale < 0:
         raise InvalidInput(f"noise_scale must be >= 0, got {noise_scale}")
-    if probe is None:
-        probe = np.linspace(-1.0, 1.0, 101)
-    probe = np.asarray(probe, dtype=float)
     if estimator is None:
-        estimator = legendre_estimator(degree, probe)
-    truth_on_probe = np.asarray(truth_fn(probe), dtype=float)
+        estimator = legendre_estimator(degree)
+    truth_on_probe = np.asarray(truth_fn(PROBE), dtype=float)
 
-    preds = np.empty((trials, probe.size))
+    preds = np.empty((trials, PROBE.size))
     totals = np.empty(trials)
     for start in range(0, trials, BLOCK_TRIALS):
         block = slice(start, min(start + BLOCK_TRIALS, trials))
         size = block.stop - start
         xs = np.empty((size, n))
         noise = np.empty((size, n))
-        fresh_noise = np.empty((size, probe.size))
+        fresh_noise = np.empty((size, PROBE.size))
         for i in range(size):
             rng = substream(seed, "bias-variance-trial", start + i)
             xs[i] = rng.uniform(-1.0, 1.0, size=n)
             noise[i] = rng.standard_normal(n)
-            fresh_noise[i] = rng.standard_normal(probe.size)
+            fresh_noise[i] = rng.standard_normal(PROBE.size)
         ys = np.asarray(truth_fn(xs), dtype=float) + noise_scale * noise
-        preds[block] = estimator(xs, ys)(probe)
+        preds[block] = estimator(xs, ys)(PROBE)
         fresh = truth_on_probe + noise_scale * fresh_noise
         totals[block] = np.mean((preds[block] - fresh) ** 2, axis=1)
 

@@ -172,33 +172,20 @@ def _zero_one(pred: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.sign(pred) != np.sign(y)))
 
 
-@dataclass(frozen=True)
-class RFFModel:
-    """Feature map plus min-norm regression coefficients on top of it."""
-
-    feature_map: RandomFeatureMap
-    beta: np.ndarray  # (n_features,) or (n_features, n_outputs)
-    train_mse: float  # on the fitted data, from the features of the fit
-
-    def predict(self, x) -> np.ndarray:
-        return self.feature_map.transform(x) @ self.beta
-
-    @property
-    def beta_norm(self) -> float:
-        return float(np.linalg.norm(self.beta))
-
-
-def fit_rff(feature_map: RandomFeatureMap, x, y) -> RFFModel:
+def fit_rff(feature_map: RandomFeatureMap, x, y) -> tuple[np.ndarray, float]:
     """Fit minimum-norm least squares in feature space.
 
-    ``y`` may be a vector or a one-hot matrix; columns are fitted jointly
-    from a single factorization of the feature matrix, which also gives
-    the training error without featurizing ``x`` again.
+    Returns the coefficients ``beta``, of shape ``(n_features,)`` or
+    ``(n_features, n_outputs)``, and the training MSE, computed from the
+    features of the fit so that ``x`` is not featurized again.  ``y`` may
+    be a vector or a one-hot matrix; columns are fitted jointly from a
+    single factorization of the feature matrix.  The prediction at new
+    inputs is ``feature_map.transform(x_new) @ beta``.
     """
     z = feature_map.transform(x)
     y = np.asarray(y, dtype=float)
     beta = min_norm_solve(z, y)
-    return RFFModel(feature_map=feature_map, beta=beta, train_mse=_mse(z @ beta, y))
+    return beta, _mse(z @ beta, y)
 
 
 @dataclass(frozen=True)
@@ -251,13 +238,13 @@ def double_descent_sweep(
         per_repeat = np.empty((repeats, 4))
         for r in range(repeats):
             fmap = sample_map(n, input_dim, bandwidth, seed, index=r)
-            model = fit_rff(fmap, x_train, y_train)
-            pred_test = model.predict(x_test)
+            beta, train_mse = fit_rff(fmap, x_train, y_train)
+            pred_test = fmap.transform(x_test) @ beta
             per_repeat[r] = (
-                model.train_mse,
+                train_mse,
                 _mse(pred_test, y_test),
                 _zero_one(pred_test, y_test),
-                model.beta_norm,
+                np.linalg.norm(beta),
             )
         points.append(
             RFFSweepPoint(

@@ -15,7 +15,7 @@ has no equality constraint coupling the multipliers, and coordinate
 ascent on one ``a_i`` at a time is exact and simple: each update has a
 closed form, and the iteration converges whenever the data are
 separable.  Separability itself is certified first, by a budgeted
-perceptron or by the dataset's stored witness.
+perceptron or by a witness direction supplied with the data.
 """
 
 from __future__ import annotations
@@ -34,48 +34,24 @@ from .descent import (
 from .errors import ConfigError, InvalidInput, NotSeparableError, NumericalFailure
 from .seeding import substream
 
-
-@dataclass(frozen=True)
-class SeparableDataset:
-    """Points, labels, and (optionally) a witness direction.
-
-    The witness is any vector giving every point a strictly positive
-    margin; datasets from ``generate_separable`` store the direction
-    they were built around.
-    """
-
-    points: np.ndarray
-    labels: np.ndarray
-    witness: np.ndarray | None = None
-
-    def __post_init__(self):
-        x, y = _check_labels(self.points, self.labels)
-        object.__setattr__(self, "points", x)
-        object.__setattr__(self, "labels", y)
-        if self.witness is not None:
-            w = np.asarray(self.witness, dtype=float)
-            if w.shape != (x.shape[1],):
-                raise InvalidInput(f"witness has shape {w.shape}, expected ({x.shape[1]},)")
-            if np.min(y * (x @ w)) <= 0:
-                raise InvalidInput("witness does not separate the dataset")
-            object.__setattr__(self, "witness", w)
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
+# Dual ascent stops once no projected dual gradient exceeds SVM_TOL, which
+# is also the multiplier size that counts a point as a support vector.
+SVM_TOL = 1e-8
+SVM_MAX_PASSES = 1_000_000
 
 
-def generate_separable(n: int, d: int, margin: float, seed: int) -> SeparableDataset:
+def generate_separable(
+    n: int, d: int, margin: float, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample an origin-separable dataset with margin at least ``margin``.
 
     A random unit direction ``w*`` is drawn, points and labels are
     sampled independently, and any point whose signed margin falls short
     of ``margin`` is shifted along ``+- w*`` until it sits exactly at
-    ``margin``.  The direction is stored as the witness.
+    ``margin``.  Returns the points, the +-1 labels and ``w*``, the
+    witness direction; a margin near rounding level can leave some point
+    at a margin of zero or below, so ``find_separator`` checks it before
+    trusting it.
     """
     if n < 2:
         raise InvalidInput(f"n must be >= 2, got {n}")
@@ -91,7 +67,7 @@ def generate_separable(n: int, d: int, margin: float, seed: int) -> SeparableDat
     margins = y * (x @ w_star)
     shortfall = np.clip(margin - margins, 0.0, None)
     x = x + (shortfall * y)[:, None] * w_star
-    return SeparableDataset(points=x, labels=y, witness=w_star)
+    return x, y, w_star
 
 
 def find_separator(x, y, witness=None, max_updates: int = 100_000) -> np.ndarray:
@@ -141,22 +117,18 @@ class SVMSolution:
         return self.w / np.linalg.norm(self.w)
 
 
-def hard_margin_svm(
-    x, y, witness=None, tol: float = 1e-8, max_passes: int = 1_000_000
-) -> SVMSolution:
+def hard_margin_svm(x, y, witness=None) -> SVMSolution:
     """Solve the hard-margin SVM through the origin by dual coordinate ascent.
 
     Separability is certified first (see ``find_separator``); infeasible
     data raise NotSeparableError there.  The ascent then sweeps
     coordinates cyclically, maintaining ``w = sum_i alpha_i y_i x_i``
     incrementally, and stops when the largest projected dual gradient
-    falls below ``tol``.  On certified-separable data failure to reach
-    ``tol`` within ``max_passes`` is a NumericalFailure, not a
-    separability verdict.
+    falls below ``SVM_TOL``.  On certified-separable data failure to
+    reach ``SVM_TOL`` within ``SVM_MAX_PASSES`` is a NumericalFailure, not
+    a separability verdict.
     """
     x, y = _check_labels(x, y)
-    if tol <= 0:
-        raise InvalidInput(f"tol must be > 0, got {tol}")
     sq_norms = np.einsum("ij,ij->i", x, x)
     if np.any(sq_norms == 0):
         # A zero sample can never achieve positive margin.
@@ -166,7 +138,7 @@ def hard_margin_svm(
     n = x.shape[0]
     alpha = np.zeros(n)
     w = np.zeros(x.shape[1])
-    for sweep in range(1, max_passes + 1):
+    for sweep in range(1, SVM_MAX_PASSES + 1):
         worst = 0.0
         for i in range(n):
             g = 1.0 - y[i] * (x[i] @ w)
@@ -180,16 +152,16 @@ def hard_margin_svm(
             if delta != 0.0:
                 w = w + delta * y[i] * x[i]
                 alpha[i] = new_alpha
-        if worst <= tol:
-            support = np.flatnonzero(alpha > tol)
+        if worst <= SVM_TOL:
+            support = np.flatnonzero(alpha > SVM_TOL)
             norm = float(np.linalg.norm(w))
             margin = float(np.min(y * (x @ w)) / norm)
             return SVMSolution(
                 w=w, alpha=alpha, support=support, margin=margin, n_passes=sweep
             )
     raise NumericalFailure(
-        f"dual ascent did not reach tol={tol:g} within {max_passes} passes "
-        "on certified-separable data; raise max_passes or tol"
+        f"dual ascent did not reach tol={SVM_TOL:g} within {SVM_MAX_PASSES} "
+        "passes on certified-separable data"
     )
 
 
@@ -207,43 +179,29 @@ def direction_gap(w, reference) -> float:
     return float(np.linalg.norm(w / wnorm - reference / rnorm))
 
 
-@dataclass(frozen=True)
-class ImplicitBiasResult:
-    """Gradient-descent trajectory next to its max-margin reference.
-
-    ``gap_series[i]`` is the direction gap at the i-th recorded step;
-    entries are NaN while ``w_t = 0`` (the direction is undefined there,
-    which with ``w0 = 0`` affects exactly the ``t = 0`` record).
-    """
-
-    trajectory: ClassificationGD
-    svm: SVMSolution
-    gap_series: np.ndarray
-
-
 def implicit_bias_run(
-    dataset: SeparableDataset, loss, config: GDConfig, w0=None
-) -> ImplicitBiasResult:
-    """Run classification GD and measure its drift toward the SVM direction.
+    x, y, loss, config: GDConfig, witness=None
+) -> tuple[ClassificationGD, np.ndarray]:
+    """Run classification GD from zero and measure its drift toward the
+    SVM direction; returns the trajectory and the gap series.
 
-    The step size must lie strictly below ``max_stable_step`` for the
-    loss's smoothness at ``w0`` (for the exponential loss that constant
-    is only local, and the descent engine keeps watching it).
+    ``gap_series[i]`` is the direction gap at the i-th recorded step; it
+    is NaN while ``w_t = 0``, where the direction is undefined (exactly
+    the ``t = 0`` record).  The step size must lie strictly below
+    ``max_stable_step`` for the loss's smoothness at ``w = 0`` (for the
+    exponential loss that constant is only local, and the descent engine
+    keeps watching it).  ``witness`` is handed to ``hard_margin_svm``.
     """
-    x, y = dataset.points, dataset.labels
-    w_start = np.zeros(dataset.d) if w0 is None else np.asarray(w0, dtype=float)
-    beta0 = loss.smoothness(y * (x @ w_start))
-    bound = max_stable_step(x, beta0)
+    bound = max_stable_step(x, loss.smoothness(np.zeros(len(y))))
     if config.step_size >= bound:
         raise ConfigError(
             f"step_size {config.step_size:g} is not below max_stable_step "
-            f"= {bound:g} for the {loss.name} loss at w0"
+            f"= {bound:g} for the {loss.name} loss at w = 0"
         )
-    svm = hard_margin_svm(x, y, witness=dataset.witness)
-    trajectory = gd_classification(x, y, loss, config, w0=w0)
-    ref = svm.direction
+    ref = hard_margin_svm(x, y, witness=witness).direction
+    trajectory = gd_classification(x, y, loss, config)
     gaps = np.full(len(trajectory.t), np.nan)
     for i, direction in enumerate(trajectory.directions):
         if np.any(direction != 0.0):
             gaps[i] = direction_gap(direction, ref)
-    return ImplicitBiasResult(trajectory=trajectory, svm=svm, gap_series=gaps)
+    return trajectory, gaps

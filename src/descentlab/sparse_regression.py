@@ -159,20 +159,6 @@ def analytic_risk_random_subset(
     return _three_case_risk(frac * w_norm_sq, (1.0 - frac) * w_norm_sq, p, n, noise_var)
 
 
-@dataclass(frozen=True)
-class MonteCarloRisk:
-    """Summary of a Monte Carlo risk estimate over independent trials.
-
-    Near the interpolation threshold the per-trial risks are extremely
-    heavy tailed, so the median is reported next to the mean.
-    """
-
-    mean: float
-    median: float
-    stderr: float
-    trials: int
-
-
 def monte_carlo_risk(
     problem: GaussianLinearProblem,
     p: int,
@@ -180,12 +166,14 @@ def monte_carlo_risk(
     test_points: int,
     seed: int,
     subset: SubsetSelection | None = None,
-) -> MonteCarloRisk:
+) -> tuple[float, float]:
     """Estimate the risk by training on fresh data and scoring fresh draws.
 
-    Each trial uses its own substream derived from ``seed`` (training
-    set, noise, test set, and, unless ``subset`` pins it, the feature
-    subset), so the estimate is independent of trial ordering.
+    Returns the mean risk over the trials and its standard error (inf
+    for a single trial).  Each trial uses its own substream derived from
+    ``seed`` (training set, noise, test set, and, unless ``subset`` pins
+    it, the feature subset), so the estimate is independent of trial
+    ordering.
     """
     d, n = problem.d, problem.n
     if not 0 <= p <= d or int(p) != p:
@@ -211,12 +199,7 @@ def monte_carlo_risk(
         risks[i] = float(np.mean((yt - xt @ coef) ** 2))
 
     stderr = float(np.std(risks, ddof=1) / math.sqrt(trials)) if trials > 1 else math.inf
-    return MonteCarloRisk(
-        mean=float(np.mean(risks)),
-        median=float(np.median(risks)),
-        stderr=stderr,
-        trials=trials,
-    )
+    return float(np.mean(risks)), stderr
 
 
 @dataclass(frozen=True)
@@ -263,16 +246,16 @@ def risk_curve(
         # them from the problem (a sum of d squares, a squared square root)
         # perturbs the last bits and the printed values.
         analytic = analytic_risk_random_subset(signal_norm_sq, noise_var, d, n, p)
-        mc = monte_carlo_risk(
+        mc_risk, mc_stderr = monte_carlo_risk(
             problem, p, trials, test_points, derive_seed(seed, "risk-curve-p", p)
         )
         rows.append(
             RiskCurveRow(
                 p=p,
                 analytic_risk=analytic,
-                mc_risk=mc.mean,
-                mc_stderr=mc.stderr,
-                trials=mc.trials,
+                mc_risk=mc_risk,
+                mc_stderr=mc_stderr,
+                trials=trials,
             )
         )
     return rows

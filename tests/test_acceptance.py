@@ -173,10 +173,10 @@ def test_criterion_04_fixed_subset_risk():
     worst_z = 0.0
     for p, sel in subsets.items():
         analytic = analytic_risk_fixed_subset(w, sel, 0.2, n)
-        mc = monte_carlo_risk(
+        mc_mean, mc_stderr = monte_carlo_risk(
             problem, p, trials, 100, derive_seed(SEED, "c4-mc", p), subset=sel
         )
-        z = abs(mc.mean - analytic) / mc.stderr
+        z = abs(mc_mean - analytic) / mc_stderr
         worst_z = max(worst_z, z)
         if z > 4.0:
             problems.append(f"risk p={p}: z={z:.2f}")
@@ -275,21 +275,21 @@ def test_criterion_07_implicit_bias():
     agrees with brute-force active-set enumeration on small instances."""
     start = time.monotonic()
     problems = []
-    data = generate_separable(50, 2, 0.5, SEED)
+    x, y, witness = generate_separable(50, 2, 0.5, SEED)
     loss = get_loss("logistic")
     config = GDConfig(
-        step_size=0.5 * max_stable_step(data.points, loss.beta),
+        step_size=0.5 * max_stable_step(x, loss.beta),
         max_iters=100_000,
         grad_tol=0.0,
         record_every=10,
     )
-    result = implicit_bias_run(data, loss, config)
-    final_gap = result.gap_series[-1]
+    trajectory, gaps = implicit_bias_run(x, y, loss, config, witness=witness)
+    final_gap = gaps[-1]
     if not final_gap < 0.05:
         problems.append(f"final direction gap {final_gap:.4f} >= 0.05")
-    if not np.all(np.diff(result.trajectory.loss) < 0):
+    if not np.all(np.diff(trajectory.loss) < 0):
         problems.append("loss is not monotonically decreasing")
-    norms = dict(zip(result.trajectory.t.tolist(), result.trajectory.w_norm))
+    norms = dict(zip(trajectory.t.tolist(), trajectory.w_norm))
     if not norms[100_000] > norms[10]:
         problems.append("||w|| did not grow from step 10 to the end")
 
@@ -297,9 +297,9 @@ def test_criterion_07_implicit_bias():
     checked = 0
     for n, d, rep in itertools.product(range(2, 9), range(1, 4), range(2)):
         inst_seed = derive_seed(SEED, "c7-oracle", checked)
-        inst = generate_separable(n, d, 0.4, inst_seed)
-        sol = hard_margin_svm(inst.points, inst.labels, witness=inst.witness)
-        ref = _brute_force_svm(inst.points, inst.labels)
+        xi, yi, witness_i = generate_separable(n, d, 0.4, inst_seed)
+        sol = hard_margin_svm(xi, yi, witness=witness_i)
+        ref = _brute_force_svm(xi, yi)
         rel = abs(sol.w @ sol.w - ref @ ref) / (ref @ ref)
         worst_rel = max(worst_rel, rel)
         if rel > 1e-6:

@@ -581,6 +581,55 @@ def test_cli_step_underflow_is_a_one_line_run_error(tmp_path, capsys):
     assert err.startswith("error: ") and "underflows" in err and err.count("\n") == 1
 
 
+def test_cli_overflow_is_a_one_line_run_error(tmp_path, capsys):
+    # margin = 1e300 passes validate, but the squared largest singular
+    # value in max_stable_step overflows a float.
+    cfg = _cfg(tmp_path, "experiment = implicit-bias\nmargin = 1e300\nmax_iters = 5\n")
+    out = tmp_path / "x.csv"
+    assert main(["implicit-bias", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical overflow") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# One small config per experiment, for the checks that cover them all.
+_TINY_CONFIGS = {
+    "sparse-risk": "d = 6\nn = 3\np_grid = 1, 6\ntrials = 2\ntest_points = 2\n",
+    "rff-sweep": "n_train = 6\nn_test = 4\nn_grid = 4, 8\nrepeats = 1\ninput_dim = 2\n",
+    "kernel-approx": "n_points = 3\ninput_dim = 2\nn_grid = 4, 8\nn_maps = 1\n",
+    "implicit-bias": "n = 6\nmax_iters = 20\nrecord_every = 10\n",
+    "polyfit": "grid_points = 4\nn = 5\ndegree = 3\n",
+    "bias-variance": "degrees = 1, 3\nn = 5\ntrials = 3\n",
+    "emc": "d = 4\nn_grid = 2, 4, 6\ntrials = 1\n",
+}
+
+
+def _readme_columns():
+    """Experiment name -> CSV columns, from the table in README.md."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    columns = {}
+    with open(readme) as fh:
+        for line in fh:
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if len(cells) == 3 and cells[0].startswith("`"):
+                columns[cells[0].strip("`")] = cells[2].split("`")[1].split(", ")
+    return columns
+
+
+def test_readme_lists_every_experiment():
+    assert sorted(_readme_columns()) == sorted(EXPERIMENTS) == sorted(_TINY_CONFIGS)
+
+
+@pytest.mark.parametrize("name", sorted(_TINY_CONFIGS))
+def test_csv_header_matches_the_readme_table(tmp_path, name):
+    cfg = _cfg(tmp_path, f"experiment = {name}\n" + _TINY_CONFIGS[name])
+    out = tmp_path / "out.csv"
+    assert main([name, "--config", cfg, "--out", str(out)]) == 0
+    _, columns, rows = read_rows(out)
+    assert columns == _readme_columns()[name]
+    assert rows and all(len(row) == len(columns) for row in rows)
+
+
 def test_cli_seed_override_changes_output(tmp_path):
     cfg = _cfg(tmp_path, "experiment = polyfit\ngrid_points = 16\nn = 8\ndegree = 5\n")
     a, b, c = (str(tmp_path / f"{k}.csv") for k in "abc")

@@ -203,12 +203,12 @@ def test_fit_rff_interpolates_when_overparameterized():
     rng = substream(15, "rff-fit")
     x = rng.uniform(0.0, 1.0, size=(30, 4))
     y = rng.standard_normal(30)
-    model = fit_rff(sample_map(120, 4, 1.0, seed=15), x, y)
-    train_mse = float(np.mean((model.predict(x) - y) ** 2))
+    fmap = sample_map(120, 4, 1.0, seed=15)
+    beta, train_mse = fit_rff(fmap, x, y)
     assert train_mse <= 1e-12
-    assert model.train_mse == train_mse
-    assert model.beta.shape == (120,)
-    assert model.beta_norm > 0.0
+    assert train_mse == float(np.mean((fmap.transform(x) @ beta - y) ** 2))
+    assert beta.shape == (120,)
+    assert np.linalg.norm(beta) > 0.0
 
 
 def test_fit_rff_multioutput_one_hot():
@@ -217,9 +217,10 @@ def test_fit_rff_multioutput_one_hot():
     labels = rng.integers(0, 3, size=20)
     y = np.zeros((20, 3))
     y[np.arange(20), labels] = 1.0
-    model = fit_rff(sample_map(80, 3, 1.0, seed=16), x, y)
-    assert model.beta.shape == (80, 3)
-    pred = model.predict(x)
+    fmap = sample_map(80, 3, 1.0, seed=16)
+    beta, _ = fit_rff(fmap, x, y)
+    assert beta.shape == (80, 3)
+    pred = fmap.transform(x) @ beta
     assert np.mean((pred - y) ** 2) <= 1e-10
     np.testing.assert_array_equal(np.argmax(pred, axis=1), labels)
 

@@ -10,7 +10,6 @@ from descentlab.errors import ConfigError, InvalidInput, NotSeparableError
 from descentlab.linalg import min_norm_solve
 from descentlab.seeding import derive_seed
 from descentlab.separable import (
-    SeparableDataset,
     direction_gap,
     find_separator,
     generate_separable,
@@ -47,18 +46,18 @@ def brute_force_svm(x, y):
 
 
 def test_generate_separable_respects_margin():
-    data = generate_separable(n=40, d=3, margin=0.7, seed=51)
-    assert data.points.shape == (40, 3)
-    assert set(np.unique(data.labels)) <= {-1.0, 1.0}
-    margins = data.labels * (data.points @ data.witness)
-    assert np.min(margins) >= 0.7 - 1e-12
+    x, y, witness = generate_separable(n=40, d=3, margin=0.7, seed=51)
+    assert x.shape == (40, 3)
+    assert set(np.unique(y)) <= {-1.0, 1.0}
+    assert np.linalg.norm(witness) == pytest.approx(1.0)
+    assert np.min(y * (x @ witness)) >= 0.7 - 1e-12
 
 
 def test_generate_separable_is_deterministic():
     a = generate_separable(10, 2, 0.5, seed=52)
     b = generate_separable(10, 2, 0.5, seed=52)
-    np.testing.assert_array_equal(a.points, b.points)
-    np.testing.assert_array_equal(a.labels, b.labels)
+    for got, want in zip(a, b):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_generate_separable_validation():
@@ -68,30 +67,27 @@ def test_generate_separable_validation():
         generate_separable(10, 2, 0.0, seed=0)
 
 
-def test_dataset_rejects_bad_witness():
-    x = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    y = np.array([1.0, -1.0])
-    SeparableDataset(points=x, labels=y, witness=np.array([1.0, 0.0]))
-    with pytest.raises(InvalidInput):
-        SeparableDataset(points=x, labels=y, witness=np.array([-1.0, 0.0]))
-
-
 # ---------------------------------------------------------------- separator
 
 
 def test_find_separator_on_easy_data():
-    data = generate_separable(30, 2, 0.5, seed=53)
-    w = find_separator(data.points, data.labels)
-    assert np.min(data.labels * (data.points @ w)) > 0
+    x, y, _ = generate_separable(30, 2, 0.5, seed=53)
+    w = find_separator(x, y)
+    assert np.min(y * (x @ w)) > 0
 
 
 def test_find_separator_witness_fallback():
-    data = generate_separable(10, 2, 0.5, seed=54)
-    # With no perceptron budget the stored witness has to save the day.
-    w = find_separator(data.points, data.labels, witness=data.witness, max_updates=0)
-    np.testing.assert_array_equal(w, data.witness)
+    x, y, witness = generate_separable(10, 2, 0.5, seed=54)
+    # With no perceptron budget the witness has to save the day.
+    w = find_separator(x, y, witness=witness, max_updates=0)
+    np.testing.assert_array_equal(w, witness)
     with pytest.raises(NotSeparableError):
-        find_separator(data.points, data.labels, max_updates=0)
+        find_separator(x, y, max_updates=0)
+    # A witness that does not separate, or has the wrong length, is not
+    # trusted.
+    for bad in (-witness, np.append(witness, 0.0)):
+        with pytest.raises(NotSeparableError):
+            find_separator(x, y, witness=bad, max_updates=0)
 
 
 def test_not_separable_raises():
@@ -132,25 +128,25 @@ def test_svm_matches_brute_force_on_small_instances():
         rng_seed = derive_seed(55, "svm-instance", i)
         n = 3 + i % 5
         d = 1 + i % 3
-        data = generate_separable(n, d, 0.4, seed=rng_seed)
-        sol = hard_margin_svm(data.points, data.labels, witness=data.witness)
-        ref = brute_force_svm(data.points, data.labels)
+        x, y, witness = generate_separable(n, d, 0.4, seed=rng_seed)
+        sol = hard_margin_svm(x, y, witness=witness)
+        ref = brute_force_svm(x, y)
         assert ref is not None
         rel = abs(sol.w @ sol.w - ref @ ref) / (ref @ ref)
         assert rel <= 1e-8, f"instance {i}: objective off by {rel:.2e}"
 
 
 def test_svm_dual_primal_consistency():
-    data = generate_separable(25, 4, 0.3, seed=56)
-    sol = hard_margin_svm(data.points, data.labels, witness=data.witness)
+    x, y, witness = generate_separable(25, 4, 0.3, seed=56)
+    sol = hard_margin_svm(x, y, witness=witness)
     # Primal weights are the dual combination of the data.
-    recon = (sol.alpha * data.labels) @ data.points
+    recon = (sol.alpha * y) @ x
     np.testing.assert_allclose(sol.w, recon, atol=1e-10)
-    margins = data.labels * (data.points @ sol.w)
+    margins = y * (x @ sol.w)
     assert np.min(margins) >= 1.0 - 1e-6
     # Support points sit on the margin, the rest carry no weight.
     np.testing.assert_allclose(margins[sol.support], 1.0, atol=1e-6)
-    off = np.setdiff1d(np.arange(data.n), sol.support)
+    off = np.setdiff1d(np.arange(len(y)), sol.support)
     assert np.all(sol.alpha[off] <= 1e-8)
     assert np.linalg.norm(sol.direction) == pytest.approx(1.0)
 
@@ -172,44 +168,47 @@ def test_direction_gap_endpoints():
 
 
 def test_implicit_bias_gap_shrinks():
-    data = generate_separable(12, 2, 0.5, seed=58)
+    x, y, witness = generate_separable(12, 2, 0.5, seed=58)
     loss = get_loss("logistic")
-    step = 0.5 * max_stable_step(data.points, loss.beta)
+    step = 0.5 * max_stable_step(x, loss.beta)
     config = GDConfig(step_size=step, max_iters=4000, grad_tol=0.0, record_every=100)
-    result = implicit_bias_run(data, loss, config)
-    gaps = result.gap_series
+    tr, gaps = implicit_bias_run(x, y, loss, config, witness=witness)
     assert np.isnan(gaps[0])  # w0 = 0 has no direction
     finite = gaps[~np.isnan(gaps)]
     assert finite[-1] < finite[0]
     assert finite[-1] < 0.25
     # The normalized margin at the end beats the first recorded value
     # after the loss drops below 1.
-    tr = result.trajectory
     below_one = np.flatnonzero(tr.loss < 1.0)
     assert below_one.size > 0
     assert tr.min_margin[-1] > tr.min_margin[below_one[0]]
 
 
 def test_implicit_bias_exponential_loss_also_converges():
-    data = generate_separable(10, 2, 0.6, seed=59)
+    x, y, _ = generate_separable(10, 2, 0.6, seed=59)
     loss = get_loss("exponential")
-    beta0 = loss.smoothness(np.zeros(data.n))
+    beta0 = loss.smoothness(np.zeros(len(y)))
     config = GDConfig(
-        step_size=0.3 * max_stable_step(data.points, beta0),
+        step_size=0.3 * max_stable_step(x, beta0),
         max_iters=4000,
         grad_tol=0.0,
         record_every=200,
     )
-    result = implicit_bias_run(data, loss, config)
-    finite = result.gap_series[~np.isnan(result.gap_series)]
+    _, gaps = implicit_bias_run(x, y, loss, config)
+    finite = gaps[~np.isnan(gaps)]
     assert finite[-1] < finite[0]
 
 
 def test_implicit_bias_rejects_unstable_step():
-    data = generate_separable(10, 2, 0.5, seed=60)
+    x, y, _ = generate_separable(10, 2, 0.5, seed=60)
     loss = get_loss("logistic")
-    bound = max_stable_step(data.points, loss.beta)
+    bound = max_stable_step(x, loss.beta)
     with pytest.raises(ConfigError):
-        implicit_bias_run(
-            data, loss, GDConfig(step_size=bound, max_iters=10, grad_tol=0.0)
-        )
+        implicit_bias_run(x, y, loss, GDConfig(step_size=bound, max_iters=10, grad_tol=0.0))
+
+
+def test_implicit_bias_checks_the_labels():
+    x, y, _ = generate_separable(10, 2, 0.5, seed=61)
+    config = GDConfig(step_size=1e-3, max_iters=10, grad_tol=0.0)
+    with pytest.raises(InvalidInput, match="labels must be -1/\\+1"):
+        implicit_bias_run(x, 2.0 * y, get_loss("logistic"), config)
