@@ -18,6 +18,15 @@ Classification objective: ``L(w) = sum_i loss(y_i x_i^T w)`` for labels
 in {-1, +1}.  Stability depends on the loss curvature along the
 trajectory, so the engine tracks an effective smoothness constant and
 re-checks the step size whenever the loss fails to decrease.
+
+The classification step runs on the negated margins
+``v = -(y_i x_i^T w)``, the quantity both losses exponentiate.  With
+``N`` the matrix of rows ``-y_i x_i``, formed once, a step is
+``v = N w``, one call on the loss for the per-sample losses and the
+gradient weights ``-loss'(-v)`` at ``v``, and the gradient
+``weights @ N``: no array is negated inside the loop.  Negating a
+float is exact and rounding to nearest is symmetric under sign, so
+this gives the same bits as the step written on ``u = -v``.
 """
 
 from __future__ import annotations
@@ -85,6 +94,11 @@ class ExponentialLoss:
     def smoothness(self, u: np.ndarray) -> float:
         return max(float(np.max(self.curvature(u))), _SMOOTHNESS_FLOOR)
 
+    def at_negated_margins(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(values(-v), -dvalues(-v))`` bit for bit, from one ``exp``."""
+        e = np.exp(np.minimum(v, -MARGIN_CLAMP))
+        return e, e
+
 
 class LogisticLoss:
     """``loss(u) = log(1 + exp(-u))``, evaluated without overflow."""
@@ -104,6 +118,10 @@ class LogisticLoss:
     def smoothness(self, u: np.ndarray) -> float:
         # Curvature is globally capped at 1/4 regardless of the margins.
         return self.beta
+
+    def at_negated_margins(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(values(-v), -dvalues(-v))`` bit for bit."""
+        return np.logaddexp(0.0, v), expit(v)
 
 
 _LOSSES = {
@@ -286,7 +304,7 @@ def gd_classification(x, y, loss, config: GDConfig, w0=None) -> ClassificationGD
     w = _check_w0(x, w0)
 
     smax2 = svd(x).s_max ** 2
-    signed = x * y[:, None]  # row i is y_i x_i, so margins are signed @ w
+    neg = -(x * y[:, None])  # row i is -y_i x_i, so v = neg @ w
 
     ts, losses, norms, margin_list, dirs = [], [], [], [], []
 
@@ -302,31 +320,34 @@ def gd_classification(x, y, loss, config: GDConfig, w0=None) -> ClassificationGD
             margin_list.append(0.0)
             dirs.append(np.zeros_like(w))
 
-    # As in gd_least_squares, the step loop reads only locals and calls
-    # no numpy wrapper: math.sqrt(g @ g) is exactly np.linalg.norm(g),
-    # a.sum() is np.sum(a), and math.isfinite tests the Python float.
+    # The step loop works on the negated margins (module docstring) and
+    # reads only locals: np.dot and np.add.reduce skip numpy's
+    # Python-level wrappers, math.sqrt(g . g) is exactly np.linalg.norm(g),
+    # and math.isfinite tests the Python float.
     step_size, max_iters, record_every = config.step_size, config.max_iters, config.record_every
     grad_tol = config.grad_tol
-    values, dvalues = loss.values, loss.dvalues
-    margins = signed @ w
-    value = float(values(margins).sum())
+    at_negated_margins, dot, add_reduce = loss.at_negated_margins, np.dot, np.add.reduce
+    v = dot(neg, w)
+    terms, weights = at_negated_margins(v)
+    value = float(add_reduce(terms))
     initial_value = value
     prev_value = value
-    eff_beta = loss.smoothness(margins)
+    eff_beta = loss.smoothness(-v)
     n_iters = 0
     for k in range(max_iters + 1):
         if k % record_every == 0:
-            snapshot(k, w, margins, value)
-        grad = dvalues(margins) @ signed
-        if math.sqrt(grad @ grad) <= grad_tol:
+            snapshot(k, w, -v, value)
+        grad = dot(weights, neg)
+        if math.sqrt(dot(grad, grad)) <= grad_tol:
             n_iters = k
             break
         if k == max_iters:
             n_iters = k
             break
         w = w - step_size * grad
-        margins = signed @ w
-        value = float(values(margins).sum())
+        v = dot(neg, w)
+        terms, weights = at_negated_margins(v)
+        value = float(add_reduce(terms))
         if not math.isfinite(value) or value > DIVERGENCE_FACTOR * initial_value:
             raise DivergenceError(
                 f"loss reached {value:g} at iteration {k + 1} "
@@ -335,7 +356,7 @@ def gd_classification(x, y, loss, config: GDConfig, w0=None) -> ClassificationGD
         if value > prev_value:
             # A convex smooth objective cannot increase under a stable
             # step, so re-estimate the smoothness where we actually are.
-            eff_beta = max(eff_beta, loss.smoothness(margins))
+            eff_beta = max(eff_beta, loss.smoothness(-v))
             safe = 2.0 / (eff_beta * smax2)
             if step_size > safe:
                 raise DivergenceError(
@@ -345,7 +366,7 @@ def gd_classification(x, y, loss, config: GDConfig, w0=None) -> ClassificationGD
                 )
         prev_value = value
     if ts[-1] != n_iters:
-        snapshot(n_iters, w, margins, value)
+        snapshot(n_iters, w, -v, value)
 
     return ClassificationGD(
         w=w,

@@ -6,14 +6,17 @@ Usage:
     descentlab validate --config <path>
 
 Exit status 0 on success, 1 when the experiment itself fails (bad data
-files, a diverging run, a float overflow, or a run too large for
-memory), 2 for configuration problems.
+files, a diverging run, a floating-point overflow, division by zero or
+invalid value, or a run too large for memory), 2 for configuration
+problems.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+import numpy as np
 
 from ..errors import ConfigError, DescentLabError
 from .config import EXPERIMENTS, effective_config_lines, load_config
@@ -57,7 +60,12 @@ def main(argv=None) -> int:
         config = load_config(
             args.config, experiment=args.command, seed=args.seed, output=args.out
         )
-        status = run(config)
+        # A float fault ends the run at its source rather than writing
+        # inf or nan columns.  numpy keeps this state per thread, so it
+        # does not reach the featurization pool (rff), whose phase shift
+        # and cos of a finite GEMM output cannot overflow.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            status = run(config)
         print(f"wrote {config.output_path}")
         return status
     except ConfigError as exc:
@@ -71,6 +79,9 @@ def main(argv=None) -> int:
         return 1
     except OverflowError as exc:
         print(f"error: numerical overflow: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        print(f"error: floating-point fault: {exc}", file=sys.stderr)
         return 1
 
 

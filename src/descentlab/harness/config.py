@@ -13,14 +13,16 @@ are rejected rather than ignored, so a typo cannot silently fall back
 to a default.  Values are typed: integers, finite floats, bare strings,
 and nonempty comma-separated integer lists.  Each ``Field`` declares
 its bounds (a minimum, strict lower and upper bounds, another key that
-caps it, as ``p_grid`` entries are capped by ``d``, or, for a list,
-strictly increasing entries), so whatever the runner cannot use is a
-config error at load time.
+caps it, as ``p_grid`` entries are capped by ``d``, a rounding floor set
+by another key, as ``margin`` must be resolvable in ``d`` dimensions,
+or, for a list, strictly increasing entries), so whatever the runner
+cannot use is a config error at load time.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -35,8 +37,12 @@ class Field:
     The bounds apply to a number, or to every entry of a number list:
     ``min`` from below, ``above`` strictly from below, ``below`` strictly
     from above, and ``at_most`` from above by the value of the named key
-    of the same schema.  A list with ``increasing`` set must have
-    strictly increasing entries.
+    of the same schema.  A float with ``resolved_in`` set must lie above
+    ``k * eps``, where ``k`` is the value of the named key: the rounding
+    error a float64 dot product of ``k`` unit-scale terms can carry
+    (about ``k * eps / 2``), plus as much again for rounding the terms
+    themselves.  A list with ``increasing`` set must have strictly
+    increasing entries.
     """
 
     name: str
@@ -47,6 +53,7 @@ class Field:
     above: float | None = None
     below: float | None = None
     at_most: str | None = None
+    resolved_in: str | None = None
     increasing: bool = False
 
 
@@ -93,7 +100,9 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
     "implicit-bias": (
         Field("n", "int", 50, min=2),
         Field("d", "int", 2, min=1),
-        Field("margin", "float", 0.5, above=0),
+        # Below d * eps the computed margins of the generated points are
+        # rounding noise, and no separator can be certified.
+        Field("margin", "float", 0.5, above=0, resolved_in="d"),
         Field("loss", "str", "logistic", choices=("logistic", "exponential")),
         # A fraction of the stable step: at 1 or more the run's own
         # stability gate refuses the step.
@@ -269,12 +278,19 @@ def load_config(path, experiment=None, seed=None, output=None) -> ExperimentConf
         else:
             raise ConfigError(f"missing required key {f.name!r} for {name!r}")
     for f in schema:
-        if f.at_most is None:
-            continue
-        limit = parameters[f.at_most]
-        for v in _entries(parameters[f.name]):
-            if v > limit:
-                raise ConfigError(f"key {f.name!r}: {v} is above {f.at_most} = {limit}")
+        if f.at_most is not None:
+            limit = parameters[f.at_most]
+            for v in _entries(parameters[f.name]):
+                if v > limit:
+                    raise ConfigError(f"key {f.name!r}: {v} is above {f.at_most} = {limit}")
+        if f.resolved_in is not None:
+            k = parameters[f.resolved_in]
+            floor = k * sys.float_info.epsilon
+            if parameters[f.name] <= floor:
+                raise ConfigError(
+                    f"key {f.name!r}: {parameters[f.name]} is not above {f.resolved_in} * eps "
+                    f"= {floor:g}, below which float64 rounding cannot resolve it"
+                )
     return ExperimentConfig(
         experiment=name, seed=int(seed), parameters=parameters, output_path=str(output)
     )

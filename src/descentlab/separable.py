@@ -49,9 +49,9 @@ def generate_separable(
     sampled independently, and any point whose signed margin falls short
     of ``margin`` is shifted along ``+- w*`` until it sits exactly at
     ``margin``.  Returns the points, the +-1 labels and ``w*``, the
-    witness direction; a margin near rounding level can leave some point
-    at a margin of zero or below, so ``find_separator`` checks it before
-    trusting it.
+    witness direction.  A margin near rounding level can leave some point
+    at a computed margin of zero or below; that raises NumericalFailure
+    here, before any solver spends its budget on the data.
     """
     if n < 2:
         raise InvalidInput(f"n must be >= 2, got {n}")
@@ -67,6 +67,12 @@ def generate_separable(
     margins = y * (x @ w_star)
     shortfall = np.clip(margin - margins, 0.0, None)
     x = x + (shortfall * y)[:, None] * w_star
+    worst = float(np.min(y * (x @ w_star)))
+    if worst <= 0:
+        raise NumericalFailure(
+            f"margin {margin:g} is below float64 rounding: the witness leaves "
+            f"a point at margin {worst:g}"
+        )
     return x, y, w_star
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from descentlab.descent import (
     DIVERGENCE_FACTOR,
@@ -289,10 +290,12 @@ def _reference_least_squares(x, y, config, w0):
     return w, converged, n_iters, np.asarray(ts), np.asarray(losses)
 
 
-def _reference_classification(x, y, loss, config, w0):
-    """The classification loop written with numpy's wrappers, as a reference."""
+def _reference_classification_run(x, y, loss, config, w0):
+    """The classification loop written with numpy's wrappers, as a
+    reference; returns the trajectory and the effective smoothness."""
     x, y, w = np.asarray(x, float), np.asarray(y, float), np.array(w0, float)
     signed = x * y[:, None]
+    smax2 = svd(x).s_max ** 2
     ts, values, norms, margin_list, dirs = [], [], [], [], []
 
     def snapshot(k, w, margins, value):
@@ -305,6 +308,8 @@ def _reference_classification(x, y, loss, config, w0):
 
     margins = signed @ w
     value = float(np.sum(loss.values(margins)))
+    initial_value = prev_value = value
+    eff_beta = loss.smoothness(margins)
     n_iters = 0
     for k in range(config.max_iters + 1):
         if k % config.record_every == 0:
@@ -319,11 +324,29 @@ def _reference_classification(x, y, loss, config, w0):
         w = w - config.step_size * grad
         margins = signed @ w
         value = float(np.sum(loss.values(margins)))
-        assert np.isfinite(value)
+        if not np.isfinite(value) or value > DIVERGENCE_FACTOR * initial_value:
+            raise DivergenceError(
+                f"loss reached {value:g} at iteration {k + 1} "
+                f"(started at {initial_value:g}); reduce step_size"
+            )
+        if value > prev_value:
+            eff_beta = max(eff_beta, loss.smoothness(margins))
+            safe = 2.0 / (eff_beta * smax2)
+            if config.step_size > safe:
+                raise DivergenceError(
+                    f"loss increased at iteration {k + 1} and step_size "
+                    f"{config.step_size:g} exceeds the local stability "
+                    f"bound {safe:g}"
+                )
+        prev_value = value
     if ts[-1] != n_iters:
         snapshot(n_iters, w, margins, value)
     return (w, np.asarray(ts), np.asarray(values), np.asarray(norms),
-            np.asarray(margin_list), np.asarray(dirs))
+            np.asarray(margin_list), np.asarray(dirs), eff_beta)
+
+
+def _reference_classification(x, y, loss, config, w0):
+    return _reference_classification_run(x, y, loss, config, w0)[:6]
 
 
 @pytest.mark.parametrize("grad_tol", [0.0, 1e-6])
@@ -364,3 +387,90 @@ def test_classification_loop_matches_the_reference_bit_for_bit(loss_name, grad_t
     np.testing.assert_array_equal(run.w_norm, norms)
     np.testing.assert_array_equal(run.min_margin, margins)
     np.testing.assert_array_equal(run.directions, dirs)
+
+
+def _unstable_exponential_problem(seed, fraction):
+    """A small exponential-loss problem whose step is ``fraction`` of the
+    bound at ``w0``, large enough that the loss can rise along the way."""
+    rng = substream(seed, "gd-reference-branch")
+    n = int(rng.integers(3, 10))
+    y = np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0)
+    x = rng.standard_normal((n, 2)) + 0.8 * y[:, None]
+    w0 = rng.standard_normal(2)
+    loss = get_loss("exponential")
+    beta0 = loss.smoothness(x * y[:, None] @ w0)
+    step = fraction * max_stable_step(x, beta0)
+    config = GDConfig(step_size=step, max_iters=200, grad_tol=0.0, record_every=7)
+    return x, y, loss, config, w0, beta0
+
+
+@pytest.mark.parametrize("seed, fraction", [(212, 0.696), (257, 0.344)])
+def test_reestimating_run_matches_the_reference_bit_for_bit(seed, fraction):
+    # The loss rises at some step, the smoothness is re-estimated there,
+    # and the step stays inside the new bound, so the run goes on.
+    x, y, loss, config, w0, beta0 = _unstable_exponential_problem(seed, fraction)
+    run = gd_classification(x, y, loss, config, w0=w0)
+    w, t, values, norms, margins, dirs, eff_beta = _reference_classification_run(
+        x, y, loss, config, w0
+    )
+    # Only a rise in the loss re-estimates the smoothness.
+    assert run.effective_smoothness == eff_beta > beta0
+    np.testing.assert_array_equal(run.w, w)
+    np.testing.assert_array_equal(run.t, t)
+    np.testing.assert_array_equal(run.loss, values)
+    np.testing.assert_array_equal(run.w_norm, norms)
+    np.testing.assert_array_equal(run.min_margin, margins)
+    np.testing.assert_array_equal(run.directions, dirs)
+
+
+def _opposing_points():
+    # Two opposing points give loss 2 cosh(w); step 2 from w = 3 jumps
+    # past the loss backstop on the first step.
+    x = np.array([[1.0], [-1.0]])
+    y = np.array([1.0, 1.0])
+    config = GDConfig(step_size=2.0, max_iters=50, grad_tol=0.0, record_every=1)
+    return x, y, get_loss("exponential"), config, np.array([3.0])
+
+
+@pytest.mark.parametrize(
+    "problem, message",
+    [
+        (lambda: _unstable_exponential_problem(11, 2.633)[:5], "loss increased at iteration"),
+        (lambda: _unstable_exponential_problem(63, 0.884)[:5], "loss increased at iteration"),
+        (_opposing_points, "loss reached"),
+    ],
+)
+def test_divergence_matches_the_reference(problem, message):
+    # Both loops raise at the same iteration with the same message.
+    x, y, loss, config, w0 = problem()
+    with pytest.raises(DivergenceError) as expected:
+        _reference_classification(x, y, loss, config, w0)
+    with pytest.raises(DivergenceError) as raised:
+        gd_classification(x, y, loss, config, w0=w0)
+    assert str(expected.value).startswith(message)
+    assert str(raised.value) == str(expected.value)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    v=hnp.arrays(
+        np.float64,
+        st.integers(1, 12),
+        elements=st.one_of(
+            st.floats(allow_nan=False),
+            st.floats(-60.0, 60.0),  # around the exponential clamp at 50
+            st.floats(-1e300, 1e300),
+        ),
+    )
+)
+def test_negated_margin_pieces_match_values_and_dvalues(v):
+    # The step loop's one call on the loss stands in for values(-v) and
+    # -dvalues(-v); any bit of difference would move the trajectory.
+    for loss in (ExponentialLoss(), LogisticLoss()):
+        terms, weights = loss.at_negated_margins(v)
+        np.testing.assert_array_equal(_bits(terms), _bits(loss.values(-v)))
+        np.testing.assert_array_equal(_bits(weights), _bits(-loss.dvalues(-v)))

@@ -592,6 +592,46 @@ def test_cli_overflow_is_a_one_line_run_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "name, keys",
+    [
+        ("sparse-risk", "signal_norm_sq = 1e308\ntrials = 2\n"),
+        ("emc", "noise_scale = 1e300\n"),
+        ("kernel-approx", "bandwidth = 1e-300\n"),
+        ("rff-sweep", "target_bandwidth = 1e-300\nn_train = 20\nn_test = 5\nn_grid = 4\nrepeats = 1\n"),
+        ("bias-variance", "noise_scale = 1e300\ntrials = 3\n"),
+    ],
+)
+def test_cli_float_fault_is_a_one_line_run_error(tmp_path, capsys, name, keys):
+    # Each config passes validate, and its first overflow or division by
+    # zero ends the run: no numpy warning, no inf or nan column.
+    cfg = _cfg(tmp_path, f"experiment = {name}\n{keys}")
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["validate", "--config", cfg]) == 0
+        assert main([name, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: floating-point fault: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_margin_below_rounding_is_a_config_error(tmp_path, capsys):
+    # d * eps is the floor for d = 2; validate and the run both refuse.
+    cfg = _cfg(tmp_path, "experiment = implicit-bias\nmargin = 1e-300\n")
+    out = tmp_path / "x.csv"
+    assert main(["validate", "--config", cfg]) == 2
+    assert main(["implicit-bias", "--config", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("config error: ") for line in lines)
+    assert "d * eps" in lines[0]
+    assert not out.exists()
+    floor = 2 * float(np.finfo(float).eps)
+    assert load_config(_cfg(tmp_path, f"experiment = implicit-bias\nmargin = {2 * floor!r}\n"))
+    with pytest.raises(ConfigError):
+        load_config(_cfg(tmp_path, f"experiment = implicit-bias\nmargin = {floor!r}\n"))
+
+
 # One small config per experiment, for the checks that cover them all.
 _TINY_CONFIGS = {
     "sparse-risk": "d = 6\nn = 3\np_grid = 1, 6\ntrials = 2\ntest_points = 2\n",
@@ -703,14 +743,15 @@ def _grid(lo, hi):
 
 # Small configs for every experiment but the MNIST sweep, which needs
 # files.  Ranges reach a little past some bounds so that validate has
-# something to reject.
+# something to reject, and scale keys run out to 1e+-300, where a float
+# fault must end the run in one line.
 _SMALL_CONFIGS = {
     "sparse-risk": st.builds(
         dict,
         d=_ints(1, 8),
         n=_ints(1, 6),
-        signal_norm_sq=_floats(0, 2),
-        noise_var=_floats(0, 1),
+        signal_norm_sq=_floats(0, 1e300),
+        noise_var=_floats(0, 1e300),
         p_grid=_grid(0, 9),
         trials=_ints(1, 4),
         test_points=_ints(1, 4),
@@ -720,17 +761,17 @@ _SMALL_CONFIGS = {
         n_train=_ints(1, 8),
         n_test=_ints(1, 4),
         n_grid=_grid(1, 16),
-        bandwidth=_floats(1e-3, 100),
+        bandwidth=_floats(1e-300, 1e300),
         repeats=_ints(1, 2),
         input_dim=_ints(1, 3),
         n_centers=_ints(1, 4),
-        target_bandwidth=_floats(1e-3, 100),
+        target_bandwidth=_floats(1e-300, 1e300),
     ),
     "kernel-approx": st.builds(
         dict,
         n_points=_ints(2, 6),
         input_dim=_ints(1, 3),
-        bandwidth=_floats(1e-3, 100),
+        bandwidth=_floats(1e-300, 1e300),
         n_grid=_grid(1, 40),
         n_maps=_ints(1, 3),
     ),
@@ -738,7 +779,7 @@ _SMALL_CONFIGS = {
         dict,
         n=_ints(2, 8),
         d=_ints(1, 3),
-        margin=_floats(1e-3, 3),
+        margin=_floats(1e-300, 1e300),
         loss=st.sampled_from(["logistic", "exponential"]),
         step_fraction=_floats(0, 1.5),
         max_iters=_ints(1, 300),
@@ -748,7 +789,7 @@ _SMALL_CONFIGS = {
         dict,
         degree=_ints(0, 30),
         n=_ints(1, 10),
-        noise_scale=_floats(-1, 1),
+        noise_scale=_floats(-1e300, 1e300),
         truth_degree=_ints(0, 6),
         grid_points=_ints(1, 20),
         via=st.sampled_from(["pseudo_inverse", "gradient_descent"]),
@@ -757,17 +798,17 @@ _SMALL_CONFIGS = {
         dict,
         degrees=_grid(0, 12),
         n=_ints(1, 6),
-        noise_scale=_floats(0, 1),
+        noise_scale=_floats(0, 1e300),
         trials=_ints(2, 5),
         truth_degree=_ints(0, 5),
     ),
     "emc": st.builds(
         dict,
         d=_ints(1, 6),
-        eps=_floats(0, 1),
+        eps=_floats(0, 1e300),
         n_grid=_grid(1, 10),
         trials=_ints(1, 3),
-        noise_scale=_floats(-1, 1),
+        noise_scale=_floats(-1e300, 1e300),
     ),
 }
 

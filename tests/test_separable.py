@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from descentlab.descent import GDConfig, get_loss, max_stable_step
-from descentlab.errors import ConfigError, InvalidInput, NotSeparableError
+from descentlab.errors import ConfigError, InvalidInput, NotSeparableError, NumericalFailure
 from descentlab.linalg import min_norm_solve
 from descentlab.seeding import derive_seed
 from descentlab.separable import (
@@ -65,6 +65,14 @@ def test_generate_separable_validation():
         generate_separable(1, 2, 0.5, seed=0)
     with pytest.raises(InvalidInput):
         generate_separable(10, 2, 0.0, seed=0)
+
+
+def test_generate_separable_refuses_a_margin_lost_to_rounding():
+    # At margin 1e-300 the shifted points sit at a computed margin of
+    # rounding noise, some of it negative, so the witness does not
+    # separate; that is an error here, not a perceptron budget later.
+    with pytest.raises(NumericalFailure, match="witness leaves a point"):
+        generate_separable(50, 2, 1e-300, seed=0)
 
 
 # ---------------------------------------------------------------- separator
