@@ -16,12 +16,14 @@ its bounds (a minimum, strict lower and upper bounds, another key that
 caps it, as ``p_grid`` entries are capped by ``d``, a rounding floor set
 by another key, as ``margin`` must be resolvable in ``d`` dimensions,
 or, for a list, strictly increasing entries), so whatever the runner
-cannot use is a config error at load time.
+cannot use is a config error at load time.  So is a random-feature run
+whose largest feature matrix would not fit in physical memory.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -141,6 +143,11 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
 }
 
 EXPERIMENTS = tuple(SCHEMAS)
+
+# The random-feature experiments featurize the inputs named here at every
+# width of ``n_grid``, so their largest array is a float64 matrix of the
+# most rows by the widest map.
+FEATURE_ROWS = {"rff-sweep": ("n_train", "n_test"), "kernel-approx": ("n_points",)}
 
 # Seeds are hashed as 64-bit unsigned integers; anything outside that
 # range would alias a seed inside it.
@@ -291,9 +298,32 @@ def load_config(path, experiment=None, seed=None, output=None) -> ExperimentConf
                     f"key {f.name!r}: {parameters[f.name]} is not above {f.resolved_in} * eps "
                     f"= {floor:g}, below which float64 rounding cannot resolve it"
                 )
+    if name in FEATURE_ROWS:
+        _check_feature_matrix(name, parameters)
     return ExperimentConfig(
         experiment=name, seed=int(seed), parameters=parameters, output_path=str(output)
     )
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
+def _check_feature_matrix(name: str, parameters: dict) -> None:
+    rows = max(parameters[key] for key in FEATURE_ROWS[name])
+    width = parameters["n_grid"][-1]
+    size = rows * width * 8
+    memory = _physical_memory()
+    if memory is not None and size > memory:
+        raise ConfigError(
+            f"the largest feature matrix, {rows} x {width} float64 ({size / 2**30:.3g} GiB), "
+            f"exceeds physical memory ({memory / 2**30:.3g} GiB)"
+        )
 
 
 def effective_config_lines(config: ExperimentConfig) -> list[str]:

@@ -18,15 +18,29 @@ the answer, so those fits, and any other whose Gram solve cannot be
 certified, go to LAPACK ``gelsd`` instead: SVD-based, with the same
 cutoff, but it never forms the singular vectors.  A stack of fits is
 factored by one stacked SVD call.
+
+The BLAS products of a Gram solve and of a random-feature fit (``rff``)
+run in ``scipy.linalg.blas``, not through numpy's ``@``.  The numpy and
+scipy wheels each bundle their own OpenBLAS, each with its own worker
+threads, and after a threaded call a library's idle workers busy-wait
+for a while.  A fit that alternated numpy products with scipy's LAPACK
+factorizations kept one library's idle workers spinning on the cores the
+other library, and the featurization pool, were trying to use.  With the
+products on scipy's OpenBLAS, which already does the LAPACK work, numpy's
+workers never wake.  ``_matmul`` makes the BLAS call numpy's ``a @ b``
+makes, so on one thread it gives numpy's bits; on more, the two builds
+may split a product between threads differently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas
 
 from .errors import InvalidInput, NumericalFailure
 
@@ -57,6 +71,69 @@ def _as_matrix(a, stacked: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise InvalidInput("matrix contains NaN or Inf entries")
     return a
+
+
+def _f_view(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(f, trans)`` for a C- or F-ordered ``a``: ``f`` is ``a`` (``trans``
+    0) or ``a.T`` (``trans`` 1), whichever is Fortran-ordered."""
+    return (a, 0) if a.flags.f_contiguous else (a.T, 1)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for float64 operands of one or two dimensions, on scipy's BLAS.
+
+    For C- or F-ordered operands this is the call numpy makes: ``ddot``
+    for a single output, ``dgemv`` when ``a`` has one row or ``b`` one
+    column (or is 1-d), ``dgemm`` otherwise, each reading the operands in
+    their own memory order.  Left to numpy are the products it forms
+    without BLAS (no inner dimension of at least two) and operands in
+    neither order, which numpy hands to BLAS with a leading dimension that
+    scipy's wrappers cannot take.  ``a @ a.T`` is ``_gram(a)``.
+    """
+    m = a.shape[0] if a.ndim == 2 else 1
+    p = b.shape[1] if b.ndim == 2 else 1
+    if a.shape[-1] < 2 or m == 0 or p == 0 or not (a.flags.forc and b.flags.forc):
+        return a @ b
+    out = a.shape[:-1] + b.shape[1:]
+    if m == p == 1:
+        dot = blas.ddot(a.reshape(-1), b.reshape(-1))
+        return np.full(out, dot) if out else np.float64(dot)
+    if p == 1:
+        f, trans = _f_view(a)
+        return blas.dgemv(1.0, f, b.reshape(-1), trans=trans).reshape(out)
+    if m == 1:
+        f, trans = _f_view(b.T)
+        return blas.dgemv(1.0, f, a.reshape(-1), trans=trans).reshape(out)
+    # Column-major BLAS forms the transpose of the C-ordered result.
+    fb, trans_b = _f_view(b.T)
+    fa, trans_a = _f_view(a.T)
+    return blas.dgemm(1.0, fb, fa, trans_a=trans_b, trans_b=trans_a).T
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """``a @ a.T`` on scipy's BLAS, as numpy computes it for C- or F-ordered ``a``.
+
+    numpy sees that the operands share one buffer and calls syrk for one
+    triangle, then mirrors it; ``_matmul(a, a.T)`` would call gemm.  The
+    lower triangle of ``dsyrk`` on the Fortran-ordered view is numpy's
+    triangle.  It is mirrored by adding its transpose, which adds an exact
+    zero to each off-diagonal entry; the diagonal the sum doubles is put
+    back.  The result is C-ordered, as numpy's is.  With fewer than two
+    rows or columns numpy makes another call, and ``_matmul`` makes it.
+    """
+    if min(a.shape) < 2 or not a.flags.forc:
+        return _matmul(a, a.T)
+    f, trans = _f_view(a)
+    lower = blas.dsyrk(1.0, f, trans=trans, lower=1)
+    full = lower + lower.T
+    full.ravel(order="K")[:: len(full) + 1] = lower.diagonal()
+    return full if full.flags.c_contiguous else full.T  # symmetric
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` on scipy's BLAS: the same ``ddot`` over memory order."""
+    v = v.ravel(order="K")
+    return math.sqrt(blas.ddot(v, v))
 
 
 def _factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,27 +191,40 @@ def _gram_min_norm(z: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     if min(m, n) == 0:
         return None
     wide = n >= m
-    gram = z @ z.T if wide else z.T @ z
-    anorm = np.abs(gram).sum(axis=0).max()
-    chol, info = scipy.linalg.lapack.dpotrf(gram, clean=False)
+    # Symmetric, so its transpose is the same matrix in Fortran order, which
+    # dpotrf factors in place; dlange takes the 1-norm column by column,
+    # as numpy's ``np.abs(gram).sum(axis=0).max()`` did.
+    gram = _gram(z if wide else z.T).T
+    anorm = scipy.linalg.lapack.dlange("1", gram)
+    chol, info = scipy.linalg.lapack.dpotrf(gram, clean=False, overwrite_a=1)
     if info != 0:
         return None
     rcond, info = scipy.linalg.lapack.dpocon(chol, anorm)
     if info != 0 or not rcond > (EPS * max(m, n)) ** 2:
         return None
 
-    def solve(residual: np.ndarray) -> np.ndarray:
-        a, _ = scipy.linalg.lapack.dpotrs(chol, residual if wide else z.T @ residual)
-        return z.T @ a if wide else a
-
     rhs = y.reshape(m, -1)
+    if rhs.shape[1] == 1 and min(m, n) > 1 and z.flags.forc:
+        # One right-hand side: make the gemv calls numpy makes for a column
+        # directly, without ``_matmul``'s dispatch on every step.
+        rhs = rhs.reshape(m)
+        f, trans = _f_view(z)
+        z_times = partial(blas.dgemv, 1.0, f, trans=trans)
+        zt_times = partial(blas.dgemv, 1.0, f, trans=1 - trans)
+    else:
+        z_times, zt_times = partial(_matmul, z), partial(_matmul, z.T)
+
+    def solve(residual: np.ndarray) -> np.ndarray:
+        a, _ = scipy.linalg.lapack.dpotrs(chol, residual if wide else zt_times(residual))
+        return zt_times(a) if wide else a
+
     beta = solve(rhs)
     last = math.inf
     for _ in range(REFINE_STEPS):
-        step = solve(rhs - z @ beta)
+        step = solve(rhs - z_times(beta))
         beta += step
-        size = np.linalg.norm(step)
-        if size <= REFINE_TOL * np.linalg.norm(beta):
+        size = _norm(step)
+        if size <= REFINE_TOL * _norm(beta):
             return beta.reshape((n,) + y.shape[1:])
         if not size <= 0.5 * last:
             return None

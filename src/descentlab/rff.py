@@ -27,7 +27,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import InvalidInput
-from .linalg import min_norm_solve
+from .linalg import _gram, _matmul, _norm, min_norm_solve
 from .seeding import substream
 
 
@@ -109,8 +109,9 @@ class RandomFeatureMap:
             )
         # In place: same arithmetic as scale * cos(x @ omega.T + phase),
         # without the two extra (rows, n_features) temporaries.  The GEMM
+        # runs on scipy's BLAS, as the solve does (see ``linalg``), and
         # stays whole, because splitting it into row blocks could move bits.
-        z = x @ self.omega.T
+        z = _matmul(x, self.omega.T)
         scale = math.sqrt(2.0 / self.n_features)
 
         def tail(block: np.ndarray) -> None:
@@ -154,7 +155,7 @@ def kernel_approx_error(feature_map: RandomFeatureMap, points) -> tuple[float, f
     if points.shape[0] < 2:
         raise InvalidInput("need at least two points to compare pairs")
     z = feature_map.transform(points)
-    approx = z @ z.T
+    approx = _gram(z)
     exact = gaussian_kernel(points, points, feature_map.bandwidth)
     idx = np.triu_indices(points.shape[0])
     errs = np.abs(approx - exact)[idx]
@@ -185,7 +186,7 @@ def fit_rff(feature_map: RandomFeatureMap, x, y) -> tuple[np.ndarray, float]:
     z = feature_map.transform(x)
     y = np.asarray(y, dtype=float)
     beta = min_norm_solve(z, y)
-    return beta, _mse(z @ beta, y)
+    return beta, _mse(_matmul(z, beta), y)
 
 
 @dataclass(frozen=True)
@@ -239,12 +240,12 @@ def double_descent_sweep(
         for r in range(repeats):
             fmap = sample_map(n, input_dim, bandwidth, seed, index=r)
             beta, train_mse = fit_rff(fmap, x_train, y_train)
-            pred_test = fmap.transform(x_test) @ beta
+            pred_test = _matmul(fmap.transform(x_test), beta)
             per_repeat[r] = (
                 train_mse,
                 _mse(pred_test, y_test),
                 _zero_one(pred_test, y_test),
-                np.linalg.norm(beta),
+                _norm(beta),
             )
         points.append(
             RFFSweepPoint(

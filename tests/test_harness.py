@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from descentlab.errors import ConfigError, FormatError, InvalidInput
+from descentlab.harness import config as config_module
 from descentlab.harness.cli import main
 from descentlab.harness.config import (
     EXPERIMENTS,
@@ -559,13 +560,14 @@ def test_cli_unwritable_output_is_a_one_line_config_error(tmp_path, capsys):
 
 
 def test_cli_out_of_memory_is_a_one_line_run_error(tmp_path, monkeypatch, capsys):
-    # A grid too large to allocate raises MemoryError inside the run; the
-    # run is replaced here so that nothing is allocated for real.
+    # An allocation that fails inside the run raises MemoryError; the run
+    # is replaced here so that nothing is allocated for real.  (A feature
+    # matrix beyond physical memory is refused before the run.)
     def out_of_memory(config):
         raise MemoryError("Unable to allocate 74.5 TiB for an array")
 
     monkeypatch.setattr("descentlab.harness.cli.run", out_of_memory)
-    cfg = _cfg(tmp_path, "experiment = rff-sweep\nn_grid = 1000000000000\n")
+    cfg = _cfg(tmp_path, "experiment = rff-sweep\n")
     assert main(["rff-sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "74.5 TiB" in err
@@ -630,6 +632,40 @@ def test_cli_margin_below_rounding_is_a_config_error(tmp_path, capsys):
     assert load_config(_cfg(tmp_path, f"experiment = implicit-bias\nmargin = {2 * floor!r}\n"))
     with pytest.raises(ConfigError):
         load_config(_cfg(tmp_path, f"experiment = implicit-bias\nmargin = {floor!r}\n"))
+
+
+@pytest.mark.parametrize(
+    "name, keys",
+    [
+        ("rff-sweep", "n_grid = 20, 1000000000000\n"),
+        ("rff-sweep", "n_train = 1000000000000\nn_grid = 20\n"),
+        ("kernel-approx", "n_points = 1000000000\nn_grid = 100, 10000\n"),
+    ],
+)
+def test_cli_feature_matrix_beyond_memory_is_a_config_error(tmp_path, capsys, name, keys):
+    # Without the check, validate passed and the run ended out of memory.
+    cfg = _cfg(tmp_path, f"experiment = {name}\n{keys}")
+    out = tmp_path / "x.csv"
+    assert main(["validate", "--config", cfg]) == 2
+    assert main([name, "--config", cfg, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("config error: ") for line in lines)
+    assert "exceeds physical memory" in lines[0]
+    assert not out.exists()
+
+
+def test_feature_matrix_may_fill_physical_memory(tmp_path, monkeypatch):
+    # 1000 training rows (more than the 10 test rows) by 500 features.
+    cfg = _cfg(tmp_path, "experiment = rff-sweep\nn_test = 10\nn_grid = 20, 500\n")
+    size = 1000 * 500 * 8
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: size)
+    assert load_config(cfg).parameters["n_grid"] == (20, 500)
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: size - 1)
+    with pytest.raises(ConfigError, match="1000 x 500"):
+        load_config(cfg)
+    # Where the system does not report its memory, nothing is refused.
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: None)
+    assert load_config(cfg)
 
 
 # One small config per experiment, for the checks that cover them all.

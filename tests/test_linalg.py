@@ -13,7 +13,12 @@ from descentlab.errors import InvalidInput
 from descentlab.harness.datasets import make_rkhs_regression
 from descentlab.linalg import (
     EPS,
+    REFINE_STEPS,
+    REFINE_TOL,
+    _gram,
     _gram_min_norm,
+    _matmul,
+    _norm,
     kernel_projector,
     min_norm_solve,
     penrose_residuals,
@@ -290,3 +295,115 @@ def test_shape_validation_messages():
         min_norm_solve(np.eye(3), np.ones((3, 2, 1)))
     with pytest.raises(InvalidInput):
         gd_limit_point(np.eye(3), np.ones(3), np.ones(5))
+
+
+# ------------------------------------------ products on scipy's BLAS, bit for bit
+# Every size here is below OpenBLAS's threading thresholds, where the
+# numpy and scipy builds of OpenBLAS make the same one-thread call.
+
+
+@pytest.mark.parametrize("order_b", ["C", "F"])
+@pytest.mark.parametrize("order_a", ["C", "F"])
+@pytest.mark.parametrize(
+    "m, k, p",
+    [(5, 7, 3), (1, 7, 3), (5, 7, 1), (1, 7, 1), (5, 1, 3), (9, 2, 9), (40, 30, 20), (3, 64, 33)],
+    ids=["matrix", "one-row", "one-column", "one-by-one", "inner-1", "inner-2", "40x30x20", "wide"],
+)
+def test_matmul_equals_numpy_bit_for_bit(m, k, p, order_a, order_b):
+    rng = substream(31, "matmul-bits", 10_000 * m + 100 * k + p)
+    a = np.asarray(rng.standard_normal((m, k)), order=order_a)
+    b = np.asarray(rng.standard_normal((k, p)), order=order_b)
+    operands = [(a, b), (a[:, ::2], b[::2]), (a[::2], b)]  # and strided views
+    if m == 1:
+        operands.append((a[0], b))
+    if p == 1:
+        operands.append((a, b[:, 0]))
+    if m == p == 1:
+        operands.append((a[0], b[:, 0]))
+    for left, right in operands:
+        got, want = _matmul(left, right), left @ right
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(5, 9), (9, 5), (6, 6), (1, 7), (7, 1), (40, 100)])
+def test_gram_equals_numpy_bit_for_bit(shape, order):
+    rng = substream(32, "gram-bits", 100 * shape[0] + shape[1])
+    a = np.asarray(rng.standard_normal(shape), order=order)
+    for view in (a, a.T, a[::2]):
+        got, want = _gram(view), view @ view.T
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 4), (4, 6)])
+def test_norm_equals_numpy_bit_for_bit(shape):
+    v = substream(33, "norm-bits", len(shape)).standard_normal(shape)
+    for view in (v, np.asfortranarray(v), v.T):
+        assert _norm(view) == np.linalg.norm(view)
+
+
+def _numpy_gram_min_norm(z, y):
+    """Reference: the Gram solve on numpy's operators, as it ran before
+    its products moved to scipy's BLAS."""
+    m, n = z.shape
+    if min(m, n) == 0:
+        return None
+    wide = n >= m
+    gram = z @ z.T if wide else z.T @ z
+    anorm = np.abs(gram).sum(axis=0).max()
+    chol, info = scipy.linalg.lapack.dpotrf(gram, clean=False)
+    if info != 0:
+        return None
+    rcond, info = scipy.linalg.lapack.dpocon(chol, anorm)
+    if info != 0 or not rcond > (EPS * max(m, n)) ** 2:
+        return None
+
+    def solve(residual):
+        a, _ = scipy.linalg.lapack.dpotrs(chol, residual if wide else z.T @ residual)
+        return z.T @ a if wide else a
+
+    rhs = y.reshape(m, -1)
+    beta = solve(rhs)
+    last = math.inf
+    for _ in range(REFINE_STEPS):
+        step = solve(rhs - z @ beta)
+        beta += step
+        size = np.linalg.norm(step)
+        if size <= REFINE_TOL * np.linalg.norm(beta):
+            return beta.reshape((n,) + y.shape[1:])
+        if not size <= 0.5 * last:
+            return None
+        last = size
+    return None
+
+
+def _gram_bit_cases():
+    cases = {}
+    for name, (z, y) in _solve_cases().items():
+        cases[f"{name}-C"] = (z, y)
+        cases[f"{name}-F"] = (np.asfortranarray(z), y)
+    # sparse-risk solves on an F-ordered column subset of its design.
+    rng = substream(34, "gram-bits-subset")
+    x, y = rng.standard_normal((40, 100)), rng.standard_normal(40)
+    for p in (10, 30, 50, 100):
+        cases[f"subset-40x{p}"] = (x[:, np.sort(rng.choice(100, p, replace=False))], y)
+    cases["column-y"] = (x[:, :10], y[:, None])
+    cases["one-row"] = (x[:1], y[:1])
+    cases["strided"] = (x[::2, ::3], y[::2])
+    cases["near-singular"] = _fallback_cases()["near-singular"]
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_gram_bit_cases()))
+def test_gram_solve_matches_the_numpy_operator_version_bit_for_bit(case):
+    z, y = _gram_bit_cases()[case]
+    if case.startswith("subset"):
+        assert z.flags.f_contiguous and not z.flags.c_contiguous
+    got, want = _gram_min_norm(z, y), _numpy_gram_min_norm(z, y)
+    declined = case == "near-singular" or case.startswith("square-rank-deficient")
+    assert (got is None) == (want is None) == declined
+    if want is not None:
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
