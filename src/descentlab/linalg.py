@@ -90,20 +90,24 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     neither order, which numpy hands to BLAS with a leading dimension that
     scipy's wrappers cannot take.  ``a @ a.T`` is ``_gram(a)``.
     """
-    m = a.shape[0] if a.ndim == 2 else 1
-    p = b.shape[1] if b.ndim == 2 else 1
-    if a.shape[-1] < 2 or m == 0 or p == 0 or not (a.flags.forc and b.flags.forc):
+    if a.shape[-1] < 2 or a.size == 0 or b.size == 0 or not (a.flags.forc and b.flags.forc):
         return a @ b
-    out = a.shape[:-1] + b.shape[1:]
-    if m == p == 1:
-        dot = blas.ddot(a.reshape(-1), b.reshape(-1))
+    row = a.ndim == 1 or a.shape[0] == 1
+    column = b.ndim == 1 or b.shape[1] == 1
+    if row and column:
+        dot = blas.ddot(a.ravel(), b.ravel())
+        out = a.shape[:-1] + b.shape[1:]
         return np.full(out, dot) if out else np.float64(dot)
-    if p == 1:
+    # dgemv's ``trans`` goes in as its tenth positional argument: f2py's
+    # keyword parsing costs more than the whole product at refinement sizes.
+    if column:
         f, trans = _f_view(a)
-        return blas.dgemv(1.0, f, b.reshape(-1), trans=trans).reshape(out)
-    if m == 1:
+        v = blas.dgemv(1.0, f, b.ravel(), 0.0, None, 0, 1, 0, 1, trans)
+        return v if b.ndim == 1 else v[:, None]
+    if row:
         f, trans = _f_view(b.T)
-        return blas.dgemv(1.0, f, a.reshape(-1), trans=trans).reshape(out)
+        v = blas.dgemv(1.0, f, a.ravel(), 0.0, None, 0, 1, 0, 1, trans)
+        return v if a.ndim == 1 else v[None]
     # Column-major BLAS forms the transpose of the C-ordered result.
     fb, trans_b = _f_view(b.T)
     fa, trans_a = _f_view(a.T)
@@ -203,29 +207,20 @@ def _gram_min_norm(z: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     if info != 0 or not rcond > (EPS * max(m, n)) ** 2:
         return None
 
-    rhs = y.reshape(m, -1)
-    if rhs.shape[1] == 1 and min(m, n) > 1 and z.flags.forc:
-        # One right-hand side: make the gemv calls numpy makes for a column
-        # directly, without ``_matmul``'s dispatch on every step.
-        rhs = rhs.reshape(m)
-        f, trans = _f_view(z)
-        z_times = partial(blas.dgemv, 1.0, f, trans=trans)
-        zt_times = partial(blas.dgemv, 1.0, f, trans=1 - trans)
-    else:
-        z_times, zt_times = partial(_matmul, z), partial(_matmul, z.T)
+    z_times, zt_times = partial(_matmul, z), partial(_matmul, z.T)
 
     def solve(residual: np.ndarray) -> np.ndarray:
         a, _ = scipy.linalg.lapack.dpotrs(chol, residual if wide else zt_times(residual))
         return zt_times(a) if wide else a
 
-    beta = solve(rhs)
+    beta = solve(y)
     last = math.inf
     for _ in range(REFINE_STEPS):
-        step = solve(rhs - z_times(beta))
+        step = solve(y - z_times(beta))
         beta += step
         size = _norm(step)
         if size <= REFINE_TOL * _norm(beta):
-            return beta.reshape((n,) + y.shape[1:])
+            return beta
         if not size <= 0.5 * last:
             return None
         last = size

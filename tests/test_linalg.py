@@ -298,8 +298,33 @@ def test_shape_validation_messages():
 
 
 # ------------------------------------------ products on scipy's BLAS, bit for bit
-# Every size here is below OpenBLAS's threading thresholds, where the
-# numpy and scipy builds of OpenBLAS make the same one-thread call.
+# Every size here is below OpenBLAS's threading thresholds, so each product
+# is one one-thread call.  The tests assume that the OpenBLAS bundled with
+# numpy and the one bundled with scipy give the same bits for that call;
+# the two wheels are not pinned to each other, so a failure names both
+# builds before the array difference.
+
+
+def _blas_builds() -> str:
+    """The BLAS build numpy and scipy each report, for a failure message."""
+    builds = []
+    for lib in (np, scipy):
+        try:
+            dep = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            builds.append(f"{lib.__name__}: {dep['name']} {dep['version']}")
+        except (TypeError, KeyError):  # releases that only print their config
+            builds.append(f"{lib.__name__}: BLAS build not reported")
+    return ", ".join(builds)
+
+
+def _assert_same_bits(got, want) -> None:
+    try:
+        np.testing.assert_array_equal(got, want)
+    except AssertionError as exc:
+        raise AssertionError(
+            f"scipy's BLAS and numpy's give different bits ({_blas_builds()}); "
+            f"this test needs two OpenBLAS builds that agree at one thread\n{exc}"
+        ) from None
 
 
 @pytest.mark.parametrize("order_b", ["C", "F"])
@@ -323,7 +348,7 @@ def test_matmul_equals_numpy_bit_for_bit(m, k, p, order_a, order_b):
     for left, right in operands:
         got, want = _matmul(left, right), left @ right
         assert type(got) is type(want) and np.shape(got) == np.shape(want)
-        np.testing.assert_array_equal(got, want)
+        _assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -334,14 +359,14 @@ def test_gram_equals_numpy_bit_for_bit(shape, order):
     for view in (a, a.T, a[::2]):
         got, want = _gram(view), view @ view.T
         assert got.flags.c_contiguous
-        np.testing.assert_array_equal(got, want)
+        _assert_same_bits(got, want)
 
 
 @pytest.mark.parametrize("shape", [(7,), (6, 4), (4, 6)])
 def test_norm_equals_numpy_bit_for_bit(shape):
     v = substream(33, "norm-bits", len(shape)).standard_normal(shape)
     for view in (v, np.asfortranarray(v), v.T):
-        assert _norm(view) == np.linalg.norm(view)
+        _assert_same_bits(_norm(view), np.linalg.norm(view))
 
 
 def _numpy_gram_min_norm(z, y):
@@ -406,4 +431,4 @@ def test_gram_solve_matches_the_numpy_operator_version_bit_for_bit(case):
     assert (got is None) == (want is None) == declined
     if want is not None:
         assert got.shape == want.shape
-        np.testing.assert_array_equal(got, want)
+        _assert_same_bits(got, want)
