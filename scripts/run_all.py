@@ -3,24 +3,66 @@
 
 The MNIST sweep is skipped automatically when the IDX files are not
 present; point DESCENTLAB_DATA at them (or run make_synthetic_idx.py)
-to include it.  Each CSV's sha256 is printed next to its time, so the
-outputs of two checkouts can be compared line by line.  Any config that
-fails to load or run is reported at the end and the script exits
-nonzero, so this doubles as a slow smoke test.
+to include it.  Each config runs in its own interpreter, so its set-up
+(interpreter start, the imports its experiment needs, config load) and
+its run are timed apart and no config is charged for another's imports;
+the interpreter gets this one's ``-W`` options.  Each CSV's sha256 is
+printed next to the times, so the outputs of two checkouts can be
+compared line by line.  Any config that fails to load or run is reported
+at the end and the script exits nonzero, so this doubles as a slow smoke
+test.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 from descentlab.errors import ConfigError
-from descentlab.harness.cli import main as descentlab
 from descentlab.harness.config import load_config
 from descentlab.harness.datasets import data_dir, mnist_available
+
+# The CLI with its call to ``run`` timed.  Set-up is counted from the
+# parent's clock reading just before the spawn (argv[1]; the monotonic
+# clock is shared by all processes on Linux) to that call.  The last line
+# of standard output is "<set-up s> <run s>", or empty if ``run`` was not
+# reached.
+_TIMED_CLI = """
+import sys, time
+from descentlab.harness import cli
+
+spawned, real_run, times = float(sys.argv[1]), cli.run, []
+
+def run(config):
+    times.append(time.monotonic() - spawned)
+    start = time.perf_counter()
+    try:
+        return real_run(config)
+    finally:
+        times.append(time.perf_counter() - start)
+
+cli.run = run
+status = cli.main(sys.argv[2:])
+print(*times)
+sys.exit(status)
+"""
+
+
+def _run_timed(argv: list[str]) -> tuple[int, list[float]]:
+    """Exit status of the CLI on ``argv`` in a new interpreter, and its
+    set-up and run seconds (none if it stopped before the run)."""
+    python = [sys.executable, *(f"-W{option}" for option in sys.warnoptions)]
+    proc = subprocess.run(
+        [*python, "-c", _TIMED_CLI, repr(time.monotonic()), *argv],
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    lines = proc.stdout.splitlines()
+    return proc.returncode, [float(t) for t in lines[-1].split()] if lines else []
 
 
 def main() -> int:
@@ -61,11 +103,11 @@ def main() -> int:
         argv = [config.experiment, "--config", str(path), "--out", str(out_csv)]
         if args.seed is not None:
             argv += ["--seed", str(args.seed)]
-        start = time.perf_counter()
-        status = descentlab(argv)
-        elapsed = time.perf_counter() - start
+        status, times = _run_timed(argv)
         tag = "ok" if status == 0 else f"exit {status}"
-        line = f"{tag:>6}  {path.name}  ({elapsed:.1f}s)"
+        line = f"{tag:>6}  {path.name}"
+        if len(times) == 2:
+            line += f"  (set-up {times[0]:.2f}s, run {times[1]:.2f}s)"
         if status == 0:
             line += f"  sha256 {hashlib.sha256(out_csv.read_bytes()).hexdigest()}"
         else:

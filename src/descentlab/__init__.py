@@ -15,38 +15,11 @@ The package is organized around the objects of the theory:
   decomposition.
 - ``harness``: configs, datasets (IDX/MNIST and synthetic), the EMC
   estimator, CSV output, and the ``descentlab`` CLI.
+
+Import the module you use (``from descentlab import rff``, or
+``from descentlab.rff import sample_map``); the package itself imports
+none of them, so a program loads only what it needs.  The errors live in
+``errors``, the seeding helpers in ``seeding``.
 """
 
-from . import descent, harness, linalg, polyfit, rff, separable, sparse_regression
-from .errors import (
-    ConfigError,
-    DescentLabError,
-    DivergenceError,
-    FormatError,
-    InvalidInput,
-    NotSeparableError,
-    NumericalFailure,
-)
-from .seeding import derive_seed, substream
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "descent",
-    "harness",
-    "linalg",
-    "polyfit",
-    "rff",
-    "separable",
-    "sparse_regression",
-    "ConfigError",
-    "DescentLabError",
-    "DivergenceError",
-    "FormatError",
-    "InvalidInput",
-    "NotSeparableError",
-    "NumericalFailure",
-    "derive_seed",
-    "substream",
-    "__version__",
-]

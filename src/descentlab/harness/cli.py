@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import ConfigError, DescentLabError
 from .config import EXPERIMENTS, effective_config_lines, load_config
-from .runner import run
+from .runner import import_modules, run
 
 _HELP = {
     "sparse-risk": "risk curve of min-norm regression on a random feature subset",
@@ -60,10 +60,9 @@ def main(argv=None) -> int:
         config = load_config(
             args.config, experiment=args.command, seed=args.seed, output=args.out
         )
+        import_modules(config.experiment)
         # A float fault ends the run at its source rather than writing
-        # inf or nan columns.  numpy keeps this state per thread, so it
-        # does not reach the featurization pool (rff), whose phase shift
-        # and cos of a finite GEMM output cannot overflow.
+        # inf or nan columns.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             status = run(config)
         print(f"wrote {config.output_path}")

@@ -17,7 +17,8 @@ caps it, as ``p_grid`` entries are capped by ``d``, a rounding floor set
 by another key, as ``margin`` must be resolvable in ``d`` dimensions,
 or, for a list, strictly increasing entries), so whatever the runner
 cannot use is a config error at load time.  So is a random-feature run
-whose largest feature matrix would not fit in physical memory.
+whose largest feature matrix, or kernel-approx's pairwise kernel
+matrices, would not fit in physical memory.
 """
 
 from __future__ import annotations
@@ -143,11 +144,6 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
 }
 
 EXPERIMENTS = tuple(SCHEMAS)
-
-# The random-feature experiments featurize the inputs named here at every
-# width of ``n_grid``, so their largest array is a float64 matrix of the
-# most rows by the widest map.
-FEATURE_ROWS = {"rff-sweep": ("n_train", "n_test"), "kernel-approx": ("n_points",)}
 
 # Seeds are hashed as 64-bit unsigned integers; anything outside that
 # range would alias a seed inside it.
@@ -298,8 +294,8 @@ def load_config(path, experiment=None, seed=None, output=None) -> ExperimentConf
                     f"key {f.name!r}: {parameters[f.name]} is not above {f.resolved_in} * eps "
                     f"= {floor:g}, below which float64 rounding cannot resolve it"
                 )
-    if name in FEATURE_ROWS:
-        _check_feature_matrix(name, parameters)
+    for what, rows, columns in _largest_arrays(name, parameters):
+        _check_fits(what, rows, columns)
     return ExperimentConfig(
         experiment=name, seed=int(seed), parameters=parameters, output_path=str(output)
     )
@@ -314,14 +310,31 @@ def _physical_memory() -> int | None:
     return pages * page_size if pages > 0 and page_size > 0 else None
 
 
-def _check_feature_matrix(name: str, parameters: dict) -> None:
-    rows = max(parameters[key] for key in FEATURE_ROWS[name])
-    width = parameters["n_grid"][-1]
-    size = rows * width * 8
+def _largest_arrays(name: str, parameters: dict) -> tuple[tuple[str, int, int], ...]:
+    """The largest float64 arrays a run of this config allocates, as
+    ``(what, rows, columns)``.  The random-feature experiments featurize their
+    inputs at every width of ``n_grid``: the largest feature matrix has the
+    most rows by the widest map.  kernel-approx also compares all pairs of
+    its points, in ``n_points x n_points`` distance, Gram and kernel
+    matrices."""
+    if name == "rff-sweep":
+        rows = max(parameters["n_train"], parameters["n_test"])
+        return (("largest feature matrix", rows, parameters["n_grid"][-1]),)
+    if name == "kernel-approx":
+        rows = parameters["n_points"]
+        return (
+            ("largest feature matrix", rows, parameters["n_grid"][-1]),
+            ("pairwise kernel matrix", rows, rows),
+        )
+    return ()
+
+
+def _check_fits(what: str, rows: int, columns: int) -> None:
+    size = rows * columns * 8
     memory = _physical_memory()
     if memory is not None and size > memory:
         raise ConfigError(
-            f"the largest feature matrix, {rows} x {width} float64 ({size / 2**30:.3g} GiB), "
+            f"the {what}, {rows} x {columns} float64 ({size / 2**30:.3g} GiB), "
             f"exceeds physical memory ({memory / 2**30:.3g} GiB)"
         )
 

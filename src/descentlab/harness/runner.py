@@ -3,27 +3,46 @@
 Every runner draws all randomness from the config's master seed through
 labeled substreams, so identical configs give byte-identical CSV bodies
 no matter how trials are scheduled.
+
+A runner imports the library modules it uses inside its own body, so
+importing this module loads none of them; ``import_modules`` loads the
+ones an experiment needs before its run starts.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
 
 import numpy as np
 
-from ..descent import GDConfig, get_loss, max_stable_step
 from ..errors import NumericalFailure
-from ..polyfit import fit_poly_min_norm, legendre_predict, random_target_poly
-from ..polyfit import bias_variance_decompose
-from ..rff import double_descent_sweep, kernel_approx_error, sample_map
 from ..seeding import derive_seed, substream
-from ..separable import generate_separable, implicit_bias_run
-from ..sparse_regression import risk_curve
 from .config import ExperimentConfig, effective_config_lines
 from .csvio import write_csv
-from .datasets import load_mnist_split, make_rkhs_regression, one_hot
-from .emc import emc_scan, min_norm_linear_procedure
+
+# What each experiment's runner needs, by module name (a leading dot is
+# relative to ``descentlab``): its own imports, and ``scipy.linalg`` where
+# a 2-d min-norm solve or an RFF product reaches ``linalg._scipy_linalg``.
+# polyfit lists ``descent`` for its gradient-descent route.  A module
+# missing here would load inside ``run`` and be timed with it; the tests
+# run every experiment and check that ``sys.modules`` does not grow.
+MODULES = {
+    "sparse-risk": (".sparse_regression", "scipy.linalg"),
+    "rff-sweep": (".rff", ".harness.datasets", "scipy.linalg"),
+    "kernel-approx": (".rff", "scipy.linalg"),
+    "implicit-bias": (".descent", ".separable"),
+    "polyfit": (".polyfit", ".descent"),
+    "bias-variance": (".polyfit",),
+    "emc": (".harness.emc", "scipy.linalg"),
+}
+
+
+def import_modules(experiment: str) -> None:
+    """Import every module ``experiment``'s run uses, so none loads during it."""
+    for name in MODULES[experiment]:
+        importlib.import_module(name, "descentlab")
 
 
 def _emit(config: ExperimentConfig, columns, rows, trailing=()):
@@ -44,6 +63,8 @@ def _emit_records(config: ExperimentConfig, records, trailing=()):
 
 
 def run_sparse_risk(config: ExperimentConfig) -> None:
+    from ..sparse_regression import risk_curve
+
     p = config.parameters
     rows = risk_curve(
         p["signal_norm_sq"],
@@ -59,6 +80,9 @@ def run_sparse_risk(config: ExperimentConfig) -> None:
 
 
 def run_rff_sweep(config: ExperimentConfig) -> None:
+    from ..rff import double_descent_sweep
+    from .datasets import load_mnist_split, make_rkhs_regression, one_hot
+
     p = config.parameters
     if p["dataset"] == "mnist":
         ds = load_mnist_split(p["n_train"], p["n_test"], config.seed)
@@ -88,6 +112,8 @@ def run_rff_sweep(config: ExperimentConfig) -> None:
 
 
 def run_kernel_approx(config: ExperimentConfig) -> None:
+    from ..rff import kernel_approx_error, sample_map
+
     p = config.parameters
     rng = substream(config.seed, "kernel-approx-points")
     points = rng.uniform(0.0, 1.0, size=(p["n_points"], p["input_dim"]))
@@ -106,6 +132,9 @@ def run_kernel_approx(config: ExperimentConfig) -> None:
 
 
 def run_implicit_bias(config: ExperimentConfig) -> None:
+    from ..descent import GDConfig, get_loss, max_stable_step
+    from ..separable import generate_separable, implicit_bias_run
+
     p = config.parameters
     x, y, witness = generate_separable(p["n"], p["d"], p["margin"], config.seed)
     loss = get_loss(p["loss"])
@@ -131,6 +160,8 @@ def run_implicit_bias(config: ExperimentConfig) -> None:
 
 
 def run_polyfit(config: ExperimentConfig) -> None:
+    from ..polyfit import fit_poly_min_norm, legendre_predict, random_target_poly
+
     p = config.parameters
     truth_coef = random_target_poly(p["truth_degree"], config.seed)
     rng = substream(config.seed, "polyfit-samples")
@@ -146,6 +177,8 @@ def run_polyfit(config: ExperimentConfig) -> None:
 
 
 def run_bias_variance(config: ExperimentConfig) -> None:
+    from ..polyfit import bias_variance_decompose, legendre_predict, random_target_poly
+
     p = config.parameters
     truth_coef = random_target_poly(p["truth_degree"], config.seed)
 
@@ -194,6 +227,8 @@ def run_bias_variance(config: ExperimentConfig) -> None:
 
 
 def run_emc(config: ExperimentConfig) -> None:
+    from .emc import emc_scan, min_norm_linear_procedure
+
     p = config.parameters
     d = p["d"]
     w = np.ones(d) / math.sqrt(d)

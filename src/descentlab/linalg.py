@@ -30,21 +30,31 @@ products on scipy's OpenBLAS, which already does the LAPACK work, numpy's
 workers never wake.  ``_matmul`` makes the BLAS call numpy's ``a @ b``
 makes, so on one thread it gives numpy's bits; on more, the two builds
 may split a product between threads differently.
+
+scipy is reached only through ``_scipy_linalg``, which imports it on
+first need: ``svd``, the stacked solve and the projectors are numpy
+alone, so a run that uses nothing else (bias-variance) never loads scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas
 
 from .errors import InvalidInput, NumericalFailure
 
 EPS = 1e-12
+
+
+@cache
+def _scipy_linalg():
+    """``scipy.linalg``, imported on the first call."""
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -94,6 +104,7 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b
     row = a.ndim == 1 or a.shape[0] == 1
     column = b.ndim == 1 or b.shape[1] == 1
+    blas = _scipy_linalg().blas
     if row and column:
         dot = blas.ddot(a.ravel(), b.ravel())
         out = a.shape[:-1] + b.shape[1:]
@@ -128,7 +139,7 @@ def _gram(a: np.ndarray) -> np.ndarray:
     if min(a.shape) < 2 or not a.flags.forc:
         return _matmul(a, a.T)
     f, trans = _f_view(a)
-    lower = blas.dsyrk(1.0, f, trans=trans, lower=1)
+    lower = _scipy_linalg().blas.dsyrk(1.0, f, trans=trans, lower=1)
     full = lower + lower.T
     full.ravel(order="K")[:: len(full) + 1] = lower.diagonal()
     return full if full.flags.c_contiguous else full.T  # symmetric
@@ -137,7 +148,7 @@ def _gram(a: np.ndarray) -> np.ndarray:
 def _norm(v: np.ndarray) -> float:
     """``np.linalg.norm(v)`` on scipy's BLAS: the same ``ddot`` over memory order."""
     v = v.ravel(order="K")
-    return math.sqrt(blas.ddot(v, v))
+    return math.sqrt(_scipy_linalg().blas.ddot(v, v))
 
 
 def _factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -199,18 +210,19 @@ def _gram_min_norm(z: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     # dpotrf factors in place; dlange takes the 1-norm column by column,
     # as numpy's ``np.abs(gram).sum(axis=0).max()`` did.
     gram = _gram(z if wide else z.T).T
-    anorm = scipy.linalg.lapack.dlange("1", gram)
-    chol, info = scipy.linalg.lapack.dpotrf(gram, clean=False, overwrite_a=1)
+    lapack = _scipy_linalg().lapack
+    anorm = lapack.dlange("1", gram)
+    chol, info = lapack.dpotrf(gram, clean=False, overwrite_a=1)
     if info != 0:
         return None
-    rcond, info = scipy.linalg.lapack.dpocon(chol, anorm)
+    rcond, info = lapack.dpocon(chol, anorm)
     if info != 0 or not rcond > (EPS * max(m, n)) ** 2:
         return None
 
     z_times, zt_times = partial(_matmul, z), partial(_matmul, z.T)
 
     def solve(residual: np.ndarray) -> np.ndarray:
-        a, _ = scipy.linalg.lapack.dpotrs(chol, residual if wide else zt_times(residual))
+        a, _ = lapack.dpotrs(chol, residual if wide else zt_times(residual))
         return zt_times(a) if wide else a
 
     beta = solve(y)
@@ -253,7 +265,7 @@ def min_norm_solve(x, y) -> np.ndarray:
         if w is not None:
             return w
         try:
-            w, _, rank, _ = scipy.linalg.lstsq(
+            w, _, rank, _ = _scipy_linalg().lstsq(
                 x, y, cond=EPS * max(x.shape), check_finite=False, lapack_driver="gelsd"
             )
         except np.linalg.LinAlgError as exc:

@@ -32,7 +32,6 @@ from typing import Callable
 
 import numpy as np
 
-from .descent import GDConfig, gd_least_squares
 from .errors import InvalidInput
 from .linalg import min_norm_solve, svd
 from .seeding import substream
@@ -97,6 +96,9 @@ def fit_poly_min_norm(xs, ys, degree: int, via: str = "pseudo_inverse") -> np.nd
     if via == "pseudo_inverse":
         return min_norm_solve(design[None], ys[None])[0]
     if via == "gradient_descent":
+        # Only this route needs ``descent`` and, through it, scipy.special.
+        from .descent import GDConfig, gd_least_squares
+
         smax = svd(design).s_max
         if smax == 0:
             return np.zeros(degree + 1)

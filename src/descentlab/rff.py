@@ -17,6 +17,7 @@ coefficients.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import threading
@@ -35,7 +36,9 @@ from .seeding import substream
 # on blocks of this many rows, one block per task on a thread pool; numpy
 # releases the GIL inside the ufunc loops, so the blocks run on all the
 # CPUs the process may use.  Each element is computed by the same ufunc
-# calls whatever the blocking, so the features do not depend on it.
+# calls whatever the blocking, so the features do not depend on it.  Each
+# task runs in a copy of the caller's context, where numpy keeps its
+# ``errstate``, so a float fault in a block is handled as the caller asked.
 BLOCK_ROWS = 64
 
 _pool: ThreadPoolExecutor | None = None
@@ -122,9 +125,14 @@ class RandomFeatureMap:
         if z.shape[0] <= BLOCK_ROWS:
             tail(z)
         else:
-            blocks = (z[i : i + BLOCK_ROWS] for i in range(0, z.shape[0], BLOCK_ROWS))
+            pool = _featurize_pool()
+            tasks = [
+                pool.submit(contextvars.copy_context().run, tail, z[i : i + BLOCK_ROWS])
+                for i in range(0, z.shape[0], BLOCK_ROWS)
+            ]
             # Reading every result re-raises any error from a block.
-            list(_featurize_pool().map(tail, blocks))
+            for task in tasks:
+                task.result()
         return z[0] if single else z
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
+# Imported by name, so that importing this module loads numpy.random,
+# which numpy itself loads only on first use.
+from numpy.random import Generator, default_rng
 
 _MASK64 = (1 << 64) - 1
 
@@ -31,6 +33,6 @@ def derive_seed(master_seed: int, label: str, index: int = 0) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def substream(master_seed: int, label: str, index: int = 0) -> np.random.Generator:
+def substream(master_seed: int, label: str, index: int = 0) -> Generator:
     """Return a fresh ``Generator`` seeded from the derived sub-seed."""
-    return np.random.default_rng(derive_seed(master_seed, label, index))
+    return default_rng(derive_seed(master_seed, label, index))

@@ -3,8 +3,11 @@
 import contextlib
 import importlib.util
 import io
+import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import descentlab
 from descentlab.errors import ConfigError, FormatError, InvalidInput
 from descentlab.harness import config as config_module
 from descentlab.harness.cli import main
@@ -602,6 +606,13 @@ def test_cli_overflow_is_a_one_line_run_error(tmp_path, capsys):
         ("kernel-approx", "bandwidth = 1e-300\n"),
         ("rff-sweep", "target_bandwidth = 1e-300\nn_train = 20\nn_test = 5\nn_grid = 4\nrepeats = 1\n"),
         ("bias-variance", "noise_scale = 1e300\ntrials = 3\n"),
+        # The featurization GEMM overflows and its cos is invalid, in blocks
+        # that the pool computes (200 rows).
+        (
+            "rff-sweep",
+            "input_dim = 1000\nbandwidth = 1e-307\nn_train = 200\nn_test = 200\n"
+            "n_grid = 20, 50\nrepeats = 1\n",
+        ),
     ],
 )
 def test_cli_float_fault_is_a_one_line_run_error(tmp_path, capsys, name, keys):
@@ -640,6 +651,8 @@ def test_cli_margin_below_rounding_is_a_config_error(tmp_path, capsys):
         ("rff-sweep", "n_grid = 20, 1000000000000\n"),
         ("rff-sweep", "n_train = 1000000000000\nn_grid = 20\n"),
         ("kernel-approx", "n_points = 1000000000\nn_grid = 100, 10000\n"),
+        # The 160 MB feature matrix fits; the 320 GB pairwise matrices do not.
+        ("kernel-approx", "n_points = 200000\nn_grid = 100\n"),
     ],
 )
 def test_cli_feature_matrix_beyond_memory_is_a_config_error(tmp_path, capsys, name, keys):
@@ -704,6 +717,83 @@ def test_csv_header_matches_the_readme_table(tmp_path, name):
     _, columns, rows = read_rows(out)
     assert columns == _readme_columns()[name]
     assert rows and all(len(row) == len(columns) for row in rows)
+
+
+# ------------------------------------------------------- set-up and run
+
+# Calls the CLI once per argument list given as JSON, with ``run`` wrapped
+# to record the modules it loads, and prints a report as its last line.
+_CLI_CHILD = """
+import json, sys
+from descentlab.harness import cli
+
+report = {"status": [], "loaded_in_run": []}
+real_run = cli.run
+
+def run(config):
+    at_call = set(sys.modules)
+    try:
+        return real_run(config)
+    finally:
+        report["loaded_in_run"] += sorted(set(sys.modules) - at_call)
+
+cli.run = run
+for argv in json.loads(sys.argv[1]):
+    report["status"].append(cli.main(argv))
+report["modules"] = sorted(sys.modules)
+print(json.dumps(report))
+"""
+
+
+def _fresh_cli(tmp_path, *argvs) -> dict:
+    """The CLI on each of ``argvs`` in one new interpreter: exit statuses,
+    the modules loaded inside ``run`` and every module loaded at the end."""
+    src = os.path.dirname(os.path.dirname(descentlab.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_CHILD, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _loaded(modules, package: str) -> list[str]:
+    return [m for m in modules if m == package or m.startswith(package + ".")]
+
+
+# A run that must not load these at all: bias-variance is numpy alone, and
+# sparse-risk needs only scipy.linalg of scipy.
+_NEVER_LOADED = {"bias-variance": ("scipy",), "sparse-risk": ("scipy.special", "scipy.spatial")}
+
+
+@pytest.mark.parametrize(
+    "name, keys",
+    [(name, _TINY_CONFIGS[name]) for name in sorted(_TINY_CONFIGS)]
+    + [("polyfit", _TINY_CONFIGS["polyfit"] + "via = gradient_descent\n")],
+)
+def test_a_run_loads_no_module(tmp_path, name, keys):
+    # Every module a run uses is imported in set-up (runner.MODULES), so
+    # none of its import time is counted in the run.
+    cfg = _cfg(tmp_path, f"experiment = {name}\n{keys}")
+    report = _fresh_cli(tmp_path, [name, "--config", cfg, "--out", str(tmp_path / "x.csv")])
+    assert report["status"] == [0]
+    assert report["loaded_in_run"] == []
+    for package in _NEVER_LOADED.get(name, ()):
+        assert _loaded(report["modules"], package) == []
+
+
+def test_validate_loads_no_scipy(tmp_path):
+    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    paths = sorted(os.path.join(configs, f) for f in os.listdir(configs) if f.endswith(".cfg"))
+    assert paths
+    report = _fresh_cli(tmp_path, *(["validate", "--config", path] for path in paths))
+    assert report["status"] == [0] * len(paths)
+    assert _loaded(report["modules"], "scipy") == []
 
 
 def test_cli_seed_override_changes_output(tmp_path):

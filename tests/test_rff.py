@@ -109,6 +109,21 @@ def test_concurrent_transforms_start_one_pool(monkeypatch):
         np.testing.assert_array_equal(z, expected)
 
 
+@pytest.mark.parametrize("rows", [BLOCK_ROWS, 200], ids=["in-thread", "on-the-pool"])
+def test_transform_keeps_the_callers_float_error_state(rows):
+    # x @ omega.T overflows to +-inf, whose cos is an invalid operation.
+    # Past one block the tail runs on the pool, whose threads must follow
+    # the caller's errstate as the caller's own thread does.
+    fmap = sample_map(n_features=16, input_dim=1, bandwidth=1e-3, seed=2)
+    x = np.full((rows, 1), 1e308)
+    with np.errstate(over="ignore", invalid="raise"):
+        with pytest.raises(FloatingPointError, match="cos"):
+            fmap.transform(x)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(fmap.transform(x)).any()
+
+
 def _featurize_in_child(fmap, x, expected):
     np.testing.assert_array_equal(fmap.transform(x), expected)
 
