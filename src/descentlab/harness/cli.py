@@ -9,12 +9,31 @@ Exit status 0 on success, 1 when the experiment itself fails (bad data
 files, a diverging run, a floating-point overflow, division by zero or
 invalid value, or a run too large for memory), 2 for configuration
 problems.
+
+Importing this module puts ``OPENBLAS_THREAD_TIMEOUT`` in the environment
+before numpy or scipy loads OpenBLAS, unless the variable is already set:
+an idle BLAS worker then sleeps after about 8 ms of busy-waiting instead
+of about 0.13 s.  A value of your own wins; ``OPENBLAS_THREAD_TIMEOUT=28``
+restores OpenBLAS's compiled default.  Programs that import the library
+without this module keep that default.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+
+# 2**k cycles that an idle OpenBLAS worker busy-waits before it sleeps,
+# read by each bundled OpenBLAS (numpy's and scipy's) when it loads, so it
+# must be set before numpy is imported.  OpenBLAS's default, k = 28, kept a
+# worker spinning through the ``cos`` tail of a random-feature
+# ``transform``, on a core the featurization pool needs.  k <= 20 made
+# sparse-risk slower: its workers fell asleep between the small products
+# of one trial and had to be woken.  Spin or sleep, a product is split the
+# same way, so no result changes.
+OPENBLAS_THREAD_TIMEOUT = "24"
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", OPENBLAS_THREAD_TIMEOUT)
 
 import numpy as np
 
@@ -60,7 +79,7 @@ def main(argv=None) -> int:
         config = load_config(
             args.config, experiment=args.command, seed=args.seed, output=args.out
         )
-        import_modules(config.experiment)
+        import_modules(config)
         # A float fault ends the run at its source rather than writing
         # inf or nan columns.
         with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FormatError, InvalidInput
-from ..rff import gaussian_kernel
 from ..seeding import substream
 
 DATA_DIR_ENV = "DESCENTLAB_DATA"
@@ -192,6 +191,9 @@ def make_rkhs_regression(
     sum_k alpha_k k(c_k, x)`` over fixed random centers, so responses are
     bounded by ``sum_k |alpha_k|``.
     """
+    # ``rff`` loads scipy; only this function of the module needs it.
+    from ..rff import gaussian_kernel
+
     if n_train < 1 or n_test < 0 or input_dim < 1 or n_centers < 1:
         raise InvalidInput("need n_train >= 1, n_test >= 0, input_dim >= 1, n_centers >= 1")
     n_total = n_train + n_test

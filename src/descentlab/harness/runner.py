@@ -25,23 +25,27 @@ from .csvio import write_csv
 # What each experiment's runner needs, by module name (a leading dot is
 # relative to ``descentlab``): its own imports, and ``scipy.linalg`` where
 # a 2-d min-norm solve or an RFF product reaches ``linalg._scipy_linalg``.
-# polyfit lists ``descent`` for its gradient-descent route.  A module
-# missing here would load inside ``run`` and be timed with it; the tests
-# run every experiment and check that ``sys.modules`` does not grow.
+# polyfit's gradient-descent route also needs ``descent`` (added by
+# ``import_modules``).  A module missing here would load inside ``run`` and
+# be timed with it; the tests run every experiment and check that
+# ``sys.modules`` does not grow.
 MODULES = {
     "sparse-risk": (".sparse_regression", "scipy.linalg"),
     "rff-sweep": (".rff", ".harness.datasets", "scipy.linalg"),
     "kernel-approx": (".rff", "scipy.linalg"),
     "implicit-bias": (".descent", ".separable"),
-    "polyfit": (".polyfit", ".descent"),
+    "polyfit": (".polyfit",),
     "bias-variance": (".polyfit",),
     "emc": (".harness.emc", "scipy.linalg"),
 }
 
 
-def import_modules(experiment: str) -> None:
-    """Import every module ``experiment``'s run uses, so none loads during it."""
-    for name in MODULES[experiment]:
+def import_modules(config: ExperimentConfig) -> None:
+    """Import every module ``config``'s run uses, so none loads during it."""
+    names = MODULES[config.experiment]
+    if config.experiment == "polyfit" and config.parameters["via"] == "gradient_descent":
+        names += (".descent",)
+    for name in names:
         importlib.import_module(name, "descentlab")
 
 

@@ -29,7 +29,13 @@ other library, and the featurization pool, were trying to use.  With the
 products on scipy's OpenBLAS, which already does the LAPACK work, numpy's
 workers never wake.  ``_matmul`` makes the BLAS call numpy's ``a @ b``
 makes, so on one thread it gives numpy's bits; on more, the two builds
-may split a product between threads differently.
+may split a product between threads differently.  scipy's own workers
+still busy-wait after each threaded call, by default for 2**28 cycles
+(0.13 s at 2.1 GHz), longer than the ``cos`` tail of a featurization.
+The CLI shortens that to 2**24 cycles through OpenBLAS's
+``OPENBLAS_THREAD_TIMEOUT`` (``harness.cli.OPENBLAS_THREAD_TIMEOUT``)
+unless the variable is already set; ``OPENBLAS_THREAD_TIMEOUT=28``
+restores the old spin.  It changes no bits.
 
 scipy is reached only through ``_scipy_linalg``, which imports it on
 first need: ``svd``, the stacked solve and the projectors are numpy

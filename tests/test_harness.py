@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import descentlab
 from descentlab.errors import ConfigError, FormatError, InvalidInput
+from descentlab.harness import cli
 from descentlab.harness import config as config_module
 from descentlab.harness.cli import main
 from descentlab.harness.config import (
@@ -723,11 +724,26 @@ def test_csv_header_matches_the_readme_table(tmp_path, name):
 
 # Calls the CLI once per argument list given as JSON, with ``run`` wrapped
 # to record the modules it loads, and prints a report as its last line.
+# The report also holds OPENBLAS_THREAD_TIMEOUT after the CLI's import, and
+# whether numpy was loaded each time the variable was put in the environment.
 _CLI_CHILD = """
-import json, sys
+import json, os, sys
+
+numpy_when_timeout_set = []
+
+def audit(event, args):
+    if event == "os.putenv" and os.fsdecode(args[0]) == "OPENBLAS_THREAD_TIMEOUT":
+        numpy_when_timeout_set.append("numpy" in sys.modules)
+
+sys.addaudithook(audit)
 from descentlab.harness import cli
 
-report = {"status": [], "loaded_in_run": []}
+report = {
+    "status": [],
+    "loaded_in_run": [],
+    "timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT"),
+    "numpy_when_timeout_set": numpy_when_timeout_set,
+}
 real_run = cli.run
 
 def run(config):
@@ -745,30 +761,49 @@ print(json.dumps(report))
 """
 
 
-def _fresh_cli(tmp_path, *argvs) -> dict:
-    """The CLI on each of ``argvs`` in one new interpreter: exit statuses,
-    the modules loaded inside ``run`` and every module loaded at the end."""
+def _fresh_python(tmp_path, program, *args, openblas_timeout=None) -> dict:
+    """Run ``program`` in a new interpreter and parse its last output line
+    as JSON.  The child sees this package, and OPENBLAS_THREAD_TIMEOUT only
+    when ``openblas_timeout`` gives it: importing the CLI here has set it in
+    this process's environment."""
     src = os.path.dirname(os.path.dirname(descentlab.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = path
+    if openblas_timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = openblas_timeout
     proc = subprocess.run(
-        [sys.executable, "-c", _CLI_CHILD, json.dumps(argvs)],
+        [sys.executable, "-c", program, *args],
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path},
+        env=env,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _fresh_cli(tmp_path, *argvs, openblas_timeout=None) -> dict:
+    """The CLI on each of ``argvs`` in one new interpreter: exit statuses,
+    the modules loaded inside ``run``, every module loaded at the end and
+    the OPENBLAS_THREAD_TIMEOUT facts of ``_CLI_CHILD``."""
+    argvs = json.dumps(argvs)
+    return _fresh_python(tmp_path, _CLI_CHILD, argvs, openblas_timeout=openblas_timeout)
+
+
 def _loaded(modules, package: str) -> list[str]:
     return [m for m in modules if m == package or m.startswith(package + ".")]
 
 
-# A run that must not load these at all: bias-variance is numpy alone, and
-# sparse-risk needs only scipy.linalg of scipy.
-_NEVER_LOADED = {"bias-variance": ("scipy",), "sparse-risk": ("scipy.special", "scipy.spatial")}
+# A run that must not load these at all: bias-variance and polyfit's
+# pseudo-inverse route (the default) are numpy alone, and sparse-risk needs
+# only scipy.linalg of scipy.
+_NEVER_LOADED = {
+    "bias-variance": ("scipy",),
+    "polyfit": ("scipy",),
+    "sparse-risk": ("scipy.special", "scipy.spatial"),
+}
 
 
 @pytest.mark.parametrize(
@@ -783,8 +818,51 @@ def test_a_run_loads_no_module(tmp_path, name, keys):
     report = _fresh_cli(tmp_path, [name, "--config", cfg, "--out", str(tmp_path / "x.csv")])
     assert report["status"] == [0]
     assert report["loaded_in_run"] == []
-    for package in _NEVER_LOADED.get(name, ()):
+    gradient_descent = "gradient_descent" in keys  # loads descent, so scipy.special
+    for package in () if gradient_descent else _NEVER_LOADED.get(name, ()):
         assert _loaded(report["modules"], package) == []
+
+
+def test_importing_datasets_loads_no_scipy(tmp_path):
+    # scripts/run_all.py imports it for data_dir and mnist_available alone.
+    program = (
+        "import json, sys\nimport descentlab.harness.datasets\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    modules = _fresh_python(tmp_path, program)
+    assert "descentlab.harness.datasets" in modules
+    assert _loaded(modules, "scipy") == []
+
+
+def test_cli_sets_the_openblas_thread_timeout_before_numpy_loads(tmp_path):
+    report = _fresh_cli(tmp_path)
+    assert report["timeout"] == cli.OPENBLAS_THREAD_TIMEOUT
+    assert report["numpy_when_timeout_set"] == [False]
+
+
+def test_a_preset_openblas_thread_timeout_is_kept(tmp_path):
+    report = _fresh_cli(tmp_path, openblas_timeout="28")
+    assert report["timeout"] == "28"
+    assert report["numpy_when_timeout_set"] == []
+
+
+def test_openblas_thread_timeout_changes_no_csv_byte(tmp_path):
+    # Sizes at which OpenBLAS runs the featurization and Gram products on
+    # more than one thread; 28 is OpenBLAS's compiled default.
+    cfg = _cfg(
+        tmp_path,
+        "experiment = rff-sweep\nn_train = 400\nn_test = 100\nn_grid = 200, 400, 800\n"
+        "repeats = 1\ninput_dim = 10\n",
+    )
+    csvs = []
+    for timeout in ("4", "28"):
+        out = tmp_path / f"timeout{timeout}.csv"
+        argv = ["rff-sweep", "--config", cfg, "--out", str(out)]
+        report = _fresh_cli(tmp_path, argv, openblas_timeout=timeout)
+        assert report["status"] == [0]
+        assert report["timeout"] == timeout
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_validate_loads_no_scipy(tmp_path):
