@@ -19,7 +19,8 @@ The package is organized around the objects of the theory:
 Import the module you use (``from descentlab import rff``, or
 ``from descentlab.rff import sample_map``); the package itself imports
 none of them, so a program loads only what it needs.  The errors live in
-``errors``, the seeding helpers in ``seeding``.
+``errors``, the seeding helpers in ``seeding``, and ``parallel`` spreads
+Monte Carlo trials over the usable CPUs.
 """
 
 __version__ = "0.1.0"

@@ -1,0 +1,132 @@
+"""Monte Carlo trials on every usable CPU, one forked child per extra CPU.
+
+``map_trials(chunk, trials, *rows)`` runs ``chunk(lo, hi)``, which fills
+``row[lo:hi]`` of every array in ``rows``, over ``range(trials)`` cut
+into one contiguous block per usable CPU.  The caller forks one child per
+block after the first and computes the first block itself.  Each child
+computes its block, writes the raw bytes of its rows to a pipe and ends
+with ``os._exit``; the caller reads those bytes straight into ``rows``.
+Every trial draws from its own substream (``seeding``), so the rows, and
+any statistic taken over them in trial order, do not depend on the CPU
+count.  With one usable CPU, or one trial, nothing is forked.
+
+Processes rather than threads: the ``scipy.linalg.lapack`` wrappers and
+numpy's linalg gufuncs hold the GIL, so a thread pool over trials gains
+no wall time.
+
+Errors.  A child that exits nonzero, or sends fewer bytes than its block
+holds, has its block rerun by the caller, in block order.  Trials are
+deterministic, so the rerun raises the exception a serial run would raise
+first.  A child is forked from the calling thread, so it inherits numpy's
+``errstate`` and faults the way the caller asked.  If the caller's own
+block raises, every child is killed and reaped before the exception
+propagates: no call, good or failed, leaves a process behind.
+
+Fork safety.  Python 3.12 warns (``DeprecationWarning``) when a process
+that has threads forks, and with numpy loaded it has OpenBLAS workers.
+The fork is safe here, so that one warning is silenced at the fork:
+
+- OpenBLAS (numpy's and scipy's) stops its worker pool through a
+  ``pthread_atfork`` handler before the fork and restarts it on next use,
+  so the child inherits no BLAS lock held by a worker;
+- ``rff`` forgets its featurization pool in a forked child and starts
+  its own;
+- the child runs only the chunk, writes its rows and leaves through
+  ``os._exit``: no ``finally`` block or ``atexit`` handler of the caller
+  runs, and no inherited stdio buffer is flushed twice.
+"""
+
+from __future__ import annotations
+
+import os
+import warnings
+from typing import Callable
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity set)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
+def map_trials(chunk: Callable[[int, int], None], trials: int, *rows) -> None:
+    """Fill ``rows`` by running ``chunk`` over ``range(trials)`` on every usable CPU.
+
+    ``chunk(lo, hi)`` must fill ``row[lo:hi]`` of each array in ``rows``
+    and touch nothing else the caller reads afterwards.  The arrays must
+    be C-contiguous with the trials on their first axis.
+    """
+    workers = min(usable_cpus(), trials) if hasattr(os, "fork") else 1
+    if workers <= 1:
+        chunk(0, trials)
+        return
+    bounds = [trials * k // workers for k in range(workers + 1)]
+    pending = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            pending.append(_fork(chunk, rows, lo, hi))
+        chunk(bounds[0], bounds[1])
+        while pending:
+            pid, pipe, lo, hi = pending[0]
+            done = False
+            if pid is not None:
+                done = _receive(pipe, rows, lo, hi)
+                pipe.close()
+                done = os.waitpid(pid, 0)[1] == 0 and done
+            pending.pop(0)
+            if not done:
+                chunk(lo, hi)
+    finally:
+        for pid, pipe, _, _ in pending:
+            if pid is not None:
+                pipe.close()
+                os.kill(pid, 9)  # SIGKILL
+                os.waitpid(pid, 0)
+
+
+def _fork(chunk, rows, lo: int, hi: int):
+    """Start a child that computes block ``[lo, hi)`` and sends its rows.
+
+    Returns ``(pid, pipe, lo, hi)``; ``pid`` is None when the system
+    refuses the fork, and the caller then computes the block itself.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", "This process .*is multi-threaded", DeprecationWarning
+            )
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None, None, lo, hi
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            chunk(lo, hi)
+            for row in rows:
+                view = memoryview(row[lo:hi]).cast("B")
+                while view:
+                    view = view[os.write(write_fd, view):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb", buffering=0), lo, hi
+
+
+def _receive(pipe, rows, lo: int, hi: int) -> bool:
+    """Read a child's block into ``row[lo:hi]`` of each row; False if it
+    ended short."""
+    for row in rows:
+        view = memoryview(row[lo:hi]).cast("B")
+        while view:
+            got = pipe.readinto(view)
+            if not got:
+                return False
+            view = view[got:]
+    return True

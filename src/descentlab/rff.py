@@ -29,6 +29,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import InvalidInput
 from .linalg import _gram, _matmul, _norm, min_norm_solve
+from .parallel import usable_cpus
 from .seeding import substream
 
 
@@ -50,11 +51,9 @@ def _featurize_pool() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
-            try:
-                cpus = len(os.sched_getaffinity(0))
-            except AttributeError:  # no affinity call outside Linux
-                cpus = os.cpu_count() or 1
-            _pool = ThreadPoolExecutor(max_workers=cpus, thread_name_prefix="rff-featurize")
+            _pool = ThreadPoolExecutor(
+                max_workers=usable_cpus(), thread_name_prefix="rff-featurize"
+            )
         return _pool
 
 

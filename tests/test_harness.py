@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import descentlab
+from descentlab import parallel
 from descentlab.errors import ConfigError, FormatError, InvalidInput
 from descentlab.harness import cli
 from descentlab.harness import config as config_module
@@ -718,6 +719,16 @@ def test_csv_header_matches_the_readme_table(tmp_path, name):
     _, columns, rows = read_rows(out)
     assert columns == _readme_columns()[name]
     assert rows and all(len(row) == len(columns) for row in rows)
+
+
+@pytest.mark.parametrize("name", ["bias-variance", "sparse-risk"])
+def test_monte_carlo_csv_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch, name):
+    cfg = _cfg(tmp_path, f"experiment = {name}\n" + _TINY_CONFIGS[name])
+    default, one_cpu = tmp_path / "default.csv", tmp_path / "one_cpu.csv"
+    assert main([name, "--config", cfg, "--out", str(default)]) == 0
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    assert main([name, "--config", cfg, "--out", str(one_cpu)]) == 0
+    assert one_cpu.read_bytes() == default.read_bytes()
 
 
 # ------------------------------------------------------- set-up and run

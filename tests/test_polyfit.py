@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from descentlab import polyfit
+from descentlab import parallel, polyfit
 from descentlab.errors import InvalidInput
 from descentlab.polyfit import (
     bias_variance_decompose,
@@ -255,6 +255,26 @@ def test_block_size_does_not_change_the_result(monkeypatch):
     for block in (1, 7):
         monkeypatch.setattr(polyfit, "BLOCK_TRIALS", block)
         assert run() == default
+
+
+@pytest.mark.parametrize("trials", [2, 3, 150])
+def test_bias_variance_does_not_depend_on_the_cpu_count(monkeypatch, trials):
+    # 2 trials are fewer than 3 CPUs; 150 leave partial blocks in every
+    # process's share.
+    truth = random_target_poly(3, seed=79)
+
+    def truth_fn(x):
+        return legendre_predict(truth, x)
+
+    results = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        results[cpus] = [
+            bias_variance_decompose(truth_fn, degree, n=10, noise_scale=0.1, trials=trials, seed=80)
+            for degree in (2, 9, 25)
+        ]
+    np.testing.assert_array_equal(results[2], results[1])
+    np.testing.assert_array_equal(results[3], results[1])
 
 
 def test_bias_variance_validation():

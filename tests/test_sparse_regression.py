@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from descentlab import parallel
 from descentlab.errors import InvalidInput
 from descentlab.seeding import derive_seed, substream
 from descentlab.sparse_regression import (
@@ -162,6 +163,23 @@ def test_monte_carlo_is_deterministic():
     assert a == b
     c = monte_carlo_risk(problem, 2, trials=40, test_points=10, seed=8)
     assert a[0] != c[0]
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 41])
+def test_monte_carlo_does_not_depend_on_the_cpu_count(monkeypatch, trials):
+    # 1 and 2 trials are fewer than 3 CPUs; a pinned subset takes the
+    # same path.
+    problem = GaussianLinearProblem(w_true=np.linspace(0.1, 1.0, 7), noise_scale=0.3, n=4)
+    pinned = SubsetSelection(kept=np.array([0, 2, 3, 6]), d=7)
+    results = {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        results[cpus] = [
+            monte_carlo_risk(problem, p, trials, test_points=9, seed=42, subset=subset)
+            for p, subset in ((0, None), (3, None), (4, None), (7, None), (4, pinned))
+        ]
+    np.testing.assert_array_equal(results[2], results[1])
+    np.testing.assert_array_equal(results[3], results[1])
 
 
 def test_monte_carlo_rejects_mismatched_subset():
