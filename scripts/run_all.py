@@ -6,9 +6,11 @@ present; point DESCENTLAB_DATA at them (or run make_synthetic_idx.py)
 to include it.  Each config runs in its own interpreter, so its set-up
 (interpreter start, the imports its experiment needs, config load) and
 its run are timed apart and no config is charged for another's imports;
-the interpreter gets this one's ``-W`` options.  Each CSV's sha256 is
-printed next to the times, so the outputs of two checkouts can be
-compared line by line.  Any config that fails to load or run is reported
+the interpreter gets this one's ``-W`` options.  Each config's peak
+resident memory is printed next to the times, for the interpreter and
+for the largest of the children it forked (``parallel.map_trials``), and
+so is each CSV's sha256, so the outputs of two checkouts can be compared
+line by line.  Any config that fails to load or run is reported
 at the end and the script exits nonzero, so this doubles as a slow smoke
 test.
 """
@@ -29,10 +31,11 @@ from descentlab.harness.datasets import data_dir, mnist_available
 # The CLI with its call to ``run`` timed.  Set-up is counted from the
 # parent's clock reading just before the spawn (argv[1]; the monotonic
 # clock is shared by all processes on Linux) to that call.  The last line
-# of standard output is "<set-up s> <run s>", or empty if ``run`` was not
-# reached.
+# of standard output is "<self MB> <children MB> <set-up s> <run s>", the
+# peak resident memory of the interpreter and of its largest child, and
+# the times if ``run`` was reached.
 _TIMED_CLI = """
-import sys, time
+import resource, sys, time
 from descentlab.harness import cli
 
 spawned, real_run, times = float(sys.argv[1]), cli.run, []
@@ -47,14 +50,17 @@ def run(config):
 
 cli.run = run
 status = cli.main(sys.argv[2:])
-print(*times)
+peaks = [resource.getrusage(who).ru_maxrss / 1024 for who in
+         (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+print(*peaks, *times)
 sys.exit(status)
 """
 
 
 def _run_timed(argv: list[str]) -> tuple[int, list[float]]:
     """Exit status of the CLI on ``argv`` in a new interpreter, and its
-    set-up and run seconds (none if it stopped before the run)."""
+    last line: peak memory of the interpreter and of its largest child in
+    MB, then the set-up and run seconds (none if it stopped before the run)."""
     python = [sys.executable, *(f"-W{option}" for option in sys.warnoptions)]
     proc = subprocess.run(
         [*python, "-c", _TIMED_CLI, repr(time.monotonic()), *argv],
@@ -103,11 +109,13 @@ def main() -> int:
         argv = [config.experiment, "--config", str(path), "--out", str(out_csv)]
         if args.seed is not None:
             argv += ["--seed", str(args.seed)]
-        status, times = _run_timed(argv)
+        status, measured = _run_timed(argv)
         tag = "ok" if status == 0 else f"exit {status}"
         line = f"{tag:>6}  {path.name}"
-        if len(times) == 2:
-            line += f"  (set-up {times[0]:.2f}s, run {times[1]:.2f}s)"
+        if len(measured) == 4:
+            line += f"  (set-up {measured[2]:.2f}s, run {measured[3]:.2f}s)"
+        if len(measured) >= 2:
+            line += f"  peak RSS {measured[0]:.0f} MB, largest child {measured[1]:.0f} MB"
         if status == 0:
             line += f"  sha256 {hashlib.sha256(out_csv.read_bytes()).hexdigest()}"
         else:

@@ -10,12 +10,13 @@ files, a diverging run, a floating-point overflow, division by zero or
 invalid value, or a run too large for memory), 2 for configuration
 problems.
 
-Importing this module puts ``OPENBLAS_THREAD_TIMEOUT`` in the environment
+Importing this module puts ``OPENBLAS_NUM_THREADS=1`` in the environment
 before numpy or scipy loads OpenBLAS, unless the variable is already set:
-an idle BLAS worker then sleeps after about 8 ms of busy-waiting instead
-of about 0.13 s.  A value of your own wins; ``OPENBLAS_THREAD_TIMEOUT=28``
-restores OpenBLAS's compiled default.  Programs that import the library
-without this module keep that default.
+every process of a run then computes on one BLAS thread, and a run gets
+its parallelism from processes (``parallel.map_trials``) instead.  A value
+of your own wins, and the CSV bytes of the random-feature experiments then
+follow it.  Programs that import the library without this module keep
+OpenBLAS's default of one thread per CPU.
 """
 
 from __future__ import annotations
@@ -24,16 +25,11 @@ import argparse
 import os
 import sys
 
-# 2**k cycles that an idle OpenBLAS worker busy-waits before it sleeps,
-# read by each bundled OpenBLAS (numpy's and scipy's) when it loads, so it
-# must be set before numpy is imported.  OpenBLAS's default, k = 28, kept a
-# worker spinning through the ``cos`` tail of a random-feature
-# ``transform``, on a core the featurization pool needs.  k <= 20 made
-# sparse-risk slower: its workers fell asleep between the small products
-# of one trial and had to be woken.  Spin or sleep, a product is split the
-# same way, so no result changes.
-OPENBLAS_THREAD_TIMEOUT = "24"
-os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", OPENBLAS_THREAD_TIMEOUT)
+# Read by each bundled OpenBLAS (numpy's and scipy's) when it loads, so it
+# must be set before numpy is imported.  At the sizes of these experiments
+# a second BLAS thread bought little, and its workers competed with the
+# forked processes of the sweeps and Monte Carlo loops for the same cores.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

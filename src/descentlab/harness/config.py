@@ -17,8 +17,9 @@ caps it, as ``p_grid`` entries are capped by ``d``, a rounding floor set
 by another key, as ``margin`` must be resolvable in ``d`` dimensions,
 or, for a list, strictly increasing entries), so whatever the runner
 cannot use is a config error at load time.  So is a random-feature run
-whose largest feature matrix, or kernel-approx's pairwise kernel
-matrices, would not fit in physical memory.
+whose largest feature matrices (one per process that may hold one), or
+kernel-approx's pairwise kernel matrices, would not fit in physical
+memory.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import os
 import sys
 from dataclasses import dataclass
 
+from .. import parallel
 from ..errors import ConfigError
 
 RESERVED_KEYS = ("experiment", "seed", "output")
@@ -294,8 +296,8 @@ def load_config(path, experiment=None, seed=None, output=None) -> ExperimentConf
                     f"key {f.name!r}: {parameters[f.name]} is not above {f.resolved_in} * eps "
                     f"= {floor:g}, below which float64 rounding cannot resolve it"
                 )
-    for what, rows, columns in _largest_arrays(name, parameters):
-        _check_fits(what, rows, columns)
+    for what, copies, rows, columns in _largest_arrays(name, parameters):
+        _check_fits(what, copies, rows, columns)
     return ExperimentConfig(
         experiment=name, seed=int(seed), parameters=parameters, output_path=str(output)
     )
@@ -310,31 +312,36 @@ def _physical_memory() -> int | None:
     return pages * page_size if pages > 0 and page_size > 0 else None
 
 
-def _largest_arrays(name: str, parameters: dict) -> tuple[tuple[str, int, int], ...]:
+def _largest_arrays(name: str, parameters: dict) -> tuple[tuple[str, int, int, int], ...]:
     """The largest float64 arrays a run of this config allocates, as
-    ``(what, rows, columns)``.  The random-feature experiments featurize their
-    inputs at every width of ``n_grid``: the largest feature matrix has the
-    most rows by the widest map.  kernel-approx also compares all pairs of
-    its points, in ``n_points x n_points`` distance, Gram and kernel
+    ``(what, copies, rows, columns)``: ``copies`` processes may each hold
+    one at once.  The random-feature experiments featurize their inputs at
+    every width of ``n_grid``: the largest feature matrix has the most rows
+    by the widest map.  rff-sweep fits its (width, repeat) pairs in up to
+    one process per usable CPU (``parallel.map_trials``), any of which may
+    be at the widest map.  kernel-approx also compares all pairs of its
+    points, in ``n_points x n_points`` distance, Gram and kernel
     matrices."""
     if name == "rff-sweep":
         rows = max(parameters["n_train"], parameters["n_test"])
-        return (("largest feature matrix", rows, parameters["n_grid"][-1]),)
+        copies = parallel.processes(len(parameters["n_grid"]) * parameters["repeats"])
+        return (("largest feature matrix", copies, rows, parameters["n_grid"][-1]),)
     if name == "kernel-approx":
         rows = parameters["n_points"]
         return (
-            ("largest feature matrix", rows, parameters["n_grid"][-1]),
-            ("pairwise kernel matrix", rows, rows),
+            ("largest feature matrix", 1, rows, parameters["n_grid"][-1]),
+            ("pairwise kernel matrix", 1, rows, rows),
         )
     return ()
 
 
-def _check_fits(what: str, rows: int, columns: int) -> None:
-    size = rows * columns * 8
+def _check_fits(what: str, copies: int, rows: int, columns: int) -> None:
+    size = copies * rows * columns * 8
     memory = _physical_memory()
     if memory is not None and size > memory:
+        each = f" in each of {copies} processes" if copies > 1 else ""
         raise ConfigError(
-            f"the {what}, {rows} x {columns} float64 ({size / 2**30:.3g} GiB), "
+            f"the {what}, {rows} x {columns} float64{each} ({size / 2**30:.3g} GiB), "
             f"exceeds physical memory ({memory / 2**30:.3g} GiB)"
         )
 

@@ -21,21 +21,20 @@ factored by one stacked SVD call.
 
 The BLAS products of a Gram solve and of a random-feature fit (``rff``)
 run in ``scipy.linalg.blas``, not through numpy's ``@``.  The numpy and
-scipy wheels each bundle their own OpenBLAS, each with its own worker
-threads, and after a threaded call a library's idle workers busy-wait
-for a while.  A fit that alternated numpy products with scipy's LAPACK
-factorizations kept one library's idle workers spinning on the cores the
-other library, and the featurization pool, were trying to use.  With the
-products on scipy's OpenBLAS, which already does the LAPACK work, numpy's
-workers never wake.  ``_matmul`` makes the BLAS call numpy's ``a @ b``
-makes, so on one thread it gives numpy's bits; on more, the two builds
-may split a product between threads differently.  scipy's own workers
-still busy-wait after each threaded call, by default for 2**28 cycles
-(0.13 s at 2.1 GHz), longer than the ``cos`` tail of a featurization.
-The CLI shortens that to 2**24 cycles through OpenBLAS's
-``OPENBLAS_THREAD_TIMEOUT`` (``harness.cli.OPENBLAS_THREAD_TIMEOUT``)
-unless the variable is already set; ``OPENBLAS_THREAD_TIMEOUT=28``
-restores the old spin.  It changes no bits.
+scipy wheels each bundle their own OpenBLAS (numpy 2.4.6 bundles 0.3.31,
+scipy 1.17.1 bundles 0.3.30), each with its own worker threads.  The CLI
+runs every process on one BLAS thread (``harness.cli``), and there
+``_matmul``, ``_gram`` and ``_norm`` make the calls numpy makes: with
+numpy's ``@`` in their place, the rff-rkhs, rff-mnist, sparse-risk, emc
+and kernel-approx sample CSVs were byte-identical (2-core x86-64 host).
+They are kept for threaded BLAS, which a program that imports the
+library without the CLI, or a preset ``OPENBLAS_NUM_THREADS``, gets.
+There a fit that alternated numpy products with scipy's LAPACK kept one
+library's idle workers busy-waiting on the cores the other needed; with
+the products on scipy's OpenBLAS, which already does the LAPACK work,
+numpy's workers never wake.  On more than one thread the two builds may
+split a product between threads differently, so the bits follow the
+library that computes them.
 
 scipy is reached only through ``_scipy_linalg``, which imports it on
 first need: ``svd``, the stacked solve and the projectors are numpy

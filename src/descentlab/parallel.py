@@ -1,4 +1,8 @@
-"""Monte Carlo trials on every usable CPU, one forked child per extra CPU.
+"""Independent trials on every usable CPU, one forked child per extra CPU.
+
+The trials are those of the Monte Carlo loops (``sparse_regression``,
+``polyfit``) and the (width, repeat) fits of the random-feature sweep
+(``rff``).
 
 ``map_trials(chunk, trials, *rows)`` runs ``chunk(lo, hi)``, which fills
 ``row[lo:hi]`` of every array in ``rows``, over ``range(trials)`` cut
@@ -8,7 +12,8 @@ computes its block, writes the raw bytes of its rows to a pipe and ends
 with ``os._exit``; the caller reads those bytes straight into ``rows``.
 Every trial draws from its own substream (``seeding``), so the rows, and
 any statistic taken over them in trial order, do not depend on the CPU
-count.  With one usable CPU, or one trial, nothing is forked.
+count.  With one usable CPU, or one trial, nothing is forked.  Trials of
+uneven cost are spread evenly by running them in ``balanced_order``.
 
 Processes rather than threads: the ``scipy.linalg.lapack`` wrappers and
 numpy's linalg gufuncs hold the GIL, so a thread pool over trials gains
@@ -23,14 +28,13 @@ block raises, every child is killed and reaped before the exception
 propagates: no call, good or failed, leaves a process behind.
 
 Fork safety.  Python 3.12 warns (``DeprecationWarning``) when a process
-that has threads forks, and with numpy loaded it has OpenBLAS workers.
-The fork is safe here, so that one warning is silenced at the fork:
+that has threads forks, and with numpy loaded on more than one BLAS
+thread it has OpenBLAS workers.  The fork is safe here, so that one
+warning is silenced at the fork:
 
 - OpenBLAS (numpy's and scipy's) stops its worker pool through a
   ``pthread_atfork`` handler before the fork and restarts it on next use,
   so the child inherits no BLAS lock held by a worker;
-- ``rff`` forgets its featurization pool in a forked child and starts
-  its own;
 - the child runs only the chunk, writes its rows and leaves through
   ``os._exit``: no ``finally`` block or ``atexit`` handler of the caller
   runs, and no inherited stdio buffer is flushed twice.
@@ -58,11 +62,10 @@ def map_trials(chunk: Callable[[int, int], None], trials: int, *rows) -> None:
     and touch nothing else the caller reads afterwards.  The arrays must
     be C-contiguous with the trials on their first axis.
     """
-    workers = min(usable_cpus(), trials) if hasattr(os, "fork") else 1
-    if workers <= 1:
+    bounds = _bounds(trials)
+    if len(bounds) <= 2:
         chunk(0, trials)
         return
-    bounds = [trials * k // workers for k in range(workers + 1)]
     pending = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
@@ -84,6 +87,39 @@ def map_trials(chunk: Callable[[int, int], None], trials: int, *rows) -> None:
                 pipe.close()
                 os.kill(pid, 9)  # SIGKILL
                 os.waitpid(pid, 0)
+
+
+def processes(trials: int) -> int:
+    """How many processes ``map_trials`` runs ``trials`` trials on."""
+    return max(1, min(usable_cpus(), trials)) if hasattr(os, "fork") else 1
+
+
+def _bounds(trials: int) -> list[int]:
+    """The edges of the contiguous blocks ``map_trials`` cuts
+    ``range(trials)`` into, one block per process."""
+    workers = processes(trials)
+    return [trials * k // workers for k in range(workers + 1)]
+
+
+def balanced_order(costs) -> list[int]:
+    """An order of ``range(len(costs))`` that gives each block of
+    ``map_trials`` about the same total cost.
+
+    Trials are dealt heaviest first, each to the block with the least cost
+    so far that still has room; inside a block they keep their index order,
+    so on one process the order is the identity.  A caller that runs trial
+    ``order[i]`` as trial ``i`` of ``map_trials`` spreads uneven trials
+    evenly over the processes.
+    """
+    bounds = _bounds(len(costs))
+    room = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    blocks = [[] for _ in room]
+    loads = [0.0] * len(room)
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        k = min((k for k in range(len(room)) if len(blocks[k]) < room[k]), key=loads.__getitem__)
+        blocks[k].append(i)
+        loads[k] += costs[i]
+    return [i for block in blocks for i in sorted(block)]
 
 
 def _fork(chunk, rows, lo: int, hi: int):

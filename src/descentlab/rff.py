@@ -17,55 +17,15 @@ coefficients.
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import InvalidInput
 from .linalg import _gram, _matmul, _norm, min_norm_solve
-from .parallel import usable_cpus
+from .parallel import balanced_order, map_trials
 from .seeding import substream
-
-
-# The elementwise tail of a featurization (phase shift, cos, scale) runs
-# on blocks of this many rows, one block per task on a thread pool; numpy
-# releases the GIL inside the ufunc loops, so the blocks run on all the
-# CPUs the process may use.  Each element is computed by the same ufunc
-# calls whatever the blocking, so the features do not depend on it.  Each
-# task runs in a copy of the caller's context, where numpy keeps its
-# ``errstate``, so a float fault in a block is handled as the caller asked.
-BLOCK_ROWS = 64
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _featurize_pool() -> ThreadPoolExecutor:
-    """The shared pool, started on first use with one thread per usable CPU."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(
-                max_workers=usable_cpus(), thread_name_prefix="rff-featurize"
-            )
-        return _pool
-
-
-def _forget_pool() -> None:
-    # A forked child inherits the pool object but none of its threads, so
-    # work handed to it would never run; the child starts its own.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _check_bandwidth(bandwidth: float) -> float:
@@ -80,6 +40,10 @@ def gaussian_kernel(a, b, bandwidth: float) -> np.ndarray:
     bandwidth = _check_bandwidth(bandwidth)
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
+    # Imported here: the sweep never computes an exact kernel, so a sweep
+    # run loads no scipy.spatial.
+    from scipy.spatial.distance import cdist
+
     sq = cdist(a, b, metric="sqeuclidean")
     return np.exp(-sq / (2.0 * bandwidth**2))
 
@@ -111,27 +75,11 @@ class RandomFeatureMap:
             )
         # In place: same arithmetic as scale * cos(x @ omega.T + phase),
         # without the two extra (rows, n_features) temporaries.  The GEMM
-        # runs on scipy's BLAS, as the solve does (see ``linalg``), and
-        # stays whole, because splitting it into row blocks could move bits.
+        # runs on scipy's BLAS, as the solve does (see ``linalg``).
         z = _matmul(x, self.omega.T)
-        scale = math.sqrt(2.0 / self.n_features)
-
-        def tail(block: np.ndarray) -> None:
-            block += self.phase
-            np.cos(block, out=block)
-            block *= scale
-
-        if z.shape[0] <= BLOCK_ROWS:
-            tail(z)
-        else:
-            pool = _featurize_pool()
-            tasks = [
-                pool.submit(contextvars.copy_context().run, tail, z[i : i + BLOCK_ROWS])
-                for i in range(0, z.shape[0], BLOCK_ROWS)
-            ]
-            # Reading every result re-raises any error from a block.
-            for task in tasks:
-                task.result()
+        z += self.phase
+        np.cos(z, out=z)
+        z *= math.sqrt(2.0 / self.n_features)
         return z[0] if single else z
 
 
@@ -213,6 +161,24 @@ class RFFSweepPoint:
     repeats: int
 
 
+# One ``cos`` of a featurization costs about as much as this many
+# multiply-adds of its GEMM (about 25 ns against 0.055 ns, one OpenBLAS
+# thread on a 2-core x86-64 host).
+_COS_MADDS = 450
+
+
+def _pair_work(n_features: int, n_train: int, n_test: int, input_dim: int) -> float:
+    """Estimated cost of one (width, repeat) pair of the sweep, in GEMM
+    multiply-adds: featurizing the train and test rows (``input_dim`` terms
+    and a ``cos`` per feature) and the ``syrk`` of the Gram solve (half the
+    products of the smaller Gram matrix).  The ``gelsd`` fallbacks near
+    ``n_features = n_train`` cost more than this; the estimate only spreads
+    the pairs over processes and never changes their numbers.
+    """
+    small, large = sorted((n_train, n_features))
+    return (n_train + n_test) * n_features * (input_dim + _COS_MADDS) + small * small * large / 2
+
+
 def double_descent_sweep(
     x_train,
     y_train,
@@ -227,9 +193,12 @@ def double_descent_sweep(
 
     Every (width, repeat) pair draws its feature map from its own
     substream of ``seed``, so results do not depend on the order of the
-    grid or on how repeats are scheduled.  Each map featurizes the
-    training inputs once, for the fit and the train error, and the test
-    inputs once, for both test metrics.
+    grid or on how pairs are scheduled.  The pairs run on every usable CPU
+    through ``parallel.map_trials``, ordered by ``parallel.balanced_order``
+    so that each process gets about the same estimated work; each fills
+    one row of metrics, and the rows are aggregated per width in grid
+    order.  Each map featurizes the training inputs once, for the fit and
+    the train error, and the test inputs once, for both test metrics.
     """
     if repeats < 1:
         raise InvalidInput(f"repeats must be >= 1, got {repeats}")
@@ -239,21 +208,27 @@ def double_descent_sweep(
     if y_test.shape[:1] != x_test.shape[:1]:
         raise InvalidInput(f"y_test has shape {y_test.shape}, x_test has {x_test.shape[0]} rows")
     input_dim = x_train.shape[1]
+    n_train, n_test = x_train.shape[0], x_test.shape[0]
 
-    points = []
-    for n in n_features_grid:
-        n = int(n)
-        per_repeat = np.empty((repeats, 4))
-        for r in range(repeats):
+    grid = [int(n) for n in n_features_grid]
+    pairs = [(n, r) for n in grid for r in range(repeats)]
+    order = balanced_order([_pair_work(n, n_train, n_test, input_dim) for n, _ in pairs])
+    # Row i holds pair order[i]: train MSE, test MSE, 0-1 error, beta norm.
+    rows = np.empty((len(pairs), 4))
+
+    def chunk(lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            n, r = pairs[order[i]]
             fmap = sample_map(n, input_dim, bandwidth, seed, index=r)
             beta, train_mse = fit_rff(fmap, x_train, y_train)
             pred_test = _matmul(fmap.transform(x_test), beta)
-            per_repeat[r] = (
-                train_mse,
-                _mse(pred_test, y_test),
-                _zero_one(pred_test, y_test),
-                _norm(beta),
-            )
+            rows[i] = (train_mse, _mse(pred_test, y_test), _zero_one(pred_test, y_test), _norm(beta))
+
+    map_trials(chunk, len(pairs), rows)
+    by_pair = np.empty_like(rows)
+    by_pair[order] = rows
+    points = []
+    for n, per_repeat in zip(grid, by_pair.reshape(len(grid), repeats, 4)):
         points.append(
             RFFSweepPoint(
                 n_features=n,

@@ -608,8 +608,8 @@ def test_cli_overflow_is_a_one_line_run_error(tmp_path, capsys):
         ("kernel-approx", "bandwidth = 1e-300\n"),
         ("rff-sweep", "target_bandwidth = 1e-300\nn_train = 20\nn_test = 5\nn_grid = 4\nrepeats = 1\n"),
         ("bias-variance", "noise_scale = 1e300\ntrials = 3\n"),
-        # The featurization GEMM overflows and its cos is invalid, in blocks
-        # that the pool computes (200 rows).
+        # The featurization GEMM overflows and its cos is invalid, at both
+        # widths: one pair is the caller's, the other a forked child's.
         (
             "rff-sweep",
             "input_dim = 1000\nbandwidth = 1e-307\nn_train = 200\nn_test = 200\n"
@@ -670,7 +670,9 @@ def test_cli_feature_matrix_beyond_memory_is_a_config_error(tmp_path, capsys, na
 
 
 def test_feature_matrix_may_fill_physical_memory(tmp_path, monkeypatch):
-    # 1000 training rows (more than the 10 test rows) by 500 features.
+    # 1000 training rows (more than the 10 test rows) by 500 features, in
+    # one process.
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     cfg = _cfg(tmp_path, "experiment = rff-sweep\nn_test = 10\nn_grid = 20, 500\n")
     size = 1000 * 500 * 8
     monkeypatch.setattr(config_module, "_physical_memory", lambda: size)
@@ -681,6 +683,29 @@ def test_feature_matrix_may_fill_physical_memory(tmp_path, monkeypatch):
     # Where the system does not report its memory, nothing is refused.
     monkeypatch.setattr(config_module, "_physical_memory", lambda: None)
     assert load_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "cpus, grid, repeats, copies",
+    [(4, "20, 500", 5, 4), (4, "500", 3, 3), (4, "500", 1, 1), (1, "20, 500", 5, 1)],
+)
+def test_each_process_of_a_sweep_may_hold_a_widest_feature_matrix(
+    tmp_path, monkeypatch, cpus, grid, repeats, copies
+):
+    # The (width, repeat) pairs run in up to one process per usable CPU,
+    # so up to that many 1000 x 500 feature matrices exist at once.
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    cfg = _cfg(
+        tmp_path,
+        f"experiment = rff-sweep\nn_test = 10\nn_grid = {grid}\nrepeats = {repeats}\n",
+    )
+    size = copies * 1000 * 500 * 8
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: size)
+    assert load_config(cfg)
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: size - 1)
+    with pytest.raises(ConfigError, match="1000 x 500") as info:
+        load_config(cfg)
+    assert (f"each of {copies} processes" in str(info.value)) == (copies > 1)
 
 
 # One small config per experiment, for the checks that cover them all.
@@ -721,7 +746,7 @@ def test_csv_header_matches_the_readme_table(tmp_path, name):
     assert rows and all(len(row) == len(columns) for row in rows)
 
 
-@pytest.mark.parametrize("name", ["bias-variance", "sparse-risk"])
+@pytest.mark.parametrize("name", ["bias-variance", "rff-sweep", "sparse-risk"])
 def test_monte_carlo_csv_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch, name):
     cfg = _cfg(tmp_path, f"experiment = {name}\n" + _TINY_CONFIGS[name])
     default, one_cpu = tmp_path / "default.csv", tmp_path / "one_cpu.csv"
@@ -735,16 +760,16 @@ def test_monte_carlo_csv_does_not_depend_on_the_cpu_count(tmp_path, monkeypatch,
 
 # Calls the CLI once per argument list given as JSON, with ``run`` wrapped
 # to record the modules it loads, and prints a report as its last line.
-# The report also holds OPENBLAS_THREAD_TIMEOUT after the CLI's import, and
+# The report also holds OPENBLAS_NUM_THREADS after the CLI's import, and
 # whether numpy was loaded each time the variable was put in the environment.
 _CLI_CHILD = """
 import json, os, sys
 
-numpy_when_timeout_set = []
+numpy_when_threads_set = []
 
 def audit(event, args):
-    if event == "os.putenv" and os.fsdecode(args[0]) == "OPENBLAS_THREAD_TIMEOUT":
-        numpy_when_timeout_set.append("numpy" in sys.modules)
+    if event == "os.putenv" and os.fsdecode(args[0]) == "OPENBLAS_NUM_THREADS":
+        numpy_when_threads_set.append("numpy" in sys.modules)
 
 sys.addaudithook(audit)
 from descentlab.harness import cli
@@ -752,8 +777,8 @@ from descentlab.harness import cli
 report = {
     "status": [],
     "loaded_in_run": [],
-    "timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT"),
-    "numpy_when_timeout_set": numpy_when_timeout_set,
+    "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "numpy_when_threads_set": numpy_when_threads_set,
 }
 real_run = cli.run
 
@@ -772,17 +797,17 @@ print(json.dumps(report))
 """
 
 
-def _fresh_python(tmp_path, program, *args, openblas_timeout=None) -> dict:
+def _fresh_python(tmp_path, program, *args, blas_threads=None) -> dict:
     """Run ``program`` in a new interpreter and parse its last output line
-    as JSON.  The child sees this package, and OPENBLAS_THREAD_TIMEOUT only
-    when ``openblas_timeout`` gives it: importing the CLI here has set it in
+    as JSON.  The child sees this package, and OPENBLAS_NUM_THREADS only
+    when ``blas_threads`` gives it: importing the CLI here has set it in
     this process's environment."""
     src = os.path.dirname(os.path.dirname(descentlab.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = path
-    if openblas_timeout is not None:
-        env["OPENBLAS_THREAD_TIMEOUT"] = openblas_timeout
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     proc = subprocess.run(
         [sys.executable, "-c", program, *args],
         capture_output=True,
@@ -795,12 +820,12 @@ def _fresh_python(tmp_path, program, *args, openblas_timeout=None) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _fresh_cli(tmp_path, *argvs, openblas_timeout=None) -> dict:
+def _fresh_cli(tmp_path, *argvs, blas_threads=None) -> dict:
     """The CLI on each of ``argvs`` in one new interpreter: exit statuses,
     the modules loaded inside ``run``, every module loaded at the end and
-    the OPENBLAS_THREAD_TIMEOUT facts of ``_CLI_CHILD``."""
+    the OPENBLAS_NUM_THREADS facts of ``_CLI_CHILD``."""
     argvs = json.dumps(argvs)
-    return _fresh_python(tmp_path, _CLI_CHILD, argvs, openblas_timeout=openblas_timeout)
+    return _fresh_python(tmp_path, _CLI_CHILD, argvs, blas_threads=blas_threads)
 
 
 def _loaded(modules, package: str) -> list[str]:
@@ -808,29 +833,37 @@ def _loaded(modules, package: str) -> list[str]:
 
 
 # A run that must not load these at all: bias-variance and polyfit's
-# pseudo-inverse route (the default) are numpy alone, and sparse-risk needs
-# only scipy.linalg of scipy.
+# pseudo-inverse route (the default) are numpy alone, sparse-risk needs
+# only scipy.linalg of scipy, and an rff-sweep on MNIST no exact kernel.
 _NEVER_LOADED = {
     "bias-variance": ("scipy",),
     "polyfit": ("scipy",),
     "sparse-risk": ("scipy.special", "scipy.spatial"),
+    "rff-sweep": ("scipy.spatial", "scipy.special"),
 }
 
 
 @pytest.mark.parametrize(
     "name, keys",
     [(name, _TINY_CONFIGS[name]) for name in sorted(_TINY_CONFIGS)]
-    + [("polyfit", _TINY_CONFIGS["polyfit"] + "via = gradient_descent\n")],
+    + [
+        ("polyfit", _TINY_CONFIGS["polyfit"] + "via = gradient_descent\n"),
+        ("rff-sweep", "dataset = mnist\nn_train = 20\nn_test = 10\nn_grid = 4, 8\nrepeats = 1\n"),
+    ],
 )
-def test_a_run_loads_no_module(tmp_path, name, keys):
+def test_a_run_loads_no_module(tmp_path, monkeypatch, name, keys):
     # Every module a run uses is imported in set-up (runner.MODULES), so
     # none of its import time is counted in the run.
+    _write_fake_mnist(tmp_path)
+    monkeypatch.setenv("DESCENTLAB_DATA", str(tmp_path))
     cfg = _cfg(tmp_path, f"experiment = {name}\n{keys}")
     report = _fresh_cli(tmp_path, [name, "--config", cfg, "--out", str(tmp_path / "x.csv")])
     assert report["status"] == [0]
     assert report["loaded_in_run"] == []
-    gradient_descent = "gradient_descent" in keys  # loads descent, so scipy.special
-    for package in () if gradient_descent else _NEVER_LOADED.get(name, ()):
+    # polyfit's gradient descent loads descent, so scipy.special; the
+    # rkhs-target labels of rff-sweep are exact kernel sums (scipy.spatial).
+    more = "gradient_descent" in keys or (name == "rff-sweep" and "mnist" not in keys)
+    for package in () if more else _NEVER_LOADED.get(name, ()):
         assert _loaded(report["modules"], package) == []
 
 
@@ -845,35 +878,16 @@ def test_importing_datasets_loads_no_scipy(tmp_path):
     assert _loaded(modules, "scipy") == []
 
 
-def test_cli_sets_the_openblas_thread_timeout_before_numpy_loads(tmp_path):
+def test_cli_sets_one_blas_thread_before_numpy_loads(tmp_path):
     report = _fresh_cli(tmp_path)
-    assert report["timeout"] == cli.OPENBLAS_THREAD_TIMEOUT
-    assert report["numpy_when_timeout_set"] == [False]
+    assert report["blas_threads"] == "1"
+    assert report["numpy_when_threads_set"] == [False]
 
 
-def test_a_preset_openblas_thread_timeout_is_kept(tmp_path):
-    report = _fresh_cli(tmp_path, openblas_timeout="28")
-    assert report["timeout"] == "28"
-    assert report["numpy_when_timeout_set"] == []
-
-
-def test_openblas_thread_timeout_changes_no_csv_byte(tmp_path):
-    # Sizes at which OpenBLAS runs the featurization and Gram products on
-    # more than one thread; 28 is OpenBLAS's compiled default.
-    cfg = _cfg(
-        tmp_path,
-        "experiment = rff-sweep\nn_train = 400\nn_test = 100\nn_grid = 200, 400, 800\n"
-        "repeats = 1\ninput_dim = 10\n",
-    )
-    csvs = []
-    for timeout in ("4", "28"):
-        out = tmp_path / f"timeout{timeout}.csv"
-        argv = ["rff-sweep", "--config", cfg, "--out", str(out)]
-        report = _fresh_cli(tmp_path, argv, openblas_timeout=timeout)
-        assert report["status"] == [0]
-        assert report["timeout"] == timeout
-        csvs.append(out.read_bytes())
-    assert csvs[0] == csvs[1]
+def test_a_preset_openblas_num_threads_is_kept(tmp_path):
+    report = _fresh_cli(tmp_path, blas_threads="2")
+    assert report["blas_threads"] == "2"
+    assert report["numpy_when_threads_set"] == []
 
 
 def test_validate_loads_no_scipy(tmp_path):

@@ -82,6 +82,23 @@ def test_blocks_are_contiguous_and_the_first_is_the_callers(cpus):
     assert len(set(owner)) == 3
 
 
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_balanced_order_evens_the_blocks_of_map_trials(cpus, count):
+    costs = [50, 50, 50, 1, 3, 2, 7, 1, 4, 9]
+    cpus(count)
+    order = parallel.balanced_order(costs)
+    assert sorted(order) == list(range(len(costs)))
+    bounds = [len(costs) * k // count for k in range(count + 1)]
+    blocks = [order[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    # Each block keeps index order, so one block is the identity.
+    assert all(block == sorted(block) for block in blocks)
+    loads = [sum(costs[i] for i in block) for block in blocks]
+    assert max(loads) - min(loads) <= max(costs)
+    # The three heavy trials never share a block while another has none.
+    heavy = [sum(costs[i] == 50 for i in block) for block in blocks]
+    assert max(heavy) - min(heavy) <= 1
+
+
 def test_an_error_in_a_child_is_raised_by_the_caller(cpus):
     cpus(2)
     rows = np.zeros(6)

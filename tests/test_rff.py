@@ -1,22 +1,18 @@
 """Tests for random Fourier features and the kernel machinery."""
 
 import math
-import multiprocessing
 import os
-import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from descentlab import parallel, rff
 from descentlab.errors import InvalidInput
 from descentlab.harness.datasets import make_rkhs_regression
-from descentlab import rff
 from descentlab.linalg import min_norm_solve
 from descentlab.rff import (
-    BLOCK_ROWS,
     double_descent_sweep,
     fit_rff,
     gaussian_kernel,
@@ -66,14 +62,9 @@ def test_map_sampling_is_deterministic_per_index():
     assert not np.array_equal(a.omega, c.omega)
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [None, 9, BLOCK_ROWS, 2 * BLOCK_ROWS, 6 * BLOCK_ROWS + 5],
-    ids=["1-d", "under-one-block", "1-block", "2-blocks", "7-blocks"],
-)
+@pytest.mark.parametrize("rows", [None, 9, 389], ids=["1-d", "9-rows", "389-rows"])
 def test_transform_matches_the_feature_formula_bit_for_bit(rows):
-    # Past one block the elementwise tail runs block by block on the
-    # thread pool; every blocking must give the serial formula's bits.
+    # The elementwise tail runs in place on the GEMM's output.
     fmap = sample_map(n_features=64, input_dim=3, bandwidth=0.7, seed=19)
     x = substream(19, "transform-points").uniform(-1.0, 1.0, size=(rows or 1, 3))
     points = x[0] if rows is None else x
@@ -81,41 +72,10 @@ def test_transform_matches_the_feature_formula_bit_for_bit(rows):
     np.testing.assert_array_equal(fmap.transform(points), expected)
 
 
-def test_concurrent_transforms_start_one_pool(monkeypatch):
-    started = []
-
-    class CountingPool(ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(rff, "ThreadPoolExecutor", CountingPool)
-    monkeypatch.setattr(rff, "_pool", None)
-    fmap = sample_map(n_features=32, input_dim=3, bandwidth=1.0, seed=6)
-    x = substream(6, "concurrent-points").uniform(-1.0, 1.0, size=(5 * BLOCK_ROWS, 3))
-    expected = math.sqrt(2.0 / 32) * np.cos(x @ fmap.omega.T + fmap.phase)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as callers:
-            futures = [callers.submit(fmap.transform, x) for _ in range(16)]
-            results = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-        for pool in started:
-            pool.shutdown()
-    assert len(started) == 1
-    for z in results:
-        np.testing.assert_array_equal(z, expected)
-
-
-@pytest.mark.parametrize("rows", [BLOCK_ROWS, 200], ids=["in-thread", "on-the-pool"])
-def test_transform_keeps_the_callers_float_error_state(rows):
+def test_transform_keeps_the_callers_float_error_state():
     # x @ omega.T overflows to +-inf, whose cos is an invalid operation.
-    # Past one block the tail runs on the pool, whose threads must follow
-    # the caller's errstate as the caller's own thread does.
     fmap = sample_map(n_features=16, input_dim=1, bandwidth=1e-3, seed=2)
-    x = np.full((rows, 1), 1e308)
+    x = np.full((200, 1), 1e308)
     with np.errstate(over="ignore", invalid="raise"):
         with pytest.raises(FloatingPointError, match="cos"):
             fmap.transform(x)
@@ -124,33 +84,10 @@ def test_transform_keeps_the_callers_float_error_state(rows):
         assert not np.isfinite(fmap.transform(x)).any()
 
 
-def _featurize_in_child(fmap, x, expected):
-    np.testing.assert_array_equal(fmap.transform(x), expected)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_a_forked_child_featurizes_on_its_own_pool():
-    fmap = sample_map(n_features=16, input_dim=2, bandwidth=1.0, seed=4)
-    x = substream(4, "fork-points").uniform(-1.0, 1.0, size=(3 * BLOCK_ROWS, 2))
-    expected = fmap.transform(x)  # starts the parent's pool
-    child = multiprocessing.get_context("fork").Process(
-        target=_featurize_in_child, args=(fmap, x, expected)
-    )
-    with warnings.catch_warnings():
-        # Python 3.12 warns on forking a process that has threads.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        child.start()
-    child.join(timeout=60)
-    hung = child.is_alive()
-    if hung:
-        child.kill()
-        child.join()
-    assert not hung, "the forked child never finished its featurization"
-    assert child.exitcode == 0
-
-
 def test_sweep_takes_the_gram_route_past_the_threshold(monkeypatch):
-    # gelsd runs only where the Gram route gives up; record the widths.
+    # gelsd runs only where the Gram route gives up; record the widths.  On
+    # one CPU every pair runs in this process, where the calls are seen.
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     fallback_widths = []
     lstsq = scipy.linalg.lstsq
 
@@ -304,6 +241,47 @@ def test_sweep_matches_the_svd_formula_across_the_threshold():
     for j, atol in enumerate((0.0, 1e-12, 0.0, 0.0, 0.0, 0.0)):
         np.testing.assert_allclose(got[:, j], want[:, j], rtol=1e-8, atol=atol)
     assert got[2, 4] > got[4, 4]  # the norm peaks at N = n
+
+
+def _sweep_inputs():
+    ds = make_rkhs_regression(60, 30, input_dim=4, n_centers=10, bandwidth=1.0, seed=23)
+    return ds.x_train, ds.y_train, ds.x_test, ds.y_test
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_sweep_does_not_depend_on_the_cpu_count(monkeypatch, cpus):
+    args = (*_sweep_inputs(), (5, 30, 60, 120, 240), 2.0, 23, 3)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    serial = double_descent_sweep(*args)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    assert double_descent_sweep(*args) == serial
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_pair_failing_in_a_child_raises_as_on_one_cpu(monkeypatch, tmp_path):
+    # Of three pairs on two CPUs, the widest is the caller's and the two
+    # narrower ones a child's; the width-8 pair fails wherever it runs.
+    real_fit = rff.fit_rff
+
+    def fit(fmap, x, y):
+        if fmap.n_features == 8:
+            (tmp_path / str(os.getpid())).touch()
+            raise InvalidInput("no fit at width 8")
+        return real_fit(fmap, x, y)
+
+    monkeypatch.setattr(rff, "fit_rff", fit)
+    args = (*_sweep_inputs(), (4, 8, 16), 2.0, 23)
+    errors = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        with pytest.raises(InvalidInput) as info:
+            double_descent_sweep(*args)
+        errors.append(str(info.value))
+    assert errors == ["no fit at width 8"] * 2
+    assert {p.name for p in tmp_path.iterdir()} - {str(os.getpid())}, "no child hit the pair"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_rejects_zero_repeats():
