@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from .. import parallel
 from ..errors import ConfigError
 
-RESERVED_KEYS = ("experiment", "seed", "output")
-
 
 @dataclass(frozen=True)
 class Field:

@@ -23,18 +23,16 @@ from .config import ExperimentConfig, effective_config_lines
 from .csvio import write_csv
 
 # What each experiment's runner needs, by module name (a leading dot is
-# relative to ``descentlab``): its own imports, ``scipy.linalg`` where
-# a 2-d min-norm solve or an RFF product reaches ``linalg._scipy_linalg``,
-# and ``scipy.spatial.distance`` where ``rff.gaussian_kernel`` imports it.
-# polyfit's gradient-descent route also needs ``descent``, and rff-sweep's
-# rkhs-target dataset, whose labels are Gaussian-kernel sums,
-# ``scipy.spatial.distance`` (both added by ``import_modules``).  A module
-# missing here would load inside ``run`` and be timed with it; the tests
-# run every experiment and check that ``sys.modules`` does not grow.
+# relative to ``descentlab``): its own imports, and ``scipy.linalg`` where
+# a 2-d min-norm solve or an RFF product reaches ``linalg._scipy_linalg``.
+# polyfit's gradient-descent route also needs ``descent`` (added by
+# ``import_modules``).  A module missing here would load inside ``run``
+# and be timed with it; the tests run every experiment and check that
+# ``sys.modules`` does not grow.
 MODULES = {
     "sparse-risk": (".sparse_regression", "scipy.linalg"),
     "rff-sweep": (".rff", ".harness.datasets", "scipy.linalg"),
-    "kernel-approx": (".rff", "scipy.linalg", "scipy.spatial.distance"),
+    "kernel-approx": (".rff", "scipy.linalg"),
     "implicit-bias": (".descent", ".separable"),
     "polyfit": (".polyfit",),
     "bias-variance": (".polyfit",),
@@ -48,8 +46,6 @@ def import_modules(config: ExperimentConfig) -> None:
     p = config.parameters
     if config.experiment == "polyfit" and p["via"] == "gradient_descent":
         names += (".descent",)
-    if config.experiment == "rff-sweep" and p["dataset"] == "rkhs-target":
-        names += ("scipy.spatial.distance",)
     for name in names:
         importlib.import_module(name, "descentlab")
 

@@ -36,16 +36,25 @@ def _check_bandwidth(bandwidth: float) -> float:
 
 
 def gaussian_kernel(a, b, bandwidth: float) -> np.ndarray:
-    """Gram matrix ``K[i, j] = exp(-||a_i - b_j||^2 / (2 bandwidth^2))``."""
+    """Gram matrix ``K[i, j] = exp(-||a_i - b_j||^2 / (2 bandwidth^2))``.
+
+    The squared distances are summed over the input dimensions in order,
+    as ``scipy.spatial.distance.cdist``'s ``sqeuclidean`` sums them (the
+    same bits), in one ``m x n`` scratch beside the result.
+    """
     bandwidth = _check_bandwidth(bandwidth)
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    # Imported here: the sweep never computes an exact kernel, so a sweep
-    # run loads no scipy.spatial.
-    from scipy.spatial.distance import cdist
-
-    sq = cdist(a, b, metric="sqeuclidean")
-    return np.exp(-sq / (2.0 * bandwidth**2))
+    if a.shape[1] != b.shape[1]:
+        raise InvalidInput(f"points of dimension {a.shape[1]} and {b.shape[1]}")
+    sq = np.zeros((a.shape[0], b.shape[0]))
+    diff = np.empty_like(sq)
+    for k in range(a.shape[1]):
+        np.subtract(a[:, k, None], b[None, :, k], out=diff)
+        diff *= diff
+        sq += diff
+    sq /= -2.0 * bandwidth**2
+    return np.exp(sq, out=sq)
 
 
 @dataclass(frozen=True)

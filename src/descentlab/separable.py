@@ -7,15 +7,14 @@ solver for the hard-margin SVM
     min 0.5 ||w||^2   subject to   y_i x_i^T w >= 1,
 
 and a way to measure how far a gradient-descent iterate's direction is
-from the SVM direction.  There is no bias term anywhere, so the SVM dual
-
-    max  sum_i a_i - 0.5 || sum_i a_i y_i x_i ||^2,   a_i >= 0,
-
-has no equality constraint coupling the multipliers, and coordinate
-ascent on one ``a_i`` at a time is exact and simple: each update has a
-closed form, and the iteration converges whenever the data are
-separable.  Separability itself is certified first, by a budgeted
-perceptron or by a witness direction supplied with the data.
+from the SVM direction.  There is no bias term anywhere, so the SVM is a
+nearest-point problem (Wolfe 1976): with ``A = diag(y) X``, the point
+``u*`` of the convex hull of the rows of ``A`` nearest the origin gives
+the solution ``w = u* / ||u*||^2`` and the margin ``||u*||``.  The
+origin lies in that hull exactly when no direction through the origin
+separates the data (Gordan's theorem), so one finite Lawson-Hanson
+(1974) active-set solve, polished on its support and certified, both
+decides separability and gives the direction.
 """
 
 from __future__ import annotations
@@ -32,12 +31,8 @@ from .descent import (
     max_stable_step,
 )
 from .errors import ConfigError, InvalidInput, NotSeparableError, NumericalFailure
+from .linalg import min_norm_solve
 from .seeding import substream
-
-# Dual ascent stops once no projected dual gradient exceeds SVM_TOL, which
-# is also the multiplier size that counts a point as a support vector.
-SVM_TOL = 1e-8
-SVM_MAX_PASSES = 1_000_000
 
 
 def generate_separable(
@@ -51,7 +46,7 @@ def generate_separable(
     ``margin``.  Returns the points, the +-1 labels and ``w*``, the
     witness direction.  A margin near rounding level can leave some point
     at a computed margin of zero or below; that raises NumericalFailure
-    here, before any solver spends its budget on the data.
+    here, before any solve.
     """
     if n < 2:
         raise InvalidInput(f"n must be >= 2, got {n}")
@@ -76,99 +71,104 @@ def generate_separable(
     return x, y, w_star
 
 
-def find_separator(x, y, witness=None, max_updates: int = 100_000) -> np.ndarray:
-    """Certify separability: budgeted perceptron, then the witness.
-
-    Returns some separating vector.  The perceptron's mistake bound is
-    ``(R / gamma)^2``, so the default budget covers any margin down to
-    roughly ``R / 300``; genuinely infeasible data exhaust the budget and,
-    absent a valid witness, raise NotSeparableError.
-    """
-    x, y = _check_labels(x, y)
-    w = np.zeros(x.shape[1])
-    updates = 0
-    while updates <= max_updates:
-        clean = True
-        for i in range(x.shape[0]):
-            if y[i] * (x[i] @ w) <= 0:
-                w = w + y[i] * x[i]
-                updates += 1
-                clean = False
-                if updates > max_updates:
-                    break
-        if clean:
-            return w
-    if witness is not None:
-        witness = np.asarray(witness, dtype=float)
-        if witness.shape == (x.shape[1],) and np.min(y * (x @ witness)) > 0:
-            return witness
-    raise NotSeparableError(
-        f"perceptron made {max_updates} updates without separating the "
-        "data and no valid witness was supplied"
-    )
-
-
 @dataclass(frozen=True)
 class SVMSolution:
     """Primal and dual description of the max-margin separator."""
 
     w: np.ndarray
     alpha: np.ndarray
-    support: np.ndarray  # indices with alpha above tolerance
+    support: np.ndarray  # indices with alpha > 0
     margin: float  # geometric margin min_i y_i x_i^T w / ||w||
-    n_passes: int
+    n_passes: int  # active-set iterations: passive-set least-squares solves
 
     @property
     def direction(self) -> np.ndarray:
         return self.w / np.linalg.norm(self.w)
 
 
-def hard_margin_svm(x, y, witness=None) -> SVMSolution:
-    """Solve the hard-margin SVM through the origin by dual coordinate ascent.
+def _hull_weights(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``l >= 0`` minimizing ``||A^T l||^2 + (1^T l - 1)^2``, which is the
+    hull weights of ``u*`` times ``1 / (1 + ||u*||^2)``, and the number of
+    passive-set solves.  Lawson-Hanson on ``E = [A^T; 1^T]``, ``b =
+    e_{d+1}``: the index of largest dual ``E^T (b - E l)`` enters while it
+    exceeds the rounding level of forming it, and a weight the new
+    least-squares solution would make nonpositive stops the step at the
+    boundary and leaves.  Finite in exact arithmetic; like Lawson and
+    Hanson's own code, this gives up after 3n solves.
+    """
+    n, d = a.shape
+    e = np.vstack([a.T, np.ones(n)])
+    b = np.eye(d + 1)[d]
+    tol = (n + d + 1) * np.finfo(float).eps * float(np.abs(e).sum(axis=0).max()) ** 2
+    l, passive, solves = np.zeros(n), np.zeros(n, dtype=bool), 0
+    while solves < 3 * n:
+        dual = np.where(passive, -np.inf, e.T @ (b - e @ l))
+        j = int(np.argmax(dual))
+        if not dual[j] > tol:
+            return l, solves
+        passive[j] = True
+        while True:
+            solves += 1
+            s = np.zeros(n)
+            # A one-member stack: numpy's SVD and linalg's rank cut, no scipy.
+            s[passive] = min_norm_solve(e[None][..., passive], b[None])[0]
+            if np.all(s[passive] > 0):
+                break
+            out = np.flatnonzero(passive & (s <= 0))
+            ratios = l[out] / (l[out] - s[out])
+            k = int(np.argmin(ratios))
+            l += ratios[k] * (s - l)
+            l[out[k]] = 0.0
+            passive &= l > 0
+        l = s
+    raise NumericalFailure(f"the max-margin active set did not settle in {3 * n} solves")
 
-    Separability is certified first (see ``find_separator``); infeasible
-    data raise NotSeparableError there.  The ascent then sweeps
-    coordinates cyclically, maintaining ``w = sum_i alpha_i y_i x_i``
-    incrementally, and stops when the largest projected dual gradient
-    falls below ``SVM_TOL``.  On certified-separable data failure to
-    reach ``SVM_TOL`` within ``SVM_MAX_PASSES`` is a NumericalFailure, not
-    a separability verdict.
+
+def hard_margin_svm(x, y, witness=None) -> SVMSolution:
+    """Solve the hard-margin SVM through the origin by one nearest-point solve.
+
+    ``u*`` at zero to rounding raises NotSeparableError.  ``w = u* /
+    ||u*||^2`` is polished to the min-norm solution of ``A_S w = 1`` on
+    the support ``S`` and certified, or NumericalFailure is raised: its
+    margin is at least ``1 / ||w||`` (every ``y_i x_i^T w >= 1``) and the
+    ``witness``'s margin, when given, less ``(n + d) eps max_i ||x_i||``.
+    That rounding bound is normwise: ``generate_separable``'s points carry
+    the rounding of a shift relative to the point before it.
     """
     x, y = _check_labels(x, y)
-    sq_norms = np.einsum("ij,ij->i", x, x)
-    if np.any(sq_norms == 0):
-        # A zero sample can never achieve positive margin.
-        raise NotSeparableError("dataset contains the zero vector")
-    find_separator(x, y, witness=witness)
-
-    n = x.shape[0]
-    alpha = np.zeros(n)
-    w = np.zeros(x.shape[1])
-    for sweep in range(1, SVM_MAX_PASSES + 1):
-        worst = 0.0
-        for i in range(n):
-            g = 1.0 - y[i] * (x[i] @ w)
-            viol = abs(g) if alpha[i] > 0 else max(g, 0.0)
-            if viol > worst:
-                worst = viol
-            if viol == 0.0:
-                continue
-            new_alpha = max(0.0, alpha[i] + g / sq_norms[i])
-            delta = new_alpha - alpha[i]
-            if delta != 0.0:
-                w = w + delta * y[i] * x[i]
-                alpha[i] = new_alpha
-        if worst <= SVM_TOL:
-            support = np.flatnonzero(alpha > SVM_TOL)
-            norm = float(np.linalg.norm(w))
-            margin = float(np.min(y * (x @ w)) / norm)
-            return SVMSolution(
-                w=w, alpha=alpha, support=support, margin=margin, n_passes=sweep
+    n, d = x.shape
+    a = x * y[:, None]
+    tol = (n + d) * np.finfo(float).eps * float(np.linalg.norm(x, axis=1).max())
+    witness_margin = -np.inf
+    if witness is not None:
+        witness = np.asarray(witness, dtype=float)
+        if witness.shape != (d,) or not np.all(np.isfinite(witness)) or not np.any(witness):
+            raise InvalidInput(f"witness must be a finite nonzero vector of length {d}")
+        witness_margin = float(np.min(a @ witness) / np.linalg.norm(witness))
+    l, solves = _hull_weights(a)
+    u = (l @ a) / l.sum()
+    if not np.linalg.norm(u) > tol:
+        if witness_margin > 0:
+            raise NumericalFailure(
+                f"the witness separates at margin {witness_margin:g}, but the "
+                "max-margin solve cannot tell the hull of the points from the origin"
             )
-    raise NumericalFailure(
-        f"dual ascent did not reach tol={SVM_TOL:g} within {SVM_MAX_PASSES} "
-        "passes on certified-separable data"
-    )
+        raise NotSeparableError(
+            "the origin lies in the convex hull of the points y_i x_i: no "
+            "direction through the origin separates them"
+        )
+    support = np.flatnonzero(l > 0)
+    w = min_norm_solve(a[None, support], np.ones((1, len(support))))[0]
+    norm_w = float(np.linalg.norm(w))
+    margin = float(np.min(a @ w)) / norm_w
+    bound = max(1.0 / norm_w, witness_margin)
+    if not margin >= bound - tol:
+        raise NumericalFailure(
+            f"max-margin solve not certified: margin {margin:.17g} is below "
+            f"{bound:.17g} by more than rounding"
+        )
+    alpha = l / (l.sum() * (u @ u))
+    return SVMSolution(w=w, alpha=alpha, support=support, margin=margin, n_passes=solves)
 
 
 def direction_gap(w, reference) -> float:

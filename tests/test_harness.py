@@ -370,6 +370,38 @@ def _run_check_data(directory, monkeypatch):
     return script.main()
 
 
+def test_check_references_script_gates_the_benchmark_csvs(tmp_path):
+    # The references themselves, under the names run_all.py writes, pass;
+    # one value moved past the benchmark's rtol of 1e-8 does not.
+    repo = os.path.join(os.path.dirname(__file__), os.pardir)
+    refs = os.path.join(repo, "perfbench", "references")
+    for ref, stem in [
+        ("rff-rkhs", "rff_sweep_rkhs"),
+        ("bias-variance", "bias_variance"),
+        ("sparse-risk", "sparse_risk"),
+        ("implicit-bias", "implicit_bias"),
+    ]:
+        with open(os.path.join(refs, f"{ref}.csv")) as fh:
+            (tmp_path / f"{stem}.csv").write_text(fh.read())
+    script = [sys.executable, os.path.join(repo, "scripts", "check_references.py")]
+
+    def check():
+        return subprocess.run(
+            [*script, "--out", str(tmp_path)], capture_output=True, text=True, timeout=60
+        )
+
+    proc = check()
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    path = tmp_path / "implicit_bias.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    *cells, gap = lines[-1].rstrip("\n").split(",")
+    lines[-1] = ",".join([*cells, repr(float(gap) * (1 + 1e-7))]) + "\n"
+    path.write_text("".join(lines))
+    proc = check()
+    assert proc.returncode == 1
+    assert "FAIL  implicit-bias" in proc.stdout and "column direction_gap" in proc.stdout
+
+
 @pytest.mark.parametrize("case", ["good", "swapped-files", "label-above-9", "missing-file"])
 def test_check_data_script_reports_usable_sets_only(tmp_path, monkeypatch, capsys, case):
     _write_fake_mnist(tmp_path)
@@ -648,6 +680,34 @@ def test_cli_margin_below_rounding_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "n, margin, statuses", [(8, "0.001", (0,)), (50, "0.0001", (0,)), (50, "5e-16", (0, 1))]
+)
+def test_cli_small_margins_end_promptly(tmp_path, n, margin, statuses):
+    # The max-margin reference is one finite solve, whose work does not
+    # grow with (radius / margin)^2 as an iterative dual ascent's does.
+    # 5e-16 passes validate (floor d * eps = 4.4e-16) and may end in one
+    # error line.  A fresh interpreter with a timeout turns a hang into a
+    # failure.
+    cfg = _cfg(
+        tmp_path,
+        f"experiment = implicit-bias\nseed = 0\nn = {n}\nd = 2\nmargin = {margin}\n"
+        "max_iters = 50\n",
+    )
+    argv = ["implicit-bias", "--config", cfg, "--out", str(tmp_path / "x.csv")]
+    src = os.path.dirname(os.path.dirname(descentlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "descentlab.harness.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode in statuses, proc.stderr
+    if proc.returncode == 1:
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "name, keys",
     [
         ("rff-sweep", "n_grid = 20, 1000000000000\n"),
@@ -834,12 +894,14 @@ def _loaded(modules, package: str) -> list[str]:
 
 # A run that must not load these at all: bias-variance and polyfit's
 # pseudo-inverse route (the default) are numpy alone, sparse-risk needs
-# only scipy.linalg of scipy, and an rff-sweep on MNIST no exact kernel.
+# only scipy.linalg of scipy, and the exact Gaussian kernel of rff-sweep's
+# rkhs-target labels and of kernel-approx is numpy alone.
 _NEVER_LOADED = {
     "bias-variance": ("scipy",),
     "polyfit": ("scipy",),
     "sparse-risk": ("scipy.special", "scipy.spatial"),
     "rff-sweep": ("scipy.spatial", "scipy.special"),
+    "kernel-approx": ("scipy.spatial",),
 }
 
 
@@ -860,9 +922,8 @@ def test_a_run_loads_no_module(tmp_path, monkeypatch, name, keys):
     report = _fresh_cli(tmp_path, [name, "--config", cfg, "--out", str(tmp_path / "x.csv")])
     assert report["status"] == [0]
     assert report["loaded_in_run"] == []
-    # polyfit's gradient descent loads descent, so scipy.special; the
-    # rkhs-target labels of rff-sweep are exact kernel sums (scipy.spatial).
-    more = "gradient_descent" in keys or (name == "rff-sweep" and "mnist" not in keys)
+    # polyfit's gradient descent loads descent, so scipy.special.
+    more = "gradient_descent" in keys
     for package in () if more else _NEVER_LOADED.get(name, ()):
         assert _loaded(report["modules"], package) == []
 

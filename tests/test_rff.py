@@ -33,9 +33,24 @@ def test_kernel_hand_values():
     assert k2[0, 1] == pytest.approx(math.exp(-0.25))
 
 
+def test_kernel_sums_the_squared_differences_in_order():
+    # The squared distance is the float sum over the input dimensions,
+    # first to last, as scipy's cdist "sqeuclidean" forms it.
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((5, 9)) * 3.0, rng.standard_normal((4, 9))
+    sq = np.zeros((5, 4))
+    for i, j in np.ndindex(sq.shape):
+        for ak, bk in zip(a[i].tolist(), b[j].tolist()):
+            sq[i, j] += (ak - bk) * (ak - bk)
+    want = np.exp(-sq / (2.0 * 1.7**2))
+    np.testing.assert_array_equal(gaussian_kernel(a, b, bandwidth=1.7), want)
+
+
 def test_kernel_rejects_bad_bandwidth():
     with pytest.raises(InvalidInput):
         gaussian_kernel(np.eye(2), np.eye(2), bandwidth=0.0)
+    with pytest.raises(InvalidInput, match="dimension"):
+        gaussian_kernel(np.eye(2), np.eye(3), bandwidth=1.0)
     with pytest.raises(InvalidInput):
         sample_map(10, 2, -1.0, seed=0)
 

@@ -5,13 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
+from descentlab import separable
 from descentlab.descent import GDConfig, get_loss, max_stable_step
 from descentlab.errors import ConfigError, InvalidInput, NotSeparableError, NumericalFailure
 from descentlab.linalg import min_norm_solve
 from descentlab.seeding import derive_seed
 from descentlab.separable import (
     direction_gap,
-    find_separator,
     generate_separable,
     hard_margin_svm,
     implicit_bias_run,
@@ -70,49 +70,28 @@ def test_generate_separable_validation():
 def test_generate_separable_refuses_a_margin_lost_to_rounding():
     # At margin 1e-300 the shifted points sit at a computed margin of
     # rounding noise, some of it negative, so the witness does not
-    # separate; that is an error here, not a perceptron budget later.
+    # separate; that is an error here, before any solve.
     with pytest.raises(NumericalFailure, match="witness leaves a point"):
         generate_separable(50, 2, 1e-300, seed=0)
 
 
-# ---------------------------------------------------------------- separator
+# ------------------------------------------------------------ separability
 
 
-def test_find_separator_on_easy_data():
-    x, y, _ = generate_separable(30, 2, 0.5, seed=53)
-    w = find_separator(x, y)
-    assert np.min(y * (x @ w)) > 0
-
-
-def test_find_separator_witness_fallback():
-    x, y, witness = generate_separable(10, 2, 0.5, seed=54)
-    # With no perceptron budget the witness has to save the day.
-    w = find_separator(x, y, witness=witness, max_updates=0)
-    np.testing.assert_array_equal(w, witness)
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        # The same point with both labels can never be separated.
+        ([[1.0], [1.0]], [1.0, -1.0]),
+        # Separable only with a bias term: no direction through the origin.
+        ([[1.0], [2.0]], [1.0, -1.0]),
+        # A zero sample can never achieve a positive margin.
+        ([[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0]),
+    ],
+)
+def test_not_separable_raises(x, y):
     with pytest.raises(NotSeparableError):
-        find_separator(x, y, max_updates=0)
-    # A witness that does not separate, or has the wrong length, is not
-    # trusted.
-    for bad in (-witness, np.append(witness, 0.0)):
-        with pytest.raises(NotSeparableError):
-            find_separator(x, y, witness=bad, max_updates=0)
-
-
-def test_not_separable_raises():
-    # The same point with both labels can never be separated.
-    x = np.array([[1.0], [1.0]])
-    y = np.array([1.0, -1.0])
-    with pytest.raises(NotSeparableError):
-        find_separator(x, y, max_updates=2000)
-    with pytest.raises(NotSeparableError):
-        hard_margin_svm(x, y)
-
-
-def test_zero_point_is_not_separable():
-    x = np.array([[0.0, 0.0], [1.0, 1.0]])
-    y = np.array([1.0, 1.0])
-    with pytest.raises(NotSeparableError):
-        hard_margin_svm(x, y)
+        hard_margin_svm(np.array(x), np.array(y))
 
 
 # ---------------------------------------------------------------------- SVM
@@ -129,6 +108,10 @@ def test_svm_two_point_hand_case():
     np.testing.assert_allclose(sol.alpha, [0.0, 1.0], atol=1e-8)
     assert sol.margin == pytest.approx(1.0, abs=1e-8)
     np.testing.assert_allclose(sol.direction, [1.0, 0.0], atol=1e-8)
+    # The positive point enters first (ties go to the lower index), the
+    # negative one joins, and the step back to the boundary drops the
+    # positive one: three passive-set solves.
+    assert sol.n_passes == 3
 
 
 def test_svm_matches_brute_force_on_small_instances():
@@ -141,7 +124,35 @@ def test_svm_matches_brute_force_on_small_instances():
         ref = brute_force_svm(x, y)
         assert ref is not None
         rel = abs(sol.w @ sol.w - ref @ ref) / (ref @ ref)
-        assert rel <= 1e-8, f"instance {i}: objective off by {rel:.2e}"
+        assert rel <= 1e-12, f"instance {i}: objective off by {rel:.2e}"
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        # Support {0, 1}: w = (1, -1) has y x^T w = 1 at both points, but
+        # its margin 1/sqrt(2) is below the witness (1, 0)'s margin 1.
+        ([0.5, 0.5], "margin 0.7071067811865475.* below 1 "),
+        # Support {1}: w = (0.4, 0.2) leaves point 0 at y x^T w = 0.4, a
+        # margin of 0.4 / ||w|| = 0.894 below 1 / ||w|| = 2.236.
+        ([0.0, 0.5], "margin 0.89442719099991.* below 2.23606797749979"),
+    ],
+)
+def test_an_uncertified_solve_is_a_numerical_failure(monkeypatch, weights, message):
+    x = np.array([[1.0, 0.0], [-2.0, -1.0]])
+    y = np.array([1.0, -1.0])
+    sol = hard_margin_svm(x, y, witness=[1.0, 0.0])
+    np.testing.assert_allclose(sol.w, [1.0, 0.0], atol=1e-15)
+    monkeypatch.setattr(separable, "_hull_weights", lambda a: (np.array(weights), 1))
+    with pytest.raises(NumericalFailure, match=message):
+        hard_margin_svm(x, y, witness=[1.0, 0.0])
+
+
+def test_a_witness_of_the_wrong_shape_is_refused():
+    x, y, witness = generate_separable(10, 2, 0.5, seed=54)
+    for bad in (np.append(witness, 0.0), np.zeros(2), [np.nan, 1.0]):
+        with pytest.raises(InvalidInput, match="witness"):
+            hard_margin_svm(x, y, witness=bad)
 
 
 def test_svm_dual_primal_consistency():
