@@ -10,13 +10,15 @@ files, a diverging run, a floating-point overflow, division by zero or
 invalid value, or a run too large for memory), 2 for configuration
 problems.
 
-Importing this module puts ``OPENBLAS_NUM_THREADS=1`` in the environment
-before numpy or scipy loads OpenBLAS, unless the variable is already set:
-every process of a run then computes on one BLAS thread, and a run gets
-its parallelism from processes (``parallel.map_trials``) instead.  A value
-of your own wins, and the CSV bytes of the random-feature experiments then
-follow it.  Programs that import the library without this module keep
-OpenBLAS's default of one thread per CPU.
+Inside ``parallel.map_trials`` every process computes on one BLAS
+thread, whether the library is imported or run from here; a run gets its
+parallelism from those processes instead.  For the work outside it,
+importing this module puts ``OPENBLAS_NUM_THREADS=1`` in the environment
+before numpy or scipy loads OpenBLAS, unless the variable is already set.
+A value of your own wins there, and the bytes that work writes (the
+kernel-approx and emc CSVs, the rkhs-target labels) may then follow it.
+Outside ``map_trials`` a program that imports the library without this
+module keeps OpenBLAS's default of one thread per CPU.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ Numbers are written in the shortest decimal form that round-trips to the
 same float, infinities as the literal ``inf``, so a rerun with the same
 config produces a byte-identical file.  Writes go through a temporary
 file in the target directory, created if missing, followed by an atomic
-rename; an output location that cannot be created is a ConfigError.
+rename; an output location that cannot be created or replaced is a
+ConfigError, and no temporary file is left behind.
 """
 
 from __future__ import annotations
@@ -59,7 +60,10 @@ def write_csv(path, comment_lines, columns, rows, trailing_comments=()) -> None:
                 fh.write(",".join(format_value(v) for v in row) + "\n")
             for line in trailing_comments:
                 fh.write(f"# {line}\n")
-        os.replace(tmp_path, path)
+        try:
+            os.replace(tmp_path, path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {path}: {exc}") from None
     except BaseException:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)

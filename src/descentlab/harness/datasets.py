@@ -191,7 +191,7 @@ def make_rkhs_regression(
     sum_k alpha_k k(c_k, x)`` over fixed random centers, so responses are
     bounded by ``sum_k |alpha_k|``.
     """
-    # ``rff`` loads scipy; only this function of the module needs it.
+    # Only this function of the module needs ``rff``.
     from ..rff import gaussian_kernel
 
     if n_train < 1 or n_test < 0 or input_dim < 1 or n_centers < 1:

@@ -23,8 +23,9 @@ from .config import ExperimentConfig, effective_config_lines
 from .csvio import write_csv
 
 # What each experiment's runner needs, by module name (a leading dot is
-# relative to ``descentlab``): its own imports, and ``scipy.linalg`` where
-# a 2-d min-norm solve or an RFF product reaches ``linalg._scipy_linalg``.
+# relative to ``descentlab``): its own imports, ``scipy.linalg`` where a
+# 2-d min-norm solve reaches ``linalg._scipy_linalg``, and ``numpy.ma``,
+# which ``np.median`` imports on its first call, where scipy does not.
 # polyfit's gradient-descent route also needs ``descent`` (added by
 # ``import_modules``).  A module missing here would load inside ``run``
 # and be timed with it; the tests run every experiment and check that
@@ -32,7 +33,7 @@ from .csvio import write_csv
 MODULES = {
     "sparse-risk": (".sparse_regression", "scipy.linalg"),
     "rff-sweep": (".rff", ".harness.datasets", "scipy.linalg"),
-    "kernel-approx": (".rff", "scipy.linalg"),
+    "kernel-approx": (".rff", "numpy.ma"),
     "implicit-bias": (".descent", ".separable"),
     "polyfit": (".polyfit",),
     "bias-variance": (".polyfit",),

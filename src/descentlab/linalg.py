@@ -19,22 +19,11 @@ certified, go to LAPACK ``gelsd`` instead: SVD-based, with the same
 cutoff, but it never forms the singular vectors.  A stack of fits is
 factored by one stacked SVD call.
 
-The BLAS products of a Gram solve and of a random-feature fit (``rff``)
-run in ``scipy.linalg.blas``, not through numpy's ``@``.  The numpy and
-scipy wheels each bundle their own OpenBLAS (numpy 2.4.6 bundles 0.3.31,
-scipy 1.17.1 bundles 0.3.30), each with its own worker threads.  The CLI
-runs every process on one BLAS thread (``harness.cli``), and there
-``_matmul``, ``_gram`` and ``_norm`` make the calls numpy makes: with
-numpy's ``@`` in their place, the rff-rkhs, rff-mnist, sparse-risk, emc
-and kernel-approx sample CSVs were byte-identical (2-core x86-64 host).
-They are kept for threaded BLAS, which a program that imports the
-library without the CLI, or a preset ``OPENBLAS_NUM_THREADS``, gets.
-There a fit that alternated numpy products with scipy's LAPACK kept one
-library's idle workers busy-waiting on the cores the other needed; with
-the products on scipy's OpenBLAS, which already does the LAPACK work,
-numpy's workers never wake.  On more than one thread the two builds may
-split a product between threads differently, so the bits follow the
-library that computes them.
+Products are numpy's operators.  The thread count of numpy's and
+scipy's OpenBLAS moves their last bits: inside ``parallel.map_trials``
+every process computes on one BLAS thread, whether the library is
+imported or run through the CLI; outside it, a program that imports the
+library keeps OpenBLAS's default.
 
 scipy is reached only through ``_scipy_linalg``, which imports it on
 first need: ``svd``, the stacked solve and the projectors are numpy
@@ -45,20 +34,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
+from .parallel import _one_thread_on_loaded_pools
 
 EPS = 1e-12
 
 
 @cache
 def _scipy_linalg():
-    """``scipy.linalg``, imported on the first call."""
+    """``scipy.linalg``, imported on the first call; inside
+    ``parallel.map_trials`` its OpenBLAS then joins numpy's on one thread."""
     import scipy.linalg
 
+    _one_thread_on_loaded_pools()
     return scipy.linalg
 
 
@@ -86,74 +78,6 @@ def _as_matrix(a, stacked: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise InvalidInput("matrix contains NaN or Inf entries")
     return a
-
-
-def _f_view(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(f, trans)`` for a C- or F-ordered ``a``: ``f`` is ``a`` (``trans``
-    0) or ``a.T`` (``trans`` 1), whichever is Fortran-ordered."""
-    return (a, 0) if a.flags.f_contiguous else (a.T, 1)
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for float64 operands of one or two dimensions, on scipy's BLAS.
-
-    For C- or F-ordered operands this is the call numpy makes: ``ddot``
-    for a single output, ``dgemv`` when ``a`` has one row or ``b`` one
-    column (or is 1-d), ``dgemm`` otherwise, each reading the operands in
-    their own memory order.  Left to numpy are the products it forms
-    without BLAS (no inner dimension of at least two) and operands in
-    neither order, which numpy hands to BLAS with a leading dimension that
-    scipy's wrappers cannot take.  ``a @ a.T`` is ``_gram(a)``.
-    """
-    if a.shape[-1] < 2 or a.size == 0 or b.size == 0 or not (a.flags.forc and b.flags.forc):
-        return a @ b
-    row = a.ndim == 1 or a.shape[0] == 1
-    column = b.ndim == 1 or b.shape[1] == 1
-    blas = _scipy_linalg().blas
-    if row and column:
-        dot = blas.ddot(a.ravel(), b.ravel())
-        out = a.shape[:-1] + b.shape[1:]
-        return np.full(out, dot) if out else np.float64(dot)
-    # dgemv's ``trans`` goes in as its tenth positional argument: f2py's
-    # keyword parsing costs more than the whole product at refinement sizes.
-    if column:
-        f, trans = _f_view(a)
-        v = blas.dgemv(1.0, f, b.ravel(), 0.0, None, 0, 1, 0, 1, trans)
-        return v if b.ndim == 1 else v[:, None]
-    if row:
-        f, trans = _f_view(b.T)
-        v = blas.dgemv(1.0, f, a.ravel(), 0.0, None, 0, 1, 0, 1, trans)
-        return v if a.ndim == 1 else v[None]
-    # Column-major BLAS forms the transpose of the C-ordered result.
-    fb, trans_b = _f_view(b.T)
-    fa, trans_a = _f_view(a.T)
-    return blas.dgemm(1.0, fb, fa, trans_a=trans_b, trans_b=trans_a).T
-
-
-def _gram(a: np.ndarray) -> np.ndarray:
-    """``a @ a.T`` on scipy's BLAS, as numpy computes it for C- or F-ordered ``a``.
-
-    numpy sees that the operands share one buffer and calls syrk for one
-    triangle, then mirrors it; ``_matmul(a, a.T)`` would call gemm.  The
-    lower triangle of ``dsyrk`` on the Fortran-ordered view is numpy's
-    triangle.  It is mirrored by adding its transpose, which adds an exact
-    zero to each off-diagonal entry; the diagonal the sum doubles is put
-    back.  The result is C-ordered, as numpy's is.  With fewer than two
-    rows or columns numpy makes another call, and ``_matmul`` makes it.
-    """
-    if min(a.shape) < 2 or not a.flags.forc:
-        return _matmul(a, a.T)
-    f, trans = _f_view(a)
-    lower = _scipy_linalg().blas.dsyrk(1.0, f, trans=trans, lower=1)
-    full = lower + lower.T
-    full.ravel(order="K")[:: len(full) + 1] = lower.diagonal()
-    return full if full.flags.c_contiguous else full.T  # symmetric
-
-
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm(v)`` on scipy's BLAS: the same ``ddot`` over memory order."""
-    v = v.ravel(order="K")
-    return math.sqrt(_scipy_linalg().blas.ddot(v, v))
 
 
 def _factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,7 +138,7 @@ def _gram_min_norm(z: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     # Symmetric, so its transpose is the same matrix in Fortran order, which
     # dpotrf factors in place; dlange takes the 1-norm column by column,
     # as numpy's ``np.abs(gram).sum(axis=0).max()`` did.
-    gram = _gram(z if wide else z.T).T
+    gram = (z @ z.T if wide else z.T @ z).T
     lapack = _scipy_linalg().lapack
     anorm = lapack.dlange("1", gram)
     chol, info = lapack.dpotrf(gram, clean=False, overwrite_a=1)
@@ -224,19 +148,17 @@ def _gram_min_norm(z: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     if info != 0 or not rcond > (EPS * max(m, n)) ** 2:
         return None
 
-    z_times, zt_times = partial(_matmul, z), partial(_matmul, z.T)
-
     def solve(residual: np.ndarray) -> np.ndarray:
-        a, _ = lapack.dpotrs(chol, residual if wide else zt_times(residual))
-        return zt_times(a) if wide else a
+        a, _ = lapack.dpotrs(chol, residual if wide else z.T @ residual)
+        return z.T @ a if wide else a
 
     beta = solve(y)
     last = math.inf
     for _ in range(REFINE_STEPS):
-        step = solve(y - z_times(beta))
+        step = solve(y - z @ beta)
         beta += step
-        size = _norm(step)
-        if size <= REFINE_TOL * _norm(beta):
+        size = np.linalg.norm(step)
+        if size <= REFINE_TOL * np.linalg.norm(beta):
             return beta
         if not size <= 0.5 * last:
             return None

@@ -19,6 +19,18 @@ Processes rather than threads: the ``scipy.linalg.lapack`` wrappers and
 numpy's linalg gufuncs hold the GIL, so a thread pool over trials gains
 no wall time.
 
+One BLAS thread.  Inside ``map_trials`` every process computes on one
+BLAS thread, whether the library is imported or run through the CLI, so
+the trials neither oversubscribe the cores nor carry bits that depend on
+the thread count.  On entry each bundled OpenBLAS the process has already
+loaded (numpy's, and scipy's once ``scipy.linalg`` is imported) is set to
+one thread, and on exit back to its previous count; the children inherit
+the setting.  scipy's, when ``linalg`` first imports it inside a chunk,
+joins then.  Where the thread-count calls are not found (a system BLAS,
+another wheel layout), the counts are left as they are.  Outside
+``map_trials`` a program that imports the library keeps OpenBLAS's
+default.
+
 Errors.  A child that exits nonzero, or sends fewer bytes than its block
 holds, has its block rerun by the caller, in block order.  Trials are
 deterministic, so the rerun raises the exception a serial run would raise
@@ -42,8 +54,11 @@ warning is silenced at the fork:
 
 from __future__ import annotations
 
+import ctypes
 import os
+import sys
 import warnings
+from contextlib import contextmanager
 from typing import Callable
 
 
@@ -62,31 +77,93 @@ def map_trials(chunk: Callable[[int, int], None], trials: int, *rows) -> None:
     and touch nothing else the caller reads afterwards.  The arrays must
     be C-contiguous with the trials on their first axis.
     """
-    bounds = _bounds(trials)
-    if len(bounds) <= 2:
-        chunk(0, trials)
+    with _one_blas_thread():
+        bounds = _bounds(trials)
+        if len(bounds) <= 2:
+            chunk(0, trials)
+            return
+        pending = []
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                pending.append(_fork(chunk, rows, lo, hi))
+            chunk(bounds[0], bounds[1])
+            while pending:
+                pid, pipe, lo, hi = pending[0]
+                done = False
+                if pid is not None:
+                    done = _receive(pipe, rows, lo, hi)
+                    pipe.close()
+                    done = os.waitpid(pid, 0)[1] == 0 and done
+                pending.pop(0)
+                if not done:
+                    chunk(lo, hi)
+        finally:
+            for pid, pipe, _, _ in pending:
+                if pid is not None:
+                    pipe.close()
+                    os.kill(pid, 9)  # SIGKILL
+                    os.waitpid(pid, 0)
+
+
+# Extension modules that link the OpenBLAS bundled in numpy's and scipy's
+# wheels, with the suffix of that build's symbols: a handle to a module
+# also finds the symbols of the libraries it links.
+_OPENBLAS = (("numpy._core._multiarray_umath", "64_"), ("scipy.linalg._fblas", ""))
+
+
+def _blas_pools() -> dict[str, tuple[Callable[[], int], Callable[[int], None]]]:
+    """The ``(get, set)`` thread-count calls of each bundled OpenBLAS that is
+    loaded, by the module that links it; ``RTLD_NOLOAD`` loads nothing."""
+    pools = {}
+    for module, suffix in _OPENBLAS:
+        path = getattr(sys.modules.get(module), "__file__", None)
+        if path is None:
+            continue
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        pools[module] = (get, set_)
+    return pools
+
+
+# While a one-thread scope is open: for each OpenBLAS it put on one
+# thread, the call and count that restore it.  None outside a scope.
+_restore: dict[str, tuple[Callable[[int], None], int]] | None = None
+
+
+def _one_thread_on_loaded_pools() -> None:
+    """Inside a one-thread scope, put each loaded bundled OpenBLAS that is
+    not on one thread yet there.  ``linalg`` calls it after importing
+    scipy, whose OpenBLAS may first load inside a chunk."""
+    if _restore is None:
         return
-    pending = []
+    for module, (get, set_) in _blas_pools().items():
+        if module not in _restore:
+            _restore[module] = (set_, get())
+            set_(1)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with every bundled OpenBLAS on one thread, then restore
+    each one's count.  A scope opened inside another leaves it to the outer."""
+    global _restore
+    if _restore is not None:
+        yield
+        return
+    _restore = {}
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            pending.append(_fork(chunk, rows, lo, hi))
-        chunk(bounds[0], bounds[1])
-        while pending:
-            pid, pipe, lo, hi = pending[0]
-            done = False
-            if pid is not None:
-                done = _receive(pipe, rows, lo, hi)
-                pipe.close()
-                done = os.waitpid(pid, 0)[1] == 0 and done
-            pending.pop(0)
-            if not done:
-                chunk(lo, hi)
+        _one_thread_on_loaded_pools()
+        yield
     finally:
-        for pid, pipe, _, _ in pending:
-            if pid is not None:
-                pipe.close()
-                os.kill(pid, 9)  # SIGKILL
-                os.waitpid(pid, 0)
+        for set_, count in _restore.values():
+            set_(count)
+        _restore = None
 
 
 def processes(trials: int) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import _gram, _matmul, _norm, min_norm_solve
+from .linalg import min_norm_solve
 from .parallel import balanced_order, map_trials
 from .seeding import substream
 
@@ -83,9 +83,8 @@ class RandomFeatureMap:
                 f"x has {x.shape[1]} columns, feature map expects {self.input_dim}"
             )
         # In place: same arithmetic as scale * cos(x @ omega.T + phase),
-        # without the two extra (rows, n_features) temporaries.  The GEMM
-        # runs on scipy's BLAS, as the solve does (see ``linalg``).
-        z = _matmul(x, self.omega.T)
+        # without the two extra (rows, n_features) temporaries.
+        z = x @ self.omega.T
         z += self.phase
         np.cos(z, out=z)
         z *= math.sqrt(2.0 / self.n_features)
@@ -119,7 +118,7 @@ def kernel_approx_error(feature_map: RandomFeatureMap, points) -> tuple[float, f
     if points.shape[0] < 2:
         raise InvalidInput("need at least two points to compare pairs")
     z = feature_map.transform(points)
-    approx = _gram(z)
+    approx = z @ z.T
     exact = gaussian_kernel(points, points, feature_map.bandwidth)
     idx = np.triu_indices(points.shape[0])
     errs = np.abs(approx - exact)[idx]
@@ -150,7 +149,7 @@ def fit_rff(feature_map: RandomFeatureMap, x, y) -> tuple[np.ndarray, float]:
     z = feature_map.transform(x)
     y = np.asarray(y, dtype=float)
     beta = min_norm_solve(z, y)
-    return beta, _mse(_matmul(z, beta), y)
+    return beta, _mse(z @ beta, y)
 
 
 @dataclass(frozen=True)
@@ -230,8 +229,9 @@ def double_descent_sweep(
             n, r = pairs[order[i]]
             fmap = sample_map(n, input_dim, bandwidth, seed, index=r)
             beta, train_mse = fit_rff(fmap, x_train, y_train)
-            pred_test = _matmul(fmap.transform(x_test), beta)
-            rows[i] = (train_mse, _mse(pred_test, y_test), _zero_one(pred_test, y_test), _norm(beta))
+            pred_test = fmap.transform(x_test) @ beta
+            norm = np.linalg.norm(beta)
+            rows[i] = (train_mse, _mse(pred_test, y_test), _zero_one(pred_test, y_test), norm)
 
     map_trials(chunk, len(pairs), rows)
     by_pair = np.empty_like(rows)

@@ -1,12 +1,16 @@
 """Tests for the forked trial map in ``descentlab.parallel``."""
 
+import json
 import os
+import subprocess
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
 
+import descentlab
 from descentlab import parallel
 from descentlab.parallel import map_trials
 from descentlab.seeding import substream
@@ -179,3 +183,182 @@ def test_the_fork_warning_of_a_threaded_process_is_not_raised(cpus, monkeypatch)
         warnings.simplefilter("always")
         map_trials(chunk, 4, vectors, scalars)
     assert caught == []
+
+
+# ------------------------------------------------------ one BLAS thread
+
+# A sweep whose Gram solves and featurizations are large enough for
+# OpenBLAS to thread them on more than one CPU.  The data are drawn
+# without BLAS, and scipy's OpenBLAS first loads inside the sweep's
+# ``map_trials``.
+_LIBRARY_SWEEP = """
+import json, sys
+from descentlab import parallel, rff
+from descentlab.seeding import substream
+
+parallel.usable_cpus = lambda: int(sys.argv[1])
+rng = substream(3, "library-sweep")
+x, y = rng.standard_normal((300, 10)), rng.standard_normal(300)
+scipy_before = "scipy.linalg" in sys.modules
+points = rff.double_descent_sweep(
+    x[:200], y[:200], x[200:], y[200:], (100, 400), 5.0, seed=4, repeats=2
+)
+fields = ("train_mse", "test_mse", "test_zero_one", "beta_norm")
+bits = [[getattr(p, f).hex() for f in fields] for p in points]
+print(json.dumps({"scipy_before": scipy_before, "bits": bits}))
+"""
+
+
+def _library_sweep(cpus: int, blas_threads: str | None) -> dict:
+    src = os.path.dirname(os.path.dirname(descentlab.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIBRARY_SWEEP, str(cpus)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_library_sweep_at_the_default_blas_threads_has_one_threads_bits(cpus):
+    # Imported without the CLI, numpy and scipy load OpenBLAS at one
+    # thread per CPU; inside map_trials both compute on one thread.
+    default = _library_sweep(cpus, blas_threads=None)
+    assert default["scipy_before"] is False
+    assert default["bits"] == _library_sweep(cpus, blas_threads="1")["bits"]
+
+
+def test_rows_are_the_same_when_no_blas_pool_resolves(cpus, monkeypatch):
+    # A system BLAS or another wheel layout: the thread counts are left
+    # alone and the rows are those of a serial run.
+    monkeypatch.setattr(parallel, "_OPENBLAS", (("numpy._core._multiarray_umath", "_none"),))
+    assert parallel._blas_pools() == {}
+    cpus(2)
+    chunk, vectors, scalars = _fill(7)
+    map_trials(chunk, 7, vectors, scalars)
+    want_chunk, want_vectors, want_scalars = _fill(7)
+    want_chunk(0, 7)
+    np.testing.assert_array_equal(vectors, want_vectors)
+    np.testing.assert_array_equal(scalars, want_scalars)
+    _no_child_left()
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded bundled OpenBLAS on two threads; the counts are put
+    back after the test."""
+    pools = parallel._blas_pools()
+    if not pools:
+        pytest.skip("no bundled OpenBLAS thread-count call resolves here")
+    saved = [get() for get, _ in pools.values()]
+    for _, set_ in pools.values():
+        set_(2)
+    yield [get for get, _ in pools.values()]
+    for (_, set_), count in zip(pools.values(), saved):
+        set_(count)
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_map_trials_runs_on_one_blas_thread_and_restores_the_count(
+    cpus, two_blas_threads, fails
+):
+    cpus(2)
+    counts = np.zeros((4, len(two_blas_threads)))
+
+    def chunk(lo, hi):
+        for i in range(lo, hi):
+            counts[i] = [get() for get in two_blas_threads]
+        if fails and lo == 0:
+            raise RuntimeError("first block failed")
+
+    if fails:
+        with pytest.raises(RuntimeError, match="first block failed"):
+            map_trials(chunk, 4, counts)
+    else:
+        map_trials(chunk, 4, counts)
+        # Both blocks, the caller's and the child's, ran on one thread.
+        np.testing.assert_array_equal(counts, 1)
+    assert counts[0].tolist() == [1] * len(two_blas_threads)
+    assert [get() for get in two_blas_threads] == [2] * len(two_blas_threads)
+    _no_child_left()
+
+
+def test_one_cpu_runs_its_chunk_on_one_blas_thread(cpus, two_blas_threads):
+    # Nothing is forked, and the caller's chunk still runs on one thread.
+    cpus(1)
+    counts = np.zeros((3, len(two_blas_threads)))
+
+    def chunk(lo, hi):
+        for i in range(lo, hi):
+            counts[i] = [get() for get in two_blas_threads]
+
+    map_trials(chunk, 3, counts)
+    np.testing.assert_array_equal(counts, 1)
+    assert [get() for get in two_blas_threads] == [2] * len(two_blas_threads)
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
+    """Thread counts held in a dict, standing in for the loaded OpenBLAS
+    pools: a pool is "loaded" once its name is a key."""
+    counts = {}
+
+    def pools():
+        return {
+            name: (
+                lambda name=name: counts[name],
+                lambda n, name=name: counts.__setitem__(name, n),
+            )
+            for name in counts
+        }
+
+    monkeypatch.setattr(parallel, "_blas_pools", pools)
+    return counts
+
+
+@pytest.mark.parametrize("scipy_loads", ["before", "inside"])
+def test_a_pool_loaded_inside_the_scope_joins_it_and_is_restored(cpus, fake_pools, scipy_loads):
+    # linalg calls _one_thread_on_loaded_pools after it first imports
+    # scipy, whose OpenBLAS may load inside a chunk.
+    cpus(1)
+    fake_pools["numpy"] = 4
+    if scipy_loads == "before":
+        fake_pools["scipy"] = 3
+    seen = []
+
+    def chunk(lo, hi):
+        if scipy_loads == "inside":
+            fake_pools["scipy"] = 3
+        parallel._one_thread_on_loaded_pools()
+        seen.append(dict(fake_pools))
+
+    map_trials(chunk, 2)
+    assert seen == [{"numpy": 1, "scipy": 1}]
+    assert fake_pools == {"numpy": 4, "scipy": 3}
+    # Outside a scope the call changes nothing.
+    parallel._one_thread_on_loaded_pools()
+    assert fake_pools == {"numpy": 4, "scipy": 3}
+
+
+def test_a_nested_map_trials_leaves_the_count_to_the_outer_one(cpus, fake_pools):
+    cpus(1)
+    fake_pools["numpy"] = 4
+    seen = []
+
+    def inner(lo, hi):
+        seen.append(("inner", fake_pools["numpy"]))
+
+    def outer(lo, hi):
+        map_trials(inner, 1)
+        seen.append(("outer, after the inner map", fake_pools["numpy"]))
+
+    map_trials(outer, 1)
+    assert seen == [("inner", 1), ("outer, after the inner map", 1)]
+    assert fake_pools == {"numpy": 4}

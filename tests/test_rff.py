@@ -13,6 +13,7 @@ from descentlab.errors import InvalidInput
 from descentlab.harness.datasets import make_rkhs_regression
 from descentlab.linalg import min_norm_solve
 from descentlab.rff import (
+    RandomFeatureMap,
     double_descent_sweep,
     fit_rff,
     gaussian_kernel,
@@ -85,6 +86,38 @@ def test_transform_matches_the_feature_formula_bit_for_bit(rows):
     points = x[0] if rows is None else x
     expected = math.sqrt(2.0 / 64) * np.cos(points @ fmap.omega.T + fmap.phase)
     np.testing.assert_array_equal(fmap.transform(points), expected)
+
+
+@pytest.mark.parametrize("order_omega", ["C", "F"])
+@pytest.mark.parametrize("order_x", ["C", "F"])
+@pytest.mark.parametrize(
+    "m, k, p",
+    [(5, 7, 3), (1, 7, 3), (5, 7, 1), (1, 7, 1), (5, 1, 3), (9, 2, 9), (40, 30, 20), (3, 64, 33)],
+    ids=[
+        "matrix", "one-row", "one-feature", "one-by-one", "inner-1", "inner-2", "40x30x20", "wide"
+    ],
+)
+def test_transform_matches_the_feature_formula_for_every_memory_order(
+    m, k, p, order_x, order_omega
+):
+    # m points of dimension k, p features; numpy picks the BLAS call for
+    # x @ omega.T from the shapes and memory orders, the in-place tail
+    # must not change what it returns.
+    rng = substream(31, "transform-orders", 10_000 * m + 100 * k + p)
+    fmap = RandomFeatureMap(
+        omega=np.asarray(rng.standard_normal((p, k)), order=order_omega),
+        phase=rng.uniform(0.0, 2.0 * math.pi, size=p),
+        bandwidth=1.0,
+    )
+    x = np.asarray(rng.standard_normal((m, 2 * k)), order=order_x)
+    points = [x[:, :k], x[:, ::2], x[::2, :k]]  # a block and strided views
+    if m == 1:
+        points.append(x[0, :k])
+    for view in points:
+        expected = math.sqrt(2.0 / p) * np.cos(view @ fmap.omega.T + fmap.phase)
+        got = fmap.transform(view)
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_transform_keeps_the_callers_float_error_state():
