@@ -169,24 +169,6 @@ class RFFSweepPoint:
     repeats: int
 
 
-# One ``cos`` of a featurization costs about as much as this many
-# multiply-adds of its GEMM (about 25 ns against 0.055 ns, one OpenBLAS
-# thread on a 2-core x86-64 host).
-_COS_MADDS = 450
-
-
-def _pair_work(n_features: int, n_train: int, n_test: int, input_dim: int) -> float:
-    """Estimated cost of one (width, repeat) pair of the sweep, in GEMM
-    multiply-adds: featurizing the train and test rows (``input_dim`` terms
-    and a ``cos`` per feature) and the ``syrk`` of the Gram solve (half the
-    products of the smaller Gram matrix).  The ``gelsd`` fallbacks near
-    ``n_features = n_train`` cost more than this; the estimate only spreads
-    the pairs over processes and never changes their numbers.
-    """
-    small, large = sorted((n_train, n_features))
-    return (n_train + n_test) * n_features * (input_dim + _COS_MADDS) + small * small * large / 2
-
-
 def double_descent_sweep(
     x_train,
     y_train,
@@ -202,11 +184,11 @@ def double_descent_sweep(
     Every (width, repeat) pair draws its feature map from its own
     substream of ``seed``, so results do not depend on the order of the
     grid or on how pairs are scheduled.  The pairs run on every usable CPU
-    through ``parallel.map_trials``, ordered by ``parallel.balanced_order``
-    so that each process gets about the same estimated work; each fills
-    one row of metrics, and the rows are aggregated per width in grid
-    order.  Each map featurizes the training inputs once, for the fit and
-    the train error, and the test inputs once, for both test metrics.
+    through ``parallel.map_trials``, dealt by width
+    (``parallel.balanced_order``); each fills one row of metrics, and the
+    rows are aggregated per width in grid order.  Each map featurizes the
+    training inputs once, for the fit and the train error, and the test
+    inputs once, for both test metrics.
     """
     if repeats < 1:
         raise InvalidInput(f"repeats must be >= 1, got {repeats}")
@@ -216,11 +198,10 @@ def double_descent_sweep(
     if y_test.shape[:1] != x_test.shape[:1]:
         raise InvalidInput(f"y_test has shape {y_test.shape}, x_test has {x_test.shape[0]} rows")
     input_dim = x_train.shape[1]
-    n_train, n_test = x_train.shape[0], x_test.shape[0]
 
     grid = [int(n) for n in n_features_grid]
     pairs = [(n, r) for n in grid for r in range(repeats)]
-    order = balanced_order([_pair_work(n, n_train, n_test, input_dim) for n, _ in pairs])
+    order = balanced_order([n for n, _ in pairs])
     # Row i holds pair order[i]: train MSE, test MSE, 0-1 error, beta norm.
     rows = np.empty((len(pairs), 4))
 

@@ -31,7 +31,7 @@ from .descent import (
     max_stable_step,
 )
 from .errors import ConfigError, InvalidInput, NotSeparableError, NumericalFailure
-from .linalg import min_norm_solve
+from .linalg import EPS, min_norm_solve
 from .seeding import substream
 
 
@@ -127,25 +127,31 @@ def _hull_weights(a: np.ndarray) -> tuple[np.ndarray, int]:
 def hard_margin_svm(x, y, witness=None) -> SVMSolution:
     """Solve the hard-margin SVM through the origin by one nearest-point solve.
 
-    ``u*`` at zero to rounding raises NotSeparableError.  ``w = u* /
-    ||u*||^2`` is polished to the min-norm solution of ``A_S w = 1`` on
-    the support ``S`` and certified, or NumericalFailure is raised: its
-    margin is at least ``1 / ||w||`` (every ``y_i x_i^T w >= 1``) and the
-    ``witness``'s margin, when given, less ``(n + d) eps max_i ||x_i||``.
-    That rounding bound is normwise: ``generate_separable``'s points carry
-    the rounding of a shift relative to the point before it.
+    The active set runs on the points scaled to a largest norm of 1, the
+    scale of its row of ones, whatever the margin.  ``u*`` at zero to
+    rounding, ``(n + d) eps max_i ||x_i||``, raises NotSeparableError.
+    ``w = u* / ||u*||^2`` is polished to the min-norm solution of ``A_S w
+    = 1`` on the support ``S`` and certified, or NumericalFailure is
+    raised: its margin is at least ``1 / ||w||`` (every ``y_i x_i^T w >=
+    1``) and the ``witness``'s margin, when given, less ``(n + d) EPS
+    max_i ||x_i||``.  ``linalg.EPS``, not eps: the polish's rank cut
+    merges support points less than ``EPS`` apart relative, as
+    ``generate_separable``'s points shifted to the margin may be.  Both
+    bounds are normwise: those points carry the rounding of a shift
+    relative to the point before it.
     """
     x, y = _check_labels(x, y)
     n, d = x.shape
     a = x * y[:, None]
-    tol = (n + d) * np.finfo(float).eps * float(np.linalg.norm(x, axis=1).max())
+    radius = float(np.linalg.norm(x, axis=1).max())
+    tol = (n + d) * np.finfo(float).eps * radius
     witness_margin = -np.inf
     if witness is not None:
         witness = np.asarray(witness, dtype=float)
         if witness.shape != (d,) or not np.all(np.isfinite(witness)) or not np.any(witness):
             raise InvalidInput(f"witness must be a finite nonzero vector of length {d}")
         witness_margin = float(np.min(a @ witness) / np.linalg.norm(witness))
-    l, solves = _hull_weights(a)
+    l, solves = _hull_weights(a / radius if radius > 0 else a)
     u = (l @ a) / l.sum()
     if not np.linalg.norm(u) > tol:
         if witness_margin > 0:
@@ -162,7 +168,7 @@ def hard_margin_svm(x, y, witness=None) -> SVMSolution:
     norm_w = float(np.linalg.norm(w))
     margin = float(np.min(a @ w)) / norm_w
     bound = max(1.0 / norm_w, witness_margin)
-    if not margin >= bound - tol:
+    if not margin >= bound - (n + d) * EPS * radius:
         raise NumericalFailure(
             f"max-margin solve not certified: margin {margin:.17g} is below "
             f"{bound:.17g} by more than rounding"

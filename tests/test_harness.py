@@ -718,22 +718,24 @@ def test_cli_margin_below_what_certifies_is_a_config_error(tmp_path, capsys, mar
 
 
 @pytest.mark.parametrize(
-    "n, d, margin",
+    "n, d, margin, seed",
     [
-        (8, 2, "0.001"),
-        (50, 2, "0.0001"),
-        (50, 2, "1.0000000000000002e-09"),
-        (50, 8, "1.0000000000000002e-09"),
+        (8, 2, "0.001", 0),
+        (50, 2, "0.0001", 0),
+        (50, 2, "1.0000000000000002e-09", 0),
+        (50, 8, "1.0000000000000002e-09", 0),
+        # Both points shifted to the margin, 1e-13 relative apart.
+        (2, 1, "0.001", 25),
     ],
 )
-def test_cli_small_margins_end_promptly(tmp_path, n, d, margin):
+def test_cli_small_margins_end_promptly(tmp_path, n, d, margin, seed):
     # The max-margin reference is one finite solve, whose work does not
     # grow with (radius / margin)^2 as an iterative dual ascent's does.
     # The margin just above the validate floor certifies.  A fresh
     # interpreter with a timeout turns a hang into a failure.
     cfg = _cfg(
         tmp_path,
-        f"experiment = implicit-bias\nseed = 0\nn = {n}\nd = {d}\nmargin = {margin}\n"
+        f"experiment = implicit-bias\nseed = {seed}\nn = {n}\nd = {d}\nmargin = {margin}\n"
         "max_iters = 50\n",
     )
     argv = ["implicit-bias", "--config", cfg, "--out", str(tmp_path / "x.csv")]

@@ -297,7 +297,7 @@ def _sweep_inputs():
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("cpus", [2, 3, 4])
 def test_sweep_does_not_depend_on_the_cpu_count(monkeypatch, cpus):
     args = (*_sweep_inputs(), (5, 30, 60, 120, 240), 2.0, 23, 3)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)

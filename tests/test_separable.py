@@ -87,10 +87,13 @@ def test_generate_separable_refuses_a_margin_lost_to_rounding():
         ([[1.0], [2.0]], [1.0, -1.0]),
         # A zero sample can never achieve a positive margin.
         ([[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0]),
+        # Every point at the origin: there is no scale to normalize by.
+        ([[0.0], [0.0]], [1.0, -1.0]),
     ],
 )
 def test_not_separable_raises(x, y):
-    with pytest.raises(NotSeparableError):
+    # As the CLI runs it: a float fault would raise, not pass as NaN.
+    with np.errstate(all="raise"), pytest.raises(NotSeparableError):
         hard_margin_svm(np.array(x), np.array(y))
 
 
@@ -125,6 +128,17 @@ def test_svm_matches_brute_force_on_small_instances():
         assert ref is not None
         rel = abs(sol.w @ sol.w - ref @ ref) / (ref @ ref)
         assert rel <= 1e-12, f"instance {i}: objective off by {rel:.2e}"
+
+
+@pytest.mark.parametrize("margin", [0.5, 1e-3, 1e-6, 1e-9])
+@pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (5, 1), (2, 2), (50, 2), (50, 8), (50, 50)])
+def test_svm_certifies_every_seed(n, d, margin):
+    # At d = 1 the points shifted to the margin differ by the rounding of
+    # the shift alone: far below the margin's scale, and below the
+    # polish's rank cut.
+    for seed in range(40):
+        x, y, witness = generate_separable(n, d, margin, seed)
+        assert hard_margin_svm(x, y, witness=witness).margin > 0
 
 
 @pytest.mark.parametrize(
