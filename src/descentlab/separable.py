@@ -31,7 +31,7 @@ from .descent import (
     max_stable_step,
 )
 from .errors import ConfigError, InvalidInput, NotSeparableError, NumericalFailure
-from .linalg import EPS, min_norm_solve
+from .linalg import min_norm_solve
 from .seeding import substream
 
 
@@ -127,31 +127,30 @@ def _hull_weights(a: np.ndarray) -> tuple[np.ndarray, int]:
 def hard_margin_svm(x, y, witness=None) -> SVMSolution:
     """Solve the hard-margin SVM through the origin by one nearest-point solve.
 
-    The active set runs on the points scaled to a largest norm of 1, the
-    scale of its row of ones, whatever the margin.  ``u*`` at zero to
-    rounding, ``(n + d) eps max_i ||x_i||``, raises NotSeparableError.
-    ``w = u* / ||u*||^2`` is polished to the min-norm solution of ``A_S w
-    = 1`` on the support ``S`` and certified, or NumericalFailure is
-    raised: its margin is at least ``1 / ||w||`` (every ``y_i x_i^T w >=
-    1``) and the ``witness``'s margin, when given, less ``(n + d) EPS
-    max_i ||x_i||``.  ``linalg.EPS``, not eps: the polish's rank cut
-    merges support points less than ``EPS`` apart relative, as
-    ``generate_separable``'s points shifted to the margin may be.  Both
-    bounds are normwise: those points carry the rounding of a shift
-    relative to the point before it.
+    ``u*`` at zero to rounding raises NotSeparableError.  ``w = u* /
+    ||u*||^2`` is polished to the min-norm solution of ``A_S w = 1`` on
+    the support ``S`` and certified by its duality gap, or
+    NumericalFailure is raised.  No point of the hull is nearer the
+    origin than the optimal margin, so ``w``'s margin must reach, less
+    ``(n + d) eps max_i ||x_i||``, the norm of ``v``, one Gilbert (1966)
+    step from ``u*`` toward the point ``a_k`` of least ``a_k^T u*``, and
+    the ``witness``'s margin, when given.  The step finds the nearer of
+    two points that the active set's duals cannot tell apart, as at
+    ``d = 1`` where ``A_S w = 1`` has no solution for two such points.
+    That rounding bound is normwise: ``generate_separable``'s points carry
+    the rounding of a shift relative to the point before it.
     """
     x, y = _check_labels(x, y)
     n, d = x.shape
     a = x * y[:, None]
-    radius = float(np.linalg.norm(x, axis=1).max())
-    tol = (n + d) * np.finfo(float).eps * radius
+    tol = (n + d) * np.finfo(float).eps * float(np.linalg.norm(x, axis=1).max())
     witness_margin = -np.inf
     if witness is not None:
         witness = np.asarray(witness, dtype=float)
         if witness.shape != (d,) or not np.all(np.isfinite(witness)) or not np.any(witness):
             raise InvalidInput(f"witness must be a finite nonzero vector of length {d}")
         witness_margin = float(np.min(a @ witness) / np.linalg.norm(witness))
-    l, solves = _hull_weights(a / radius if radius > 0 else a)
+    l, solves = _hull_weights(a)
     u = (l @ a) / l.sum()
     if not np.linalg.norm(u) > tol:
         if witness_margin > 0:
@@ -165,10 +164,12 @@ def hard_margin_svm(x, y, witness=None) -> SVMSolution:
         )
     support = np.flatnonzero(l > 0)
     w = min_norm_solve(a[None, support], np.ones((1, len(support))))[0]
-    norm_w = float(np.linalg.norm(w))
-    margin = float(np.min(a @ w)) / norm_w
-    bound = max(1.0 / norm_w, witness_margin)
-    if not margin >= bound - (n + d) * EPS * radius:
+    margin = float(np.min(a @ w)) / float(np.linalg.norm(w))
+    v, step = u, a[np.argmin(a @ u)] - u
+    if step @ step > 0:
+        v = u + min(max(-(u @ step) / (step @ step), 0.0), 1.0) * step
+    bound = max(float(np.linalg.norm(v)), witness_margin)
+    if not margin >= bound - tol:
         raise NumericalFailure(
             f"max-margin solve not certified: margin {margin:.17g} is below "
             f"{bound:.17g} by more than rounding"

@@ -134,8 +134,8 @@ def test_svm_matches_brute_force_on_small_instances():
 @pytest.mark.parametrize("n, d", [(2, 1), (3, 1), (5, 1), (2, 2), (50, 2), (50, 8), (50, 50)])
 def test_svm_certifies_every_seed(n, d, margin):
     # At d = 1 the points shifted to the margin differ by the rounding of
-    # the shift alone: far below the margin's scale, and below the
-    # polish's rank cut.
+    # the shift alone, below what the active set's duals resolve, so its
+    # support may hold the wrong one of them or both.
     for seed in range(40):
         x, y, witness = generate_separable(n, d, margin, seed)
         assert hard_margin_svm(x, y, witness=witness).margin > 0
@@ -145,11 +145,13 @@ def test_svm_certifies_every_seed(n, d, margin):
     "weights, message",
     [
         # Support {0, 1}: w = (1, -1) has y x^T w = 1 at both points, but
-        # its margin 1/sqrt(2) is below the witness (1, 0)'s margin 1.
+        # its margin 1/sqrt(2) is below 1, the norm of the hull point
+        # (1, 0) that the Gilbert step from u = (1.5, 0.5) reaches.
         ([0.5, 0.5], "margin 0.7071067811865475.* below 1 "),
         # Support {1}: w = (0.4, 0.2) leaves point 0 at y x^T w = 0.4, a
-        # margin of 0.4 / ||w|| = 0.894 below 1 / ||w|| = 2.236.
-        ([0.0, 0.5], "margin 0.89442719099991.* below 2.23606797749979"),
+        # margin of 0.4 / ||w|| = 0.894; the step from u = (2, 1) reaches
+        # (1, 0) too.
+        ([0.0, 0.5], "margin 0.89442719099991.* below 1 "),
     ],
 )
 def test_an_uncertified_solve_is_a_numerical_failure(monkeypatch, weights, message):
@@ -158,8 +160,31 @@ def test_an_uncertified_solve_is_a_numerical_failure(monkeypatch, weights, messa
     sol = hard_margin_svm(x, y, witness=[1.0, 0.0])
     np.testing.assert_allclose(sol.w, [1.0, 0.0], atol=1e-15)
     monkeypatch.setattr(separable, "_hull_weights", lambda a: (np.array(weights), 1))
-    with pytest.raises(NumericalFailure, match=message):
-        hard_margin_svm(x, y, witness=[1.0, 0.0])
+    for witness in (None, [1.0, 0.0]):
+        with pytest.raises(NumericalFailure, match=message):
+            hard_margin_svm(x, y, witness=witness)
+
+
+@pytest.mark.parametrize("with_witness", [False, True])
+def test_a_polish_that_separates_nothing_is_refused_at_the_margin_floor(monkeypatch, with_witness):
+    # n = 1000, d = 50 at the margin floor: the max margin is the witness's
+    # 1e-9, and the rounding allowance (n + d) eps max_i ||x_i|| is about
+    # 0.2% of it.  The polished w, tilted until a point sits at margin 0,
+    # is refused.
+    x, y, w_star = generate_separable(1000, 50, 1e-9, seed=0)
+    witness = w_star if with_witness else None
+    a = x * y[:, None]
+    w = hard_margin_svm(x, y, witness=witness).w
+    tilt = np.random.default_rng(0).standard_normal(50)
+    tilt -= (tilt @ w) / (w @ w) * w
+    push = a @ tilt
+    tilted = w + np.min((a @ w)[push < 0] / -push[push < 0]) * tilt
+    assert abs(np.min(a @ tilted)) / np.linalg.norm(tilted) < 1e-12
+    weights = separable._hull_weights(a)
+    monkeypatch.setattr(separable, "_hull_weights", lambda a: weights)
+    monkeypatch.setattr(separable, "min_norm_solve", lambda a_s, ones: tilted[None])
+    with pytest.raises(NumericalFailure, match="not certified"):
+        hard_margin_svm(x, y, witness=witness)
 
 
 def test_a_witness_of_the_wrong_shape_is_refused():
