@@ -16,9 +16,10 @@ its bounds (a minimum, strict lower and upper bounds, another key that
 caps it, as ``p_grid`` entries are capped by ``d``, or, for a list,
 strictly increasing entries), so whatever the runner cannot use is a
 config error at load time.  So is an output path that is a directory, and
-a random-feature run whose largest feature matrices (one per process that
-may hold one), or kernel-approx's pairwise kernel matrices, would not fit
-in physical memory.
+a random-feature run whose largest arrays (for rff-sweep, a feature
+buffer, Gram matrix and map per process that may hold them), or
+kernel-approx's pairwise kernel matrices, would not fit in physical
+memory.
 """
 
 from __future__ import annotations
@@ -285,8 +286,8 @@ def load_config(path, experiment=None, seed=None, output=None) -> ExperimentConf
             for v in _entries(parameters[f.name]):
                 if v > limit:
                     raise ConfigError(f"key {f.name!r}: {v} is above {f.at_most} = {limit}")
-    for what, copies, rows, columns in _largest_arrays(name, parameters):
-        _check_fits(what, copies, rows, columns)
+    for what, copies, shapes in _largest_arrays(name, parameters):
+        _check_fits(what, copies, shapes)
     return ExperimentConfig(
         experiment=name, seed=int(seed), parameters=parameters, output_path=str(output)
     )
@@ -301,36 +302,52 @@ def _physical_memory() -> int | None:
     return pages * page_size if pages > 0 and page_size > 0 else None
 
 
-def _largest_arrays(name: str, parameters: dict) -> tuple[tuple[str, int, int, int], ...]:
+# The input dimension of the MNIST sweep: 28 x 28 pixels.
+_MNIST_PIXELS = 28 * 28
+
+
+def _largest_arrays(name: str, parameters: dict) -> tuple[tuple[str, int, tuple], ...]:
     """The largest float64 arrays a run of this config allocates, as
-    ``(what, copies, rows, columns)``: ``copies`` processes may each hold
-    one at once.  The random-feature experiments featurize their inputs at
-    every width of ``n_grid``: the largest feature matrix has the most rows
-    by the widest map.  rff-sweep fits its (width, repeat) pairs in up to
-    one process per usable CPU (``parallel.map_trials``), any of which may
-    be at the widest map.  kernel-approx also compares all pairs of its
-    points, in ``n_points x n_points`` distance, Gram and kernel
+    ``(what, copies, shapes)``: ``copies`` processes may each hold one
+    array of every ``(rows, columns)`` in ``shapes`` at once.
+
+    The random-feature experiments featurize their inputs at every width
+    of ``n_grid``.  rff-sweep fits its (width, repeat) pairs in up to one
+    process per usable CPU (``parallel.map_trials``), any of which may
+    be at the widest map, and each of which holds at once its feature
+    buffer (the most rows, of ``n_train`` and ``n_test``, by the widest
+    map), the Gram matrix of the widest fit's Cholesky solve (its
+    smaller side squared) and the widest map's frequencies ω (by
+    ``input_dim``, or the 784 pixels of an MNIST image).  kernel-approx
+    holds its largest feature matrix, and it also compares all pairs of
+    its points, in ``n_points x n_points`` distance, Gram and kernel
     matrices."""
     if name == "rff-sweep":
-        rows = max(parameters["n_train"], parameters["n_test"])
+        n_train, widest = parameters["n_train"], parameters["n_grid"][-1]
+        rows = max(n_train, parameters["n_test"])
+        gram = min(n_train, widest)
+        mnist = parameters["dataset"] == "mnist"
+        input_dim = _MNIST_PIXELS if mnist else parameters["input_dim"]
         copies = parallel.processes(len(parameters["n_grid"]) * parameters["repeats"])
-        return (("largest feature matrix", copies, rows, parameters["n_grid"][-1]),)
+        shapes = ((rows, widest), (gram, gram), (widest, input_dim))
+        return (("feature buffer, Gram matrix and map", copies, shapes),)
     if name == "kernel-approx":
         rows = parameters["n_points"]
         return (
-            ("largest feature matrix", 1, rows, parameters["n_grid"][-1]),
-            ("pairwise kernel matrix", 1, rows, rows),
+            ("largest feature matrix", 1, ((rows, parameters["n_grid"][-1]),)),
+            ("pairwise kernel matrix", 1, ((rows, rows),)),
         )
     return ()
 
 
-def _check_fits(what: str, copies: int, rows: int, columns: int) -> None:
-    size = copies * rows * columns * 8
+def _check_fits(what: str, copies: int, shapes: tuple) -> None:
+    size = copies * sum(rows * columns for rows, columns in shapes) * 8
     memory = _physical_memory()
     if memory is not None and size > memory:
         each = f" in each of {copies} processes" if copies > 1 else ""
+        dims = " + ".join(f"{rows} x {columns}" for rows, columns in shapes)
         raise ConfigError(
-            f"the {what}, {rows} x {columns} float64{each} ({size / 2**30:.3g} GiB), "
+            f"the {what}, {dims} float64{each} ({size / 2**30:.3g} GiB), "
             f"exceeds physical memory ({memory / 2**30:.3g} GiB)"
         )
 

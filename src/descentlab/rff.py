@@ -73,8 +73,15 @@ class RandomFeatureMap:
     def input_dim(self) -> int:
         return self.omega.shape[1]
 
-    def transform(self, x) -> np.ndarray:
-        """Featurize one vector (1-d input) or a stack of rows (2-d input)."""
+    def transform(self, x, out=None) -> np.ndarray:
+        """Featurize one vector (1-d input) or a stack of rows (2-d input).
+
+        With ``out``, a C-contiguous float64 array of the result's shape,
+        ``(rows, n_features)`` or ``(n_features,)``, the features are
+        written into it and it is returned: the same products on the same
+        shapes, so the same bits as a fresh result.  A caller that
+        featurizes many inputs can so reuse one buffer.
+        """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         x = np.atleast_2d(x)
@@ -82,12 +89,25 @@ class RandomFeatureMap:
             raise InvalidInput(
                 f"x has {x.shape[1]} columns, feature map expects {self.input_dim}"
             )
+        shape = (x.shape[0], self.n_features)
+        if out is not None:
+            want = shape[1:] if single else shape
+            if not isinstance(out, np.ndarray):
+                raise InvalidInput(f"out must be a numpy array, got {type(out).__name__}")
+            if out.shape != want or out.dtype != np.float64 or not out.flags.c_contiguous:
+                layout = "C-contiguous" if out.flags.c_contiguous else "not C-contiguous"
+                raise InvalidInput(
+                    f"out must be a C-contiguous float64 array of shape {want}, "
+                    f"got {out.dtype} of shape {out.shape}, {layout}"
+                )
         # In place: same arithmetic as scale * cos(x @ omega.T + phase),
         # without the two extra (rows, n_features) temporaries.
-        z = x @ self.omega.T
+        z = np.matmul(x, self.omega.T, out=None if out is None else out.reshape(shape))
         z += self.phase
         np.cos(z, out=z)
         z *= math.sqrt(2.0 / self.n_features)
+        if out is not None:
+            return out
         return z[0] if single else z
 
 
@@ -103,7 +123,10 @@ def sample_map(
         raise InvalidInput("n_features and input_dim must be >= 1")
     bandwidth = _check_bandwidth(bandwidth)
     rng = substream(seed, f"rff-map-{n_features}", index)
-    omega = rng.standard_normal((n_features, input_dim)) / bandwidth
+    # In place, as ω may be the largest array of a fit (8000 x 784 floats
+    # in the MNIST sweep): the same bits as a division into a new array.
+    omega = rng.standard_normal((n_features, input_dim))
+    omega /= bandwidth
     phase = rng.uniform(0.0, 2.0 * math.pi, size=n_features)
     return RandomFeatureMap(omega=omega, phase=phase, bandwidth=bandwidth)
 
@@ -136,7 +159,7 @@ def _zero_one(pred: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.sign(pred) != np.sign(y)))
 
 
-def fit_rff(feature_map: RandomFeatureMap, x, y) -> tuple[np.ndarray, float]:
+def fit_rff(feature_map: RandomFeatureMap, x, y, out=None) -> tuple[np.ndarray, float]:
     """Fit minimum-norm least squares in feature space.
 
     Returns the coefficients ``beta``, of shape ``(n_features,)`` or
@@ -144,9 +167,11 @@ def fit_rff(feature_map: RandomFeatureMap, x, y) -> tuple[np.ndarray, float]:
     features of the fit so that ``x`` is not featurized again.  ``y`` may
     be a vector or a one-hot matrix; columns are fitted jointly from a
     single factorization of the feature matrix.  The prediction at new
-    inputs is ``feature_map.transform(x_new) @ beta``.
+    inputs is ``feature_map.transform(x_new) @ beta``.  ``out`` is passed
+    to ``transform``: the features of ``x`` are written there, and the
+    buffer is free again once the fit returns.
     """
-    z = feature_map.transform(x)
+    z = feature_map.transform(x, out=out)
     y = np.asarray(y, dtype=float)
     beta = min_norm_solve(z, y)
     return beta, _mse(z @ beta, y)
@@ -189,6 +214,13 @@ def double_descent_sweep(
     rows are aggregated per width in grid order.  Each map featurizes the
     training inputs once, for the fit and the train error, and the test
     inputs once, for both test metrics.
+
+    Each process allocates one feature buffer for its block of pairs,
+    ``max(n_train, n_test)`` rows by the widest width in the block, and
+    every fit writes its train features, then its test features, into a
+    ``(rows, width)`` view of it (``transform(..., out=)``).  Fresh
+    feature matrices of every width would leave the allocator holding
+    freed pages; the bits are those of fresh matrices.
     """
     if repeats < 1:
         raise InvalidInput(f"repeats must be >= 1, got {repeats}")
@@ -206,13 +238,20 @@ def double_descent_sweep(
     rows = np.empty((len(pairs), 4))
 
     def chunk(lo: int, hi: int) -> None:
+        widest = max((pairs[order[i]][0] for i in range(lo, hi)), default=0)
+        buffer = np.empty(max(len(x_train), len(x_test)) * widest)
+
+        def features(x, n: int) -> np.ndarray:
+            return buffer[: len(x) * n].reshape(len(x), n)
+
         for i in range(lo, hi):
             n, r = pairs[order[i]]
             fmap = sample_map(n, input_dim, bandwidth, seed, index=r)
-            beta, train_mse = fit_rff(fmap, x_train, y_train)
-            pred_test = fmap.transform(x_test) @ beta
+            beta, train_mse = fit_rff(fmap, x_train, y_train, out=features(x_train, n))
+            pred_test = fmap.transform(x_test, out=features(x_test, n)) @ beta
             norm = np.linalg.norm(beta)
             rows[i] = (train_mse, _mse(pred_test, y_test), _zero_one(pred_test, y_test), norm)
+            del fmap  # free this ω before the next map draws its own
 
     map_trials(chunk, len(pairs), rows)
     by_pair = np.empty_like(rows)

@@ -772,16 +772,21 @@ def test_cli_feature_matrix_beyond_memory_is_a_config_error(tmp_path, capsys, na
     assert not out.exists()
 
 
-def test_feature_matrix_may_fill_physical_memory(tmp_path, monkeypatch):
-    # 1000 training rows (more than the 10 test rows) by 500 features, in
-    # one process.
+# What one process of a sweep holds at its widest fit: at 1000 training
+# rows (more than the 10 test rows) and a widest map of 500 features in 10
+# input dimensions, the 1000 x 500 feature buffer, the 500 x 500 Gram
+# matrix and the 500 x 10 frequencies.
+_SWEEP_PROCESS_BYTES = (1000 * 500 + 500 * 500 + 500 * 10) * 8
+
+
+def test_a_sweep_process_may_fill_physical_memory(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     cfg = _cfg(tmp_path, "experiment = rff-sweep\nn_test = 10\nn_grid = 20, 500\n")
-    size = 1000 * 500 * 8
+    size = _SWEEP_PROCESS_BYTES
     monkeypatch.setattr(config_module, "_physical_memory", lambda: size)
     assert load_config(cfg).parameters["n_grid"] == (20, 500)
     monkeypatch.setattr(config_module, "_physical_memory", lambda: size - 1)
-    with pytest.raises(ConfigError, match="1000 x 500"):
+    with pytest.raises(ConfigError, match="1000 x 500 \\+ 500 x 500 \\+ 500 x 10 float64 "):
         load_config(cfg)
     # Where the system does not report its memory, nothing is refused.
     monkeypatch.setattr(config_module, "_physical_memory", lambda: None)
@@ -792,23 +797,67 @@ def test_feature_matrix_may_fill_physical_memory(tmp_path, monkeypatch):
     "cpus, grid, repeats, copies",
     [(4, "20, 500", 5, 4), (4, "500", 3, 3), (4, "500", 1, 1), (1, "20, 500", 5, 1)],
 )
-def test_each_process_of_a_sweep_may_hold_a_widest_feature_matrix(
+def test_each_process_of_a_sweep_may_hold_a_widest_fit(
     tmp_path, monkeypatch, cpus, grid, repeats, copies
 ):
     # The (width, repeat) pairs run in up to one process per usable CPU,
-    # so up to that many 1000 x 500 feature matrices exist at once.
+    # so up to that many widest fits' arrays exist at once.
     monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
     cfg = _cfg(
         tmp_path,
         f"experiment = rff-sweep\nn_test = 10\nn_grid = {grid}\nrepeats = {repeats}\n",
     )
-    size = copies * 1000 * 500 * 8
+    size = copies * _SWEEP_PROCESS_BYTES
     monkeypatch.setattr(config_module, "_physical_memory", lambda: size)
     assert load_config(cfg)
     monkeypatch.setattr(config_module, "_physical_memory", lambda: size - 1)
     with pytest.raises(ConfigError, match="1000 x 500") as info:
         load_config(cfg)
     assert (f"each of {copies} processes" in str(info.value)) == (copies > 1)
+
+
+@pytest.mark.parametrize(
+    "keys, priced",
+    [
+        # The Gram matrix: 4000 x 4000 beside a 4000 x 8000 buffer.
+        (
+            "n_train = 4000\nn_test = 10\nn_grid = 20, 8000\n",
+            "4000 x 8000 + 4000 x 4000 + 8000 x 10",
+        ),
+        # The map: 8000 x 784 for MNIST, whatever input_dim says.
+        (
+            "dataset = mnist\nn_train = 1000\nn_test = 10\nn_grid = 20, 8000\ninput_dim = 2\n",
+            "1000 x 8000 + 1000 x 1000 + 8000 x 784",
+        ),
+    ],
+    ids=["gram", "mnist-map"],
+)
+def test_a_sweep_whose_feature_matrix_fits_alone_is_refused(
+    tmp_path, monkeypatch, capsys, keys, priced
+):
+    # Memory for two processes' feature matrices, as validate priced a
+    # sweep before it counted the Gram matrix and the map, is not enough.
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    cfg = _cfg(tmp_path, f"experiment = rff-sweep\n{keys}")
+    params = load_config(cfg).parameters
+    rows = max(params["n_train"], params["n_test"])
+    feature_matrices = 2 * rows * params["n_grid"][-1] * 8
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: feature_matrices)
+    assert main(["validate", "--config", cfg]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert f"{priced} float64 in each of 2 processes" in lines[0]
+
+
+def test_every_sample_config_validates_on_a_small_host(monkeypatch, capsys):
+    # 4 CPUs and 1 GiB: the MNIST sweep prices 4 x 210 MB.
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: 2**30)
+    configs = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    paths = sorted(os.path.join(configs, f) for f in os.listdir(configs) if f.endswith(".cfg"))
+    assert len(paths) == 8
+    for path in paths:
+        assert main(["validate", "--config", path]) == 0, capsys.readouterr().err
 
 
 # One small config per experiment, for the checks that cover them all.

@@ -78,6 +78,15 @@ def test_map_sampling_is_deterministic_per_index():
     assert not np.array_equal(a.omega, c.omega)
 
 
+def test_map_frequencies_are_the_normal_draws_over_the_bandwidth():
+    # sample_map divides in place; the bits are those of a new quotient.
+    fmap = sample_map(40, 7, 0.3, seed=5, index=2)
+    rng = substream(5, "rff-map-40", 2)
+    omega = rng.standard_normal((40, 7)) / 0.3
+    np.testing.assert_array_equal(fmap.omega, omega)
+    np.testing.assert_array_equal(fmap.phase, rng.uniform(0.0, 2.0 * math.pi, size=40))
+
+
 @pytest.mark.parametrize("rows", [None, 9, 389], ids=["1-d", "9-rows", "389-rows"])
 def test_transform_matches_the_feature_formula_bit_for_bit(rows):
     # The elementwise tail runs in place on the GEMM's output.
@@ -118,6 +127,33 @@ def test_transform_matches_the_feature_formula_for_every_memory_order(
         got = fmap.transform(view)
         assert got.shape == expected.shape
         np.testing.assert_array_equal(got, expected)
+        # Into the front of a larger flat buffer, as the sweep writes.
+        buffer = np.full(expected.size + 5, np.nan)
+        out = buffer[: expected.size].reshape(expected.shape)
+        assert fmap.transform(view, out=out) is out
+        np.testing.assert_array_equal(out, got)
+        assert np.isnan(buffer[expected.size:]).all()
+
+
+@pytest.mark.parametrize(
+    "x, out",
+    [
+        (np.zeros((5, 3)), np.empty((5, 63))),
+        (np.zeros((5, 3)), np.empty((64, 5))),
+        (np.zeros((5, 3)), np.empty((5, 64), dtype=np.float32)),
+        (np.zeros((5, 3)), np.empty((5, 64), order="F")),
+        (np.zeros((5, 3)), np.empty((5, 128))[:, ::2]),
+        (np.zeros(3), np.empty((1, 64))),
+        (np.zeros((1, 3)), np.empty(64)),
+        (np.zeros((5, 3)), [[0.0] * 64] * 5),
+    ],
+    ids=["columns", "transposed", "float32", "fortran", "strided", "1-d-x", "1-d-out", "list"],
+)
+def test_transform_refuses_an_out_it_cannot_fill_in_place(x, out):
+    fmap = sample_map(n_features=64, input_dim=3, bandwidth=1.0, seed=4)
+    with pytest.raises(InvalidInput, match="^out must be ") as info:
+        fmap.transform(x, out=out)
+    assert "\n" not in str(info.value)
 
 
 def test_transform_keeps_the_callers_float_error_state():
@@ -306,17 +342,82 @@ def test_sweep_does_not_depend_on_the_cpu_count(monkeypatch, cpus):
     assert double_descent_sweep(*args) == serial
 
 
+def _unbuffered_sweep(x_train, y_train, x_test, y_test, grid, bandwidth, seed, repeats):
+    """The width sweep as a plain loop of fresh feature matrices."""
+    points = []
+    for n in grid:
+        per_repeat = np.empty((repeats, 4))
+        for r in range(repeats):
+            fmap = sample_map(n, x_train.shape[1], bandwidth, seed, index=r)
+            beta, train_mse = fit_rff(fmap, x_train, y_train)
+            pred = fmap.transform(x_test) @ beta
+            if y_test.ndim == 2:
+                wrong = np.argmax(pred, axis=1) != np.argmax(y_test, axis=1)
+            else:
+                wrong = np.sign(pred) != np.sign(y_test)
+            per_repeat[r] = (
+                train_mse,
+                float(np.mean((pred - y_test) ** 2)),
+                float(np.mean(wrong)),
+                np.linalg.norm(beta),
+            )
+        points.append(rff.RFFSweepPoint(
+            n, *(float(np.mean(per_repeat[:, j])) for j in range(3)),
+            float(np.median(per_repeat[:, 3])), repeats,
+        ))
+    return points
+
+
+def _one_hot_inputs():
+    # More test rows than training rows, so the test features fill more
+    # of the buffer than the training features.
+    rng = substream(29, "sweep-one-hot")
+    x = rng.uniform(0.0, 1.0, size=(90, 4))
+    y = np.eye(3)[rng.integers(0, 3, size=90)]
+    return x[:30], y[:30], x[30:], y[30:]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("inputs", [_sweep_inputs, _one_hot_inputs], ids=["rkhs", "one-hot"])
+def test_the_buffered_sweep_equals_a_loop_of_fresh_feature_matrices(monkeypatch, cpus, inputs):
+    if cpus > 1 and not hasattr(os, "fork"):
+        pytest.skip("needs fork")
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    args = (*inputs(), (5, 30, 60, 120, 240), 2.0, 23, 3)
+    assert double_descent_sweep(*args) == _unbuffered_sweep(*args)
+
+
+def test_every_featurization_of_a_sweep_writes_into_one_buffer(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    outs = []
+    transform = RandomFeatureMap.transform
+
+    def spy(self, x, out=None):
+        outs.append(out)
+        return transform(self, x, out=out)
+
+    monkeypatch.setattr(RandomFeatureMap, "transform", spy)
+    x_train, y_train, x_test, y_test = _sweep_inputs()  # 60 and 30 rows
+    double_descent_sweep(x_train, y_train, x_test, y_test, (5, 30, 120), 2.0, 23, repeats=2)
+    assert len(outs) == 12 and all(out is not None for out in outs)
+    # Views of one flat base, sized for the widest map by the most rows.
+    base = outs[0].base
+    assert base.shape == (60 * 120,)
+    assert all(out.base is base for out in outs)
+    assert [out.shape for out in outs[:4]] == [(60, 5), (30, 5)] * 2
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_a_pair_failing_in_a_child_raises_as_on_one_cpu(monkeypatch, tmp_path):
     # Of three pairs on two CPUs, the widest is the caller's and the two
     # narrower ones a child's; the width-8 pair fails wherever it runs.
     real_fit = rff.fit_rff
 
-    def fit(fmap, x, y):
+    def fit(fmap, x, y, out=None):
         if fmap.n_features == 8:
             (tmp_path / str(os.getpid())).touch()
             raise InvalidInput("no fit at width 8")
-        return real_fit(fmap, x, y)
+        return real_fit(fmap, x, y, out=out)
 
     monkeypatch.setattr(rff, "fit_rff", fit)
     args = (*_sweep_inputs(), (4, 8, 16), 2.0, 23)
