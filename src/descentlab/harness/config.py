@@ -17,9 +17,9 @@ caps it, as ``p_grid`` entries are capped by ``d``, or, for a list,
 strictly increasing entries), so whatever the runner cannot use is a
 config error at load time.  So is an output path that is a directory, and
 a random-feature run whose largest arrays (for rff-sweep, a feature
-buffer, Gram matrix and map per process that may hold them), or
-kernel-approx's pairwise kernel matrices, would not fit in physical
-memory.
+buffer, Gram matrix and map per process that may hold them; for
+kernel-approx, its widest features, two pairwise matrices, map and
+points) would not fit in physical memory.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
     "polyfit": (
         Field("degree", "int", 20, min=0),
         Field("n", "int", 20, min=1),
-        Field("noise_scale", "float", 0.5),
+        Field("noise_scale", "float", 0.5, min=0),
         Field("truth_degree", "int", 3, min=0),
         Field("grid_points", "int", 256, min=1),
         Field("via", "str", "pseudo_inverse", choices=("pseudo_inverse", "gradient_descent")),
@@ -135,7 +135,7 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
             increasing=True,
         ),
         Field("trials", "int", 5, min=1),
-        Field("noise_scale", "float", 0.1),
+        Field("noise_scale", "float", 0.1, min=0),
     ),
 }
 
@@ -319,9 +319,10 @@ def _largest_arrays(name: str, parameters: dict) -> tuple[tuple[str, int, tuple]
     map), the Gram matrix of the widest fit's Cholesky solve (its
     smaller side squared) and the widest map's frequencies ω (by
     ``input_dim``, or the 784 pixels of an MNIST image).  kernel-approx
-    holds its largest feature matrix, and it also compares all pairs of
-    its points, in ``n_points x n_points`` distance, Gram and kernel
-    matrices."""
+    compares all pairs of its points: at its widest map it holds at once
+    the feature matrix, the exact kernel and the ``n_points x n_points``
+    error matrix it builds in place (``rff.kernel_approx_error``), beside
+    the map's frequencies and the points themselves."""
     if name == "rff-sweep":
         n_train, widest = parameters["n_train"], parameters["n_grid"][-1]
         rows = max(n_train, parameters["n_test"])
@@ -332,11 +333,10 @@ def _largest_arrays(name: str, parameters: dict) -> tuple[tuple[str, int, tuple]
         shapes = ((rows, widest), (gram, gram), (widest, input_dim))
         return (("feature buffer, Gram matrix and map", copies, shapes),)
     if name == "kernel-approx":
-        rows = parameters["n_points"]
-        return (
-            ("largest feature matrix", 1, ((rows, parameters["n_grid"][-1]),)),
-            ("pairwise kernel matrix", 1, ((rows, rows),)),
-        )
+        rows, widest = parameters["n_points"], parameters["n_grid"][-1]
+        dim = parameters["input_dim"]
+        shapes = ((rows, widest), (rows, rows), (rows, rows), (widest, dim), (rows, dim))
+        return (("features, two pairwise matrices, map and points", 1, shapes),)
     return ()
 
 

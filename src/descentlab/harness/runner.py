@@ -191,10 +191,8 @@ def run_bias_variance(config: ExperimentConfig) -> None:
     def truth_fn(x):
         return legendre_predict(truth_coef, x)
 
-    rows = []
-    for degree in p["degrees"]:
-        degree = int(degree)
-        bv = bias_variance_decompose(
+    records = [
+        bias_variance_decompose(
             truth_fn,
             degree,
             p["n"],
@@ -202,34 +200,9 @@ def run_bias_variance(config: ExperimentConfig) -> None:
             p["trials"],
             derive_seed(config.seed, "bias-variance-degree", degree),
         )
-        rows.append(
-            (
-                degree,
-                p["n"],
-                p["noise_scale"],
-                bv.trials,
-                bv.bias_sq,
-                bv.variance,
-                bv.noise,
-                bv.total,
-                bv.total_stderr,
-            )
-        )
-    _emit(
-        config,
-        (
-            "degree",
-            "n",
-            "noise_scale",
-            "trials",
-            "bias_sq",
-            "variance",
-            "noise",
-            "total",
-            "total_stderr",
-        ),
-        rows,
-    )
+        for degree in p["degrees"]
+    ]
+    _emit_records(config, records)
 
 
 def run_emc(config: ExperimentConfig) -> None:

@@ -62,7 +62,6 @@ class SVDResult:
     s: np.ndarray
     vt: np.ndarray
     rank: int
-    cutoff: float
 
     @property
     def s_max(self) -> float:
@@ -88,18 +87,17 @@ def _factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NumericalFailure(f"SVD did not converge for shape {a.shape}") from exc
 
 
-def _rank_cut(s: np.ndarray, shape: tuple[int, int]) -> tuple[float, int]:
-    """Cutoff and numerical rank of one matrix from its singular values."""
+def _rank(s: np.ndarray, shape: tuple[int, int]) -> int:
+    """Numerical rank of one matrix from its singular values: how many exceed the cutoff."""
     cutoff = EPS * max(shape) * (float(s[0]) if s.size else 0.0)
-    return cutoff, int(np.count_nonzero(s > cutoff))
+    return int(np.count_nonzero(s > cutoff))
 
 
 def svd(a) -> SVDResult:
     """Thin SVD with numerical rank via the relative cutoff rule."""
     a = _as_matrix(a)
     u, s, vt = _factors(a)
-    cutoff, rank = _rank_cut(s, a.shape)
-    return SVDResult(u=u, s=s, vt=vt, rank=rank, cutoff=cutoff)
+    return SVDResult(u=u, s=s, vt=vt, rank=_rank(s, a.shape))
 
 
 def pseudo_inverse(a) -> np.ndarray:
@@ -204,7 +202,7 @@ def min_norm_solve(x, y) -> np.ndarray:
     u, s, vt = _factors(x.reshape(k, m, n))
     w = np.empty(x.shape[:-2] + (n,))
     for i, (wi, yi) in enumerate(zip(w.reshape(k, n), y.reshape(k, m))):
-        r = _rank_cut(s[i], (m, n))[1]
+        r = _rank(s[i], (m, n))
         wi[...] = vt[i, :r].T @ ((u[i, :, :r].T @ yi) / s[i, :r])
     return w
 

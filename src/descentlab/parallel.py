@@ -79,9 +79,6 @@ def map_trials(chunk: Callable[[int, int], None], trials: int, *rows) -> None:
     """
     with _one_blas_thread():
         bounds = _bounds(trials)
-        if len(bounds) <= 2:
-            chunk(0, trials)
-            return
         pending = []
         try:
             for lo, hi in zip(bounds[1:-1], bounds[2:]):

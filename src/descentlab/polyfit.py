@@ -130,15 +130,20 @@ class BiasVariance:
 
     ``total`` is the empirical squared error against fresh noisy targets
     at the probe grid, so ``bias_sq + variance + noise`` matches it only
-    up to Monte Carlo error; ``total_stderr`` quantifies that error.
+    up to Monte Carlo error; ``total_stderr`` quantifies that error.  The
+    fields, in order, are the columns of the bias-variance CSV, one row
+    per record.
     """
 
+    degree: int
+    n: int
+    noise_scale: float
+    trials: int
     bias_sq: float
     variance: float
     noise: float
     total: float
     total_stderr: float
-    trials: int
 
 
 Estimator = Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
@@ -234,10 +239,13 @@ def bias_variance_decompose(
     total = float(np.mean(totals))
     total_stderr = float(np.std(totals, ddof=1) / np.sqrt(trials))
     return BiasVariance(
+        degree=degree,
+        n=n,
+        noise_scale=noise_scale,
+        trials=trials,
         bias_sq=bias_sq,
         variance=variance,
         noise=noise_scale**2,
         total=total,
         total_stderr=total_stderr,
-        trials=trials,
     )

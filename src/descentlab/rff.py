@@ -138,13 +138,20 @@ def kernel_approx_error(feature_map: RandomFeatureMap, points) -> tuple[float, f
     ``z(x)^T z(x)`` fluctuates around 1 by the cos^2 terms.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[0] < 2:
+    n = points.shape[0]
+    if n < 2:
         raise InvalidInput("need at least two points to compare pairs")
-    z = feature_map.transform(points)
-    approx = z @ z.T
+    # In place, and the kernel dropped once used: at most two n x n
+    # matrices and the features are alive at once.
     exact = gaussian_kernel(points, points, feature_map.bandwidth)
-    idx = np.triu_indices(points.shape[0])
-    errs = np.abs(approx - exact)[idx]
+    z = feature_map.transform(points)
+    errs = z @ z.T
+    errs -= exact
+    del exact
+    np.abs(errs, out=errs)
+    # The upper triangle in row order, as ``np.triu_indices`` lists it,
+    # picked by a boolean mask an eighth the size of the index arrays.
+    errs = errs[np.arange(n)[:, None] <= np.arange(n)]
     return float(np.max(errs)), float(np.mean(errs))
 
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,6 +40,7 @@ from descentlab.harness.datasets import (
     write_idx,
 )
 from descentlab.harness.emc import emc_scan, min_norm_linear_procedure
+from descentlab.rff import kernel_approx_error, sample_map
 from descentlab.seeding import substream
 
 
@@ -150,6 +152,8 @@ def test_load_config_rejections(tmp_path):
         "experiment = bias-variance\ndegrees = 3, -1\n",
         "experiment = bias-variance\ntruth_degree = -1\n",
         "experiment = bias-variance\nnoise_scale = -0.1\n",
+        "experiment = polyfit\nnoise_scale = -1\n",
+        "experiment = emc\nnoise_scale = -0.5\n",
         "experiment = kernel-approx\nn_points = 1\n",
         "experiment = kernel-approx\ninput_dim = 0\n",
         "experiment = kernel-approx\nbandwidth = -1\n",
@@ -195,6 +199,8 @@ def test_validate_rejects_values_that_cannot_run(tmp_path, text, capsys):
         "experiment = implicit-bias\nn = 2\nd = 1\nstep_fraction = 1e-9\n",
         "experiment = implicit-bias\nstep_fraction = 0.999999\n",
         "experiment = kernel-approx\nn_points = 2\n",
+        "experiment = polyfit\nnoise_scale = 0\n",
+        "experiment = emc\nnoise_scale = 0\n",
     ],
 )
 def test_validate_accepts_values_on_the_bounds(tmp_path, text):
@@ -758,6 +764,8 @@ def test_cli_small_margins_end_promptly(tmp_path, n, d, margin, seed):
         ("kernel-approx", "n_points = 1000000000\nn_grid = 100, 10000\n"),
         # The 160 MB feature matrix fits; the 320 GB pairwise matrices do not.
         ("kernel-approx", "n_points = 200000\nn_grid = 100\n"),
+        # An 80 GB map beside kilobytes of features and pairwise matrices.
+        ("kernel-approx", "n_points = 2\ninput_dim = 1000000\nn_grid = 10000\n"),
     ],
 )
 def test_cli_feature_matrix_beyond_memory_is_a_config_error(tmp_path, capsys, name, keys):
@@ -847,6 +855,50 @@ def test_a_sweep_whose_feature_matrix_fits_alone_is_refused(
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
     assert f"{priced} float64 in each of 2 processes" in lines[0]
+
+
+def _priced_bytes(path):
+    """What validate prices a config at: every process's arrays, in bytes."""
+    config = load_config(path)
+    arrays = config_module._largest_arrays(config.experiment, config.parameters)
+    return sum(copies * sum(r * c for r, c in shapes) * 8 for _, copies, shapes in arrays)
+
+
+# Beside the arrays validate prices, a call holds numpy's iterator buffers
+# (``np.getbufsize()`` entries for each of two operands) and a few array
+# headers: constant working memory, like the interpreter's own.
+_NUMPY_SCRATCH = 2 * np.getbufsize() * 8 + 4096
+
+
+@pytest.mark.parametrize("n_points", [300, 600])
+def test_kernel_approx_is_priced_at_its_traced_peak(tmp_path, n_points):
+    cfg = _cfg(tmp_path, f"experiment = kernel-approx\nn_points = {n_points}\nn_grid = 50\n")
+    kernel_approx_error(sample_map(50, 5, 1.0, seed=0), np.eye(2, 5))  # first-call allocations
+    tracemalloc.start()
+    try:
+        points = np.random.default_rng(0).uniform(size=(n_points, 5))
+        kernel_approx_error(sample_map(50, 5, 1.0, seed=0), points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    features = n_points * 50 * 8
+    assert peak <= 2.6 * n_points**2 * 8 + features
+    assert _priced_bytes(cfg) + _NUMPY_SCRATCH >= peak
+
+
+def test_kernel_approx_beyond_its_pairwise_peak_is_refused(tmp_path, monkeypatch, capsys):
+    # Room for one pairwise matrix, as validate priced kernel-approx
+    # before it counted what the error computation holds at once.
+    cfg = _cfg(tmp_path, "experiment = kernel-approx\nn_points = 2000\nn_grid = 100\n")
+    one_matrix, priced = 2000 * 2000 * 8, _priced_bytes(cfg)
+    assert priced == (2000 * 100 + 2 * 2000 * 2000 + 100 * 5 + 2000 * 5) * 8
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: 1.5 * one_matrix)
+    assert main(["validate", "--config", cfg]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert "2000 x 100 + 2000 x 2000 + 2000 x 2000 + 100 x 5 + 2000 x 5 float64" in lines[0]
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: priced)
+    assert main(["validate", "--config", cfg]) == 0
 
 
 def test_every_sample_config_validates_on_a_small_host(monkeypatch, capsys):
@@ -1171,7 +1223,7 @@ _SMALL_CONFIGS = {
         dict,
         degree=_ints(0, 30),
         n=_ints(1, 10),
-        noise_scale=_floats(-1e300, 1e300),
+        noise_scale=_floats(0, 1e300),
         truth_degree=_ints(0, 6),
         grid_points=_ints(1, 20),
         via=st.sampled_from(["pseudo_inverse", "gradient_descent"]),
@@ -1190,7 +1242,7 @@ _SMALL_CONFIGS = {
         eps=_floats(0, 1e300),
         n_grid=_grid(1, 10),
         trials=_ints(1, 3),
-        noise_scale=_floats(-1e300, 1e300),
+        noise_scale=_floats(0, 1e300),
     ),
 }
 
