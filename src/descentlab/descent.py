@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError, DivergenceError, InvalidInput
 from .linalg import _as_matrix, kernel_projector, min_norm_solve, svd
@@ -110,18 +109,21 @@ class LogisticLoss:
         return np.logaddexp(0.0, -u)
 
     def dvalues(self, u: np.ndarray) -> np.ndarray:
-        return -expit(-u)
+        return -self.at_negated_margins(-u)[1]
 
     def curvature(self, u: np.ndarray) -> np.ndarray:
-        return expit(u) * expit(-u)
+        return self.dvalues(u) * self.dvalues(-u)
 
     def smoothness(self, u: np.ndarray) -> float:
         # Curvature is globally capped at 1/4 regardless of the margins.
         return self.beta
 
     def at_negated_margins(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(values(-v), -dvalues(-v))`` bit for bit."""
-        return np.logaddexp(0.0, v), expit(v)
+        """``(values(-v), -dvalues(-v))``.  The weights ``1 / (1 + exp(-v))``
+        are ``1 - exp(-terms)``: no overflow, and exactly 1 and 0 at +inf
+        and -inf."""
+        terms = np.logaddexp(0.0, v)
+        return terms, -np.expm1(-terms)
 
 
 _LOSSES = {

@@ -14,7 +14,7 @@ Inside ``parallel.map_trials`` every process computes on one BLAS
 thread, whether the library is imported or run from here; a run gets its
 parallelism from those processes instead.  For the work outside it,
 importing this module puts ``OPENBLAS_NUM_THREADS=1`` in the environment
-before numpy or scipy loads OpenBLAS, unless the variable is already set.
+before numpy loads OpenBLAS, unless the variable is already set.
 A value of your own wins there, and the bytes that work writes (the
 kernel-approx and emc CSVs, the rkhs-target labels) may then follow it.
 Outside ``map_trials`` a program that imports the library without this
@@ -27,15 +27,13 @@ import argparse
 import os
 import sys
 
-# Read by each bundled OpenBLAS (numpy's and scipy's) when it loads, so it
-# must be set before numpy is imported.  At the sizes of these experiments
-# a second BLAS thread bought little, and its workers competed with the
-# forked processes of the sweeps and Monte Carlo loops for the same cores.
+# Read by numpy's bundled OpenBLAS when it loads, so it must be set before
+# numpy is imported.  At the sizes of these experiments a second BLAS
+# thread bought little, and its workers competed with the forked processes
+# of the sweeps and Monte Carlo loops for the same cores.
 # ``parallel._one_blas_thread`` around ``run`` would give the same CSV
 # bytes, but it acts only after the import, and OpenBLAS starts its
-# workers when it loads: on a 2-core host, importing numpy, scipy.special
-# and scipy.linalg took a median 0.46 s at the default threads against
-# 0.33 s at one.
+# workers when it loads.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np

@@ -286,8 +286,7 @@ def load_config(path, experiment=None, seed=None, output=None) -> ExperimentConf
             for v in _entries(parameters[f.name]):
                 if v > limit:
                     raise ConfigError(f"key {f.name!r}: {v} is above {f.at_most} = {limit}")
-    for what, copies, shapes in _largest_arrays(name, parameters):
-        _check_fits(what, copies, shapes)
+    _check_fits(_largest_arrays(name, parameters))
     return ExperimentConfig(
         experiment=name, seed=int(seed), parameters=parameters, output_path=str(output)
     )
@@ -307,22 +306,24 @@ _MNIST_PIXELS = 28 * 28
 
 
 def _largest_arrays(name: str, parameters: dict) -> tuple[tuple[str, int, tuple], ...]:
-    """The largest float64 arrays a run of this config allocates, as
+    """The largest float64 arrays a run of this config holds at once, as
     ``(what, copies, shapes)``: ``copies`` processes may each hold one
-    array of every ``(rows, columns)`` in ``shapes`` at once.
+    array of every ``(rows, columns)`` in ``shapes``.
 
     The random-feature experiments featurize their inputs at every width
-    of ``n_grid``.  rff-sweep fits its (width, repeat) pairs in up to one
-    process per usable CPU (``parallel.map_trials``), any of which may
-    be at the widest map, and each of which holds at once its feature
-    buffer (the most rows, of ``n_train`` and ``n_test``, by the widest
-    map), the Gram matrix of the widest fit's Cholesky solve (its
-    smaller side squared) and the widest map's frequencies ω (by
-    ``input_dim``, or the 784 pixels of an MNIST image).  kernel-approx
-    compares all pairs of its points: at its widest map it holds at once
-    the feature matrix, the exact kernel and the ``n_points x n_points``
-    error matrix it builds in place (``rff.kernel_approx_error``), beside
-    the map's frequencies and the points themselves."""
+    of ``n_grid``.  rff-sweep draws or loads its ``n_train + n_test``
+    input rows (by ``input_dim``, or the 784 pixels of an MNIST image)
+    once, before its forked processes share them.  It fits its (width,
+    repeat) pairs in up to one process per usable CPU
+    (``parallel.map_trials``), any of which may be at the widest map, and
+    each of which holds at once its feature buffer (the most rows, of
+    ``n_train`` and ``n_test``, by the widest map), the Gram matrix of
+    the widest fit's Cholesky solve (its smaller side squared) and the
+    widest map's frequencies ω.  kernel-approx compares all pairs of its
+    points: at its widest map it holds at once the feature matrix, the
+    exact kernel and the ``n_points x n_points`` error matrix it builds in
+    place (``rff.kernel_approx_error``), beside the map's frequencies and
+    the points themselves."""
     if name == "rff-sweep":
         n_train, widest = parameters["n_train"], parameters["n_grid"][-1]
         rows = max(n_train, parameters["n_test"])
@@ -331,7 +332,10 @@ def _largest_arrays(name: str, parameters: dict) -> tuple[tuple[str, int, tuple]
         input_dim = _MNIST_PIXELS if mnist else parameters["input_dim"]
         copies = parallel.processes(len(parameters["n_grid"]) * parameters["repeats"])
         shapes = ((rows, widest), (gram, gram), (widest, input_dim))
-        return (("feature buffer, Gram matrix and map", copies, shapes),)
+        return (
+            ("input rows", 1, ((n_train + parameters["n_test"], input_dim),)),
+            ("feature buffer, Gram matrix and map", copies, shapes),
+        )
     if name == "kernel-approx":
         rows, widest = parameters["n_points"], parameters["n_grid"][-1]
         dim = parameters["input_dim"]
@@ -340,14 +344,18 @@ def _largest_arrays(name: str, parameters: dict) -> tuple[tuple[str, int, tuple]
     return ()
 
 
-def _check_fits(what: str, copies: int, shapes: tuple) -> None:
-    size = copies * sum(rows * columns for rows, columns in shapes) * 8
+def _check_fits(arrays: tuple[tuple[str, int, tuple], ...]) -> None:
+    """Refuse a run whose ``arrays``, all held at once, exceed physical memory."""
+    size = 8 * sum(copies * r * c for _, copies, shapes in arrays for r, c in shapes)
     memory = _physical_memory()
     if memory is not None and size > memory:
-        each = f" in each of {copies} processes" if copies > 1 else ""
-        dims = " + ".join(f"{rows} x {columns}" for rows, columns in shapes)
+        parts = []
+        for what, copies, shapes in arrays:
+            each = f" in each of {copies} processes" if copies > 1 else ""
+            dims = " + ".join(f"{rows} x {columns}" for rows, columns in shapes)
+            parts.append(f"the {what}, {dims} float64{each}")
         raise ConfigError(
-            f"the {what}, {dims} float64{each} ({size / 2**30:.3g} GiB), "
+            f"{', beside '.join(parts)} ({size / 2**30:.3g} GiB), "
             f"exceeds physical memory ({memory / 2**30:.3g} GiB)"
         )
 

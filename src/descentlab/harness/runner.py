@@ -23,21 +23,20 @@ from .config import ExperimentConfig, effective_config_lines
 from .csvio import write_csv
 
 # What each experiment's runner needs, by module name (a leading dot is
-# relative to ``descentlab``): its own imports, ``scipy.linalg`` where a
-# 2-d min-norm solve reaches ``linalg._scipy_linalg``, and ``numpy.ma``,
-# which ``np.median`` imports on its first call, where scipy does not.
+# relative to ``descentlab``): its own imports and ``numpy.ma``, which
+# ``np.median`` and ``np.unique`` import on their first call.
 # polyfit's gradient-descent route also needs ``descent`` (added by
 # ``import_modules``).  A module missing here would load inside ``run``
 # and be timed with it; the tests run every experiment and check that
 # ``sys.modules`` does not grow.
 MODULES = {
-    "sparse-risk": (".sparse_regression", "scipy.linalg"),
-    "rff-sweep": (".rff", ".harness.datasets", "scipy.linalg"),
+    "sparse-risk": (".sparse_regression", "numpy.ma"),
+    "rff-sweep": (".rff", ".harness.datasets", "numpy.ma"),
     "kernel-approx": (".rff", "numpy.ma"),
-    "implicit-bias": (".descent", ".separable"),
+    "implicit-bias": (".descent", ".separable", "numpy.ma"),
     "polyfit": (".polyfit",),
     "bias-variance": (".polyfit",),
-    "emc": (".harness.emc", "scipy.linalg"),
+    "emc": (".harness.emc",),
 }
 
 

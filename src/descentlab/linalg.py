@@ -15,43 +15,36 @@ matrix (``X X^T`` or ``X^T X``) with iterative refinement, which is
 several times cheaper than an SVD for a well-conditioned ``X``.  When
 ``X`` is numerically singular, squaring the condition number would lose
 the answer, so those fits, and any other whose Gram solve cannot be
-certified, go to LAPACK ``gelsd`` instead: SVD-based, with the same
-cutoff, but it never forms the singular vectors.  A stack of fits is
-factored by one stacked SVD call.
+certified, go to LAPACK ``gelsd`` instead (``np.linalg.lstsq``):
+SVD-based, with the same cutoff, but it never forms the singular
+vectors.  A stack of fits is factored by one stacked SVD call.
 
-Products are numpy's operators.  The thread count of numpy's and
-scipy's OpenBLAS moves their last bits: inside ``parallel.map_trials``
-every process computes on one BLAS thread, whether the library is
-imported or run through the CLI; outside it, a program that imports the
-library keeps OpenBLAS's default.
+numpy is the only dependency.  The Gram solve calls ``dlange``,
+``dpotrf``, ``dpocon`` and ``dpotrs`` of the OpenBLAS bundled in numpy's
+wheel through ctypes (``parallel._openblas``).  On a numpy without those
+symbols (built against another BLAS, or another wheel layout) the Gram
+route declines, and every single fit goes to ``gelsd``: the same
+solutions up to rounding, more slowly, with no error.
 
-scipy is reached only through ``_scipy_linalg``, which imports it on
-first need: ``svd``, the stacked solve and the projectors are numpy
-alone, so a run that uses nothing else (bias-variance) never loads scipy.
+Products are numpy's operators.  The thread count of numpy's OpenBLAS
+moves their last bits: inside ``parallel.map_trials`` every process
+computes on one BLAS thread, whether the library is imported or run
+through the CLI; outside it, a program that imports the library keeps
+OpenBLAS's default.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
-from .parallel import _one_thread_on_loaded_pools
+from .parallel import _openblas
 
 EPS = 1e-12
-
-
-@cache
-def _scipy_linalg():
-    """``scipy.linalg``, imported on the first call; inside
-    ``parallel.map_trials`` its OpenBLAS then joins numpy's on one thread."""
-    import scipy.linalg
-
-    _one_thread_on_loaded_pools()
-    return scipy.linalg
 
 
 @dataclass(frozen=True)
@@ -117,6 +110,25 @@ REFINE_STEPS = 8
 REFINE_TOL = 1e-10
 
 
+def _lapack():
+    """``dlange``, ``dpotrf``, ``dpocon`` and ``dpotrs`` of numpy's OpenBLAS,
+    or None where any of them is not found.  These are Fortran calls: every
+    argument is an address, and every integer is 64-bit."""
+    p = ctypes.c_void_p
+    calls = (
+        _openblas("dlange_", ctypes.c_double, *[p] * 6),
+        _openblas("dpotrf_", None, *[p] * 5),
+        _openblas("dpocon_", None, *[p] * 9),
+        _openblas("dpotrs_", None, *[p] * 8),
+    )
+    return None if None in calls else calls
+
+
+# ctypes releases the GIL during a call, so the calls share nothing: each
+# solve allocates its own scalars and workspace.
+_LAPACK = _lapack()
+
+
 def _gram_min_norm(z: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     """Min-norm least squares through a Cholesky factor of the Gram matrix.
 
@@ -127,28 +139,46 @@ def _gram_min_norm(z: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     estimate of its reciprocal condition number exceeds the square of the
     ``gelsd`` cutoff (so no singular value ``gelsd`` would drop is kept),
     and iterative refinement, with residuals ``y - z beta`` taken from
-    ``z`` itself, converges.  Otherwise the result is None.
+    ``z`` itself, converges.  Otherwise, or where numpy's OpenBLAS lacks
+    the LAPACK calls, the result is None.
     """
     m, n = z.shape
-    if min(m, n) == 0:
+    if min(m, n) == 0 or _LAPACK is None:
         return None
+    dlange, dpotrf, dpocon, dpotrs = _LAPACK
     wide = n >= m
-    # Symmetric, so its transpose is the same matrix in Fortran order, which
+    # Symmetric, so read in Fortran order it is the same matrix, which
     # dpotrf factors in place; dlange takes the 1-norm column by column,
     # as numpy's ``np.abs(gram).sum(axis=0).max()`` did.
-    gram = (z @ z.T if wide else z.T @ z).T
-    lapack = _scipy_linalg().lapack
-    anorm = lapack.dlange("1", gram)
-    chol, info = lapack.dpotrf(gram, clean=False, overwrite_a=1)
-    if info != 0:
+    gram = z @ z.T if wide else z.T @ z
+    # Every argument of a Fortran call is an address, taken once per solve.
+    # ints: k, nrhs, info, then dpocon's iwork.  reals: anorm, rcond, then
+    # dpocon's work.  rhs: the right-hand sides, which dpotrs solves in
+    # place, in Fortran order as the transpose of the C-order ``rows``.
+    k, nrhs = gram.shape[0], math.prod(y.shape[1:])
+    ints = (ctypes.c_int64 * (3 + k))(k, nrhs)
+    reals = (ctypes.c_double * (2 + 3 * k))()
+    rows = np.empty(y.shape[1:] + (k,))
+    rhs = rows.T
+    # For a C-contiguous array ``addressof(c_char.from_buffer(a))`` is
+    # ``a.ctypes.data`` at a third of the cost.
+    g = ctypes.addressof(ctypes.c_char.from_buffer(gram))
+    b = ctypes.addressof(ctypes.c_char.from_buffer(rows))
+    i, r = ctypes.addressof(ints), ctypes.addressof(reals)
+    pk, pnrhs, info, iwork = i, i + 8, i + 16, i + 24
+    anorm, rcond, work = r, r + 8, r + 16
+    reals[0] = dlange(b"1", pk, pk, g, pk, work)
+    dpotrf(b"U", pk, g, pk, info)
+    if ints[2] != 0:
         return None
-    rcond, info = lapack.dpocon(chol, anorm)
-    if info != 0 or not rcond > (EPS * max(m, n)) ** 2:
+    dpocon(b"U", pk, g, pk, anorm, rcond, work, iwork, info)
+    if ints[2] != 0 or not reals[1] > (EPS * max(m, n)) ** 2:
         return None
 
     def solve(residual: np.ndarray) -> np.ndarray:
-        a, _ = lapack.dpotrs(chol, residual if wide else z.T @ residual)
-        return z.T @ a if wide else a
+        rhs[...] = residual if wide else z.T @ residual
+        dpotrs(b"U", pk, pnrhs, g, pk, b, pk, info)
+        return z.T @ rhs if wide else rhs.copy(order="F")
 
     beta = solve(y)
     last = math.inf
@@ -190,12 +220,9 @@ def min_norm_solve(x, y) -> np.ndarray:
         if w is not None:
             return w
         try:
-            w, _, rank, _ = _scipy_linalg().lstsq(
-                x, y, cond=EPS * max(x.shape), check_finite=False, lapack_driver="gelsd"
-            )
+            return np.linalg.lstsq(x, y, rcond=EPS * max(x.shape))[0]
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"SVD did not converge for shape {x.shape}") from exc
-        return w if rank > 0 else np.zeros((x.shape[1],) + y.shape[1:])
     if y.shape != x.shape[:-1]:
         raise InvalidInput(f"y has shape {y.shape}, expected {x.shape[:-1]}")
     k, (m, n) = math.prod(x.shape[:-2]), x.shape[-2:]

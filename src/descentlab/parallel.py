@@ -15,21 +15,19 @@ any statistic taken over them in trial order, do not depend on the CPU
 count.  With one usable CPU, or one trial, nothing is forked.  Trials of
 uneven cost are spread evenly by running them in ``balanced_order``.
 
-Processes rather than threads: the ``scipy.linalg.lapack`` wrappers and
-numpy's linalg gufuncs hold the GIL, so a thread pool over trials gains
-no wall time.
+Processes rather than threads: numpy's linalg gufuncs hold the GIL, and
+so does the Python of each trial, so a thread pool over trials gained no
+wall time.
 
 One BLAS thread.  Inside ``map_trials`` every process computes on one
 BLAS thread, whether the library is imported or run through the CLI, so
 the trials neither oversubscribe the cores nor carry bits that depend on
-the thread count.  On entry each bundled OpenBLAS the process has already
-loaded (numpy's, and scipy's once ``scipy.linalg`` is imported) is set to
-one thread, and on exit back to its previous count; the children inherit
-the setting.  scipy's, when ``linalg`` first imports it inside a chunk,
-joins then.  Where the thread-count calls are not found (a system BLAS,
-another wheel layout), the counts are left as they are.  Outside
-``map_trials`` a program that imports the library keeps OpenBLAS's
-default.
+the thread count.  On entry the OpenBLAS bundled in numpy's wheel, the
+only BLAS the library calls, is set to one thread, and on exit back to
+its previous count; the children inherit the setting.  Where the
+thread-count calls are not found (a system BLAS, another wheel layout),
+the count is left as it is.  Outside ``map_trials`` a program that
+imports the library keeps OpenBLAS's default.
 
 Errors.  A child that exits nonzero, or sends fewer bytes than its block
 holds, has its block rerun by the caller, in block order.  Trials are
@@ -44,9 +42,9 @@ that has threads forks, and with numpy loaded on more than one BLAS
 thread it has OpenBLAS workers.  The fork is safe here, so that one
 warning is silenced at the fork:
 
-- OpenBLAS (numpy's and scipy's) stops its worker pool through a
-  ``pthread_atfork`` handler before the fork and restarts it on next use,
-  so the child inherits no BLAS lock held by a worker;
+- OpenBLAS stops its worker pool through a ``pthread_atfork`` handler
+  before the fork and restarts it on next use, so the child inherits no
+  BLAS lock held by a worker;
 - the child runs only the chunk, writes its rows and leaves through
   ``os._exit``: no ``finally`` block or ``atexit`` handler of the caller
   runs, and no inherited stdio buffer is flushed twice.
@@ -102,65 +100,39 @@ def map_trials(chunk: Callable[[int, int], None], trials: int, *rows) -> None:
                     os.waitpid(pid, 0)
 
 
-# Extension modules that link the OpenBLAS bundled in numpy's and scipy's
-# wheels, with the suffix of that build's symbols: a handle to a module
-# also finds the symbols of the libraries it links.
-_OPENBLAS = (("numpy._core._multiarray_umath", "64_"), ("scipy.linalg._fblas", ""))
-
-
-def _blas_pools() -> dict[str, tuple[Callable[[], int], Callable[[int], None]]]:
-    """The ``(get, set)`` thread-count calls of each bundled OpenBLAS that is
-    loaded, by the module that links it; ``RTLD_NOLOAD`` loads nothing."""
-    pools = {}
-    for module, suffix in _OPENBLAS:
-        path = getattr(sys.modules.get(module), "__file__", None)
-        if path is None:
-            continue
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        pools[module] = (get, set_)
-    return pools
-
-
-# While a one-thread scope is open: for each OpenBLAS it put on one
-# thread, the call and count that restore it.  None outside a scope.
-_restore: dict[str, tuple[Callable[[int], None], int]] | None = None
-
-
-def _one_thread_on_loaded_pools() -> None:
-    """Inside a one-thread scope, put each loaded bundled OpenBLAS that is
-    not on one thread yet there.  ``linalg`` calls it after importing
-    scipy, whose OpenBLAS may first load inside a chunk."""
-    if _restore is None:
-        return
-    for module, (get, set_) in _blas_pools().items():
-        if module not in _restore:
-            _restore[module] = (set_, get())
-            set_(1)
+# numpy's core extension module links the OpenBLAS bundled in numpy's
+# wheel, and a handle to a module also finds the symbols of the libraries
+# it links.  That build is ILP64 and renames each symbol: ``dpotrf_``
+# becomes ``scipy_dpotrf_64_``.
+def _openblas(name: str, restype, *argtypes) -> Callable | None:
+    """The call ``name`` of the OpenBLAS bundled in numpy's wheel, taking
+    ``argtypes`` and returning ``restype``, or None where numpy is not
+    loaded or the symbol is not found (another BLAS, another wheel
+    layout).  ``RTLD_NOLOAD`` loads nothing."""
+    module = sys.modules.get("numpy._core._multiarray_umath")
+    try:
+        call = ctypes.CDLL(module.__file__, mode=os.RTLD_NOLOAD)[f"scipy_{name}64_"]
+    except (AttributeError, OSError):
+        return None
+    call.argtypes, call.restype = argtypes, restype
+    return call
 
 
 @contextmanager
 def _one_blas_thread():
-    """Run the body with every bundled OpenBLAS on one thread, then restore
-    each one's count.  A scope opened inside another leaves it to the outer."""
-    global _restore
-    if _restore is not None:
+    """Run the body with numpy's OpenBLAS on one thread, then restore its
+    count.  A scope opened inside another restores the one thread it found."""
+    get = _openblas("openblas_get_num_threads", ctypes.c_int)
+    set_ = _openblas("openblas_set_num_threads", None, ctypes.c_int)
+    if get is None or set_ is None:
         yield
         return
-    _restore = {}
+    count = get()
+    set_(1)
     try:
-        _one_thread_on_loaded_pools()
         yield
     finally:
-        for set_, count in _restore.values():
-            set_(count)
-        _restore = None
+        set_(count)
 
 
 def processes(trials: int) -> int:

@@ -101,7 +101,7 @@ def fit_poly_min_norm(xs, ys, degree: int, via: str = "pseudo_inverse") -> np.nd
     if via == "pseudo_inverse":
         return min_norm_solve(design[None], ys[None])[0]
     if via == "gradient_descent":
-        # Only this route needs ``descent`` and, through it, scipy.special.
+        # Only this route needs ``descent``.
         from .descent import GDConfig, gd_least_squares
 
         smax = svd(design).s_max

@@ -110,7 +110,7 @@ def _hull_weights(a: np.ndarray) -> tuple[np.ndarray, int]:
         while True:
             solves += 1
             s = np.zeros(n)
-            # A one-member stack: numpy's SVD and linalg's rank cut, no scipy.
+            # A one-member stack: numpy's SVD and linalg's rank cut.
             s[passive] = min_norm_solve(e[None][..., passive], b[None])[0]
             if np.all(s[passive] > 0):
                 break

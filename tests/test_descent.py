@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import expit
 
 from descentlab.descent import (
     DIVERGENCE_FACTOR,
@@ -173,6 +174,19 @@ def test_logistic_tail_is_sandwiched_by_exponentials():
     tail = -loss.dvalues(u)
     assert np.all(tail <= np.exp(-u) + 1e-15)
     assert np.all(tail >= 0.5 * np.exp(-u) - 1e-15)
+
+
+def test_logistic_weights_are_expit_and_exact_at_the_infinities():
+    rng = substream(15, "logistic-weights")
+    v = np.concatenate([rng.standard_normal(20000), 30.0 * rng.standard_normal(20000)])
+    v = np.concatenate([v, np.linspace(-745.0, 745.0, 30001)])
+    _, weights = LogisticLoss().at_negated_margins(v)
+    # Within 1e-15 of scipy's expit wherever it is a normal number; below
+    # that, expit's exp(-v) overflows to a 0 that the weights resolve.
+    np.testing.assert_allclose(weights, expit(v), rtol=1e-15, atol=np.finfo(float).tiny)
+    with np.errstate(all="raise"):
+        _, weights = LogisticLoss().at_negated_margins(np.array([np.inf, -np.inf]))
+    assert weights.tolist() == [1.0, 0.0]
 
 
 def test_get_loss_lookup():

@@ -766,6 +766,8 @@ def test_cli_small_margins_end_promptly(tmp_path, n, d, margin, seed):
         ("kernel-approx", "n_points = 200000\nn_grid = 100\n"),
         # An 80 GB map beside kilobytes of features and pairwise matrices.
         ("kernel-approx", "n_points = 2\ninput_dim = 1000000\nn_grid = 10000\n"),
+        # 80 GB of input rows beside a few MB of features, Gram matrix and map.
+        ("rff-sweep", "n_train = 100000\nn_test = 10\ninput_dim = 100000\nn_grid = 20\n"),
     ],
 )
 def test_cli_feature_matrix_beyond_memory_is_a_config_error(tmp_path, capsys, name, keys):
@@ -783,14 +785,16 @@ def test_cli_feature_matrix_beyond_memory_is_a_config_error(tmp_path, capsys, na
 # What one process of a sweep holds at its widest fit: at 1000 training
 # rows (more than the 10 test rows) and a widest map of 500 features in 10
 # input dimensions, the 1000 x 500 feature buffer, the 500 x 500 Gram
-# matrix and the 500 x 10 frequencies.
+# matrix and the 500 x 10 frequencies.  Beside them, the processes share
+# the 1010 x 10 input rows.
 _SWEEP_PROCESS_BYTES = (1000 * 500 + 500 * 500 + 500 * 10) * 8
+_SWEEP_INPUT_BYTES = 1010 * 10 * 8
 
 
 def test_a_sweep_process_may_fill_physical_memory(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     cfg = _cfg(tmp_path, "experiment = rff-sweep\nn_test = 10\nn_grid = 20, 500\n")
-    size = _SWEEP_PROCESS_BYTES
+    size = _SWEEP_INPUT_BYTES + _SWEEP_PROCESS_BYTES
     monkeypatch.setattr(config_module, "_physical_memory", lambda: size)
     assert load_config(cfg).parameters["n_grid"] == (20, 500)
     monkeypatch.setattr(config_module, "_physical_memory", lambda: size - 1)
@@ -815,7 +819,7 @@ def test_each_process_of_a_sweep_may_hold_a_widest_fit(
         tmp_path,
         f"experiment = rff-sweep\nn_test = 10\nn_grid = {grid}\nrepeats = {repeats}\n",
     )
-    size = copies * _SWEEP_PROCESS_BYTES
+    size = _SWEEP_INPUT_BYTES + copies * _SWEEP_PROCESS_BYTES
     monkeypatch.setattr(config_module, "_physical_memory", lambda: size)
     assert load_config(cfg)
     monkeypatch.setattr(config_module, "_physical_memory", lambda: size - 1)
@@ -1036,19 +1040,6 @@ def _loaded(modules, package: str) -> list[str]:
     return [m for m in modules if m == package or m.startswith(package + ".")]
 
 
-# A run that must not load these at all: bias-variance, kernel-approx and
-# polyfit's pseudo-inverse route (the default) are numpy alone, sparse-risk
-# needs only scipy.linalg of scipy, and the exact Gaussian kernel of
-# rff-sweep's rkhs-target labels is numpy alone.
-_NEVER_LOADED = {
-    "bias-variance": ("scipy",),
-    "polyfit": ("scipy",),
-    "sparse-risk": ("scipy.special", "scipy.spatial"),
-    "rff-sweep": ("scipy.spatial", "scipy.special"),
-    "kernel-approx": ("scipy",),
-}
-
-
 @pytest.mark.parametrize(
     "name, keys",
     [(name, _TINY_CONFIGS[name]) for name in sorted(_TINY_CONFIGS)]
@@ -1066,10 +1057,8 @@ def test_a_run_loads_no_module(tmp_path, monkeypatch, name, keys):
     report = _fresh_cli(tmp_path, [name, "--config", cfg, "--out", str(tmp_path / "x.csv")])
     assert report["status"] == [0]
     assert report["loaded_in_run"] == []
-    # polyfit's gradient descent loads descent, so scipy.special.
-    more = "gradient_descent" in keys
-    for package in () if more else _NEVER_LOADED.get(name, ()):
-        assert _loaded(report["modules"], package) == []
+    # numpy's bundled OpenBLAS does every solve: no run loads scipy.
+    assert _loaded(report["modules"], "scipy") == []
 
 
 def test_importing_datasets_loads_no_scipy(tmp_path):

@@ -1,6 +1,8 @@
 """Tests for the SVD / pseudo-inverse / minimum-norm layer."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from descentlab import linalg, parallel
 from descentlab.descent import gd_limit_point
 from descentlab.errors import InvalidInput
 from descentlab.harness.datasets import make_rkhs_regression
@@ -224,6 +227,56 @@ def test_ill_conditioned_solves_fall_back_to_gelsd(case):
     z, y = _fallback_cases()[case]
     assert _gram_min_norm(z, y) is None
     np.testing.assert_array_equal(min_norm_solve(z, y), _gelsd(z, y))
+
+
+@pytest.mark.parametrize("case", ["wide", "tall", "square-rank-deficient"])
+def test_without_the_lapack_calls_every_solve_is_gelsds(monkeypatch, case):
+    # numpy built against another BLAS, or another wheel layout: one missing
+    # call makes the Gram route decline, and the solve is gelsd's.
+    def openblas(name, *types):
+        return None if name == "dpotrs_" else parallel._openblas(name, *types)
+
+    monkeypatch.setattr(linalg, "_openblas", openblas)
+    monkeypatch.setattr(linalg, "_LAPACK", linalg._lapack())
+    assert linalg._LAPACK is None
+    z, y = _solve_cases()[case]
+    assert _gram_min_norm(z, y) is None
+    np.testing.assert_array_equal(min_norm_solve(z, y), _gelsd(z, y))
+
+
+def test_solves_in_two_threads_get_the_bits_of_a_serial_run():
+    # ctypes releases the GIL inside each LAPACK call, so the two threads'
+    # solves interleave; each must keep its scalars and workspace apart.
+    rng = substream(36, "threaded-solves")
+    x = rng.standard_normal((60, 100))
+    systems = [(x[:40, :p], x[:40, 0]) for p in (10, 30, 50, 100)]
+    systems += [(x[:, :20], x[:, 30:33]), (x[:20], x[20:40, 0])]
+    systems += [_solve_cases()["square-rank-deficient"], _fallback_cases()["near-singular"]]
+    jobs = [systems[i % len(systems)] for i in range(200)]
+    results = [[None] * len(jobs) for _ in range(3)]
+
+    def run(out):
+        for i, (z, y) in enumerate(jobs):
+            out[i] = min_norm_solve(z, y)
+
+    interval = sys.getswitchinterval()
+    # One BLAS thread, so the bits do not depend on how OpenBLAS splits a
+    # product between concurrent callers.
+    with parallel._one_blas_thread():
+        run(results[0])
+        threads = [threading.Thread(target=run, args=(out,)) for out in results[1:]]
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for out in results[1:]:
+        for got, want in zip(out, results[0]):
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

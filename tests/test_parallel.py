@@ -1,5 +1,6 @@
 """Tests for the forked trial map in ``descentlab.parallel``."""
 
+import ctypes
 import json
 import os
 import subprocess
@@ -189,8 +190,7 @@ def test_the_fork_warning_of_a_threaded_process_is_not_raised(cpus, monkeypatch)
 
 # A sweep whose Gram solves and featurizations are large enough for
 # OpenBLAS to thread them on more than one CPU.  The data are drawn
-# without BLAS, and scipy's OpenBLAS first loads inside the sweep's
-# ``map_trials``.
+# without BLAS.
 _LIBRARY_SWEEP = """
 import json, sys
 from descentlab import parallel, rff
@@ -199,17 +199,16 @@ from descentlab.seeding import substream
 parallel.usable_cpus = lambda: int(sys.argv[1])
 rng = substream(3, "library-sweep")
 x, y = rng.standard_normal((300, 10)), rng.standard_normal(300)
-scipy_before = "scipy.linalg" in sys.modules
 points = rff.double_descent_sweep(
     x[:200], y[:200], x[200:], y[200:], (100, 400), 5.0, seed=4, repeats=2
 )
 fields = ("train_mse", "test_mse", "test_zero_one", "beta_norm")
 bits = [[getattr(p, f).hex() for f in fields] for p in points]
-print(json.dumps({"scipy_before": scipy_before, "bits": bits}))
+print(json.dumps(bits))
 """
 
 
-def _library_sweep(cpus: int, blas_threads: str | None) -> dict:
+def _library_sweep(cpus: int, blas_threads: str | None) -> list:
     src = os.path.dirname(os.path.dirname(descentlab.__file__))
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -228,18 +227,16 @@ def _library_sweep(cpus: int, blas_threads: str | None) -> dict:
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_library_sweep_at_the_default_blas_threads_has_one_threads_bits(cpus):
-    # Imported without the CLI, numpy and scipy load OpenBLAS at one
-    # thread per CPU; inside map_trials both compute on one thread.
-    default = _library_sweep(cpus, blas_threads=None)
-    assert default["scipy_before"] is False
-    assert default["bits"] == _library_sweep(cpus, blas_threads="1")["bits"]
+    # Imported without the CLI, numpy loads OpenBLAS at one thread per
+    # CPU; inside map_trials it computes on one thread.
+    assert _library_sweep(cpus, blas_threads=None) == _library_sweep(cpus, blas_threads="1")
 
 
 def test_rows_are_the_same_when_no_blas_pool_resolves(cpus, monkeypatch):
-    # A system BLAS or another wheel layout: the thread counts are left
+    # A system BLAS or another wheel layout: the thread count is left
     # alone and the rows are those of a serial run.
-    monkeypatch.setattr(parallel, "_OPENBLAS", (("numpy._core._multiarray_umath", "_none"),))
-    assert parallel._blas_pools() == {}
+    monkeypatch.setattr(sys.modules["numpy._core._multiarray_umath"], "__file__", "libnone.so")
+    assert parallel._openblas("openblas_get_num_threads", ctypes.c_int) is None
     cpus(2)
     chunk, vectors, scalars = _fill(7)
     map_trials(chunk, 7, vectors, scalars)
@@ -252,17 +249,16 @@ def test_rows_are_the_same_when_no_blas_pool_resolves(cpus, monkeypatch):
 
 @pytest.fixture
 def two_blas_threads():
-    """Every loaded bundled OpenBLAS on two threads; the counts are put
-    back after the test."""
-    pools = parallel._blas_pools()
-    if not pools:
+    """numpy's OpenBLAS on two threads; its thread-count getter is yielded,
+    and the count is put back after the test."""
+    get = parallel._openblas("openblas_get_num_threads", ctypes.c_int)
+    set_ = parallel._openblas("openblas_set_num_threads", None, ctypes.c_int)
+    if get is None or set_ is None:
         pytest.skip("no bundled OpenBLAS thread-count call resolves here")
-    saved = [get() for get, _ in pools.values()]
-    for _, set_ in pools.values():
-        set_(2)
-    yield [get for get, _ in pools.values()]
-    for (_, set_), count in zip(pools.values(), saved):
-        set_(count)
+    saved = get()
+    set_(2)
+    yield get
+    set_(saved)
 
 
 @pytest.mark.parametrize("fails", [False, True])
@@ -270,11 +266,11 @@ def test_map_trials_runs_on_one_blas_thread_and_restores_the_count(
     cpus, two_blas_threads, fails
 ):
     cpus(2)
-    counts = np.zeros((4, len(two_blas_threads)))
+    counts = np.zeros(4)
 
     def chunk(lo, hi):
         for i in range(lo, hi):
-            counts[i] = [get() for get in two_blas_threads]
+            counts[i] = two_blas_threads()
         if fails and lo == 0:
             raise RuntimeError("first block failed")
 
@@ -285,80 +281,49 @@ def test_map_trials_runs_on_one_blas_thread_and_restores_the_count(
         map_trials(chunk, 4, counts)
         # Both blocks, the caller's and the child's, ran on one thread.
         np.testing.assert_array_equal(counts, 1)
-    assert counts[0].tolist() == [1] * len(two_blas_threads)
-    assert [get() for get in two_blas_threads] == [2] * len(two_blas_threads)
+    assert counts[0] == 1
+    assert two_blas_threads() == 2
     _no_child_left()
 
 
 def test_one_cpu_runs_its_chunk_on_one_blas_thread(cpus, two_blas_threads):
     # Nothing is forked, and the caller's chunk still runs on one thread.
     cpus(1)
-    counts = np.zeros((3, len(two_blas_threads)))
+    counts = np.zeros(3)
 
     def chunk(lo, hi):
         for i in range(lo, hi):
-            counts[i] = [get() for get in two_blas_threads]
+            counts[i] = two_blas_threads()
 
     map_trials(chunk, 3, counts)
     np.testing.assert_array_equal(counts, 1)
-    assert [get() for get in two_blas_threads] == [2] * len(two_blas_threads)
+    assert two_blas_threads() == 2
 
 
 @pytest.fixture
-def fake_pools(monkeypatch):
-    """Thread counts held in a dict, standing in for the loaded OpenBLAS
-    pools: a pool is "loaded" once its name is a key."""
-    counts = {}
-
-    def pools():
-        return {
-            name: (
-                lambda name=name: counts[name],
-                lambda n, name=name: counts.__setitem__(name, n),
-            )
-            for name in counts
-        }
-
-    monkeypatch.setattr(parallel, "_blas_pools", pools)
-    return counts
+def fake_pool(monkeypatch):
+    """A thread count held in a one-element list, standing in for numpy's
+    OpenBLAS pool."""
+    count = [4]
+    calls = {
+        "openblas_get_num_threads": lambda: count[0],
+        "openblas_set_num_threads": lambda n: count.__setitem__(0, n),
+    }
+    monkeypatch.setattr(parallel, "_openblas", lambda name, *types: calls[name])
+    return count
 
 
-@pytest.mark.parametrize("scipy_loads", ["before", "inside"])
-def test_a_pool_loaded_inside_the_scope_joins_it_and_is_restored(cpus, fake_pools, scipy_loads):
-    # linalg calls _one_thread_on_loaded_pools after it first imports
-    # scipy, whose OpenBLAS may load inside a chunk.
+def test_a_nested_map_trials_leaves_the_count_to_the_outer_one(cpus, fake_pool):
     cpus(1)
-    fake_pools["numpy"] = 4
-    if scipy_loads == "before":
-        fake_pools["scipy"] = 3
-    seen = []
-
-    def chunk(lo, hi):
-        if scipy_loads == "inside":
-            fake_pools["scipy"] = 3
-        parallel._one_thread_on_loaded_pools()
-        seen.append(dict(fake_pools))
-
-    map_trials(chunk, 2)
-    assert seen == [{"numpy": 1, "scipy": 1}]
-    assert fake_pools == {"numpy": 4, "scipy": 3}
-    # Outside a scope the call changes nothing.
-    parallel._one_thread_on_loaded_pools()
-    assert fake_pools == {"numpy": 4, "scipy": 3}
-
-
-def test_a_nested_map_trials_leaves_the_count_to_the_outer_one(cpus, fake_pools):
-    cpus(1)
-    fake_pools["numpy"] = 4
     seen = []
 
     def inner(lo, hi):
-        seen.append(("inner", fake_pools["numpy"]))
+        seen.append(("inner", fake_pool[0]))
 
     def outer(lo, hi):
         map_trials(inner, 1)
-        seen.append(("outer, after the inner map", fake_pools["numpy"]))
+        seen.append(("outer, after the inner map", fake_pool[0]))
 
     map_trials(outer, 1)
     assert seen == [("inner", 1), ("outer, after the inner map", 1)]
-    assert fake_pools == {"numpy": 4}
+    assert fake_pool == [4]

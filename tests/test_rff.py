@@ -6,7 +6,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from descentlab import parallel, rff
 from descentlab.errors import InvalidInput
@@ -173,13 +172,13 @@ def test_sweep_takes_the_gram_route_past_the_threshold(monkeypatch):
     # one CPU every pair runs in this process, where the calls are seen.
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
     fallback_widths = []
-    lstsq = scipy.linalg.lstsq
+    lstsq = np.linalg.lstsq
 
     def counting_lstsq(z, *args, **kwargs):
         fallback_widths.append(z.shape[1])
         return lstsq(z, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "lstsq", counting_lstsq)
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     n = 200
     ds = make_rkhs_regression(n, 50, input_dim=10, n_centers=20, bandwidth=1.0, seed=21)
     double_descent_sweep(ds.x_train, ds.y_train, ds.x_test, ds.y_test,
