@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FormatError, InvalidInput
+from ..rff import gaussian_kernel
 from ..seeding import substream
 
 DATA_DIR_ENV = "DESCENTLAB_DATA"
@@ -191,9 +192,6 @@ def make_rkhs_regression(
     sum_k alpha_k k(c_k, x)`` over fixed random centers, so responses are
     bounded by ``sum_k |alpha_k|``.
     """
-    # Only this function of the module needs ``rff``.
-    from ..rff import gaussian_kernel
-
     if n_train < 1 or n_test < 0 or input_dim < 1 or n_centers < 1:
         raise InvalidInput("need n_train >= 1, n_test >= 0, input_dim >= 1, n_centers >= 1")
     n_total = n_train + n_test

@@ -239,7 +239,6 @@ RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig) -> int:
-    """Execute the configured experiment; returns the process exit status."""
+def run(config: ExperimentConfig) -> None:
+    """Execute the configured experiment."""
     RUNNERS[config.experiment](config)
-    return 0

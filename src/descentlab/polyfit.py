@@ -16,17 +16,12 @@ which interpolates the noise wildly.  Capacity, measured as parameter
 count, stops being the right complexity axis exactly here.
 
 The bias-variance decomposition fits its trials in blocks of
-``BLOCK_TRIALS``: each block's samples are stacked into one ``(B, n)``
-array, the basis comes from one pass of the recurrence over the stack,
-and one stacked SVD solves every fit.  The estimator seam takes such a
-block and returns a callable whose value on the probe grid ``PROBE``
-broadcasts to ``(B, PROBE.size)``.  Every trial keeps its own random
-substream and gets exactly the numbers of a one-trial block, so the
-block size never changes a result.  The trials are also split into one
-contiguous share per usable CPU, each computed by a forked child
-(``parallel.map_trials``), so the estimator runs in those children; the
-statistics are taken over all rows in trial order, so neither the CPU
-count nor where a block starts changes a result.
+``BLOCK_TRIALS``, one basis recurrence and one stacked SVD per block.
+An estimator takes a block's ``(B, n)`` samples and targets and returns
+its fits on the probe grid ``PROBE``, broadcastable to
+``(B, PROBE.size)``.  Each trial has its own random substream, and the
+blocks are spread over forked children (``parallel.map_trials``), so
+neither the block size nor the CPU count changes a result.
 """
 
 from __future__ import annotations
@@ -146,7 +141,7 @@ class BiasVariance:
     total_stderr: float
 
 
-Estimator = Callable[[np.ndarray, np.ndarray], Callable[[np.ndarray], np.ndarray]]
+Estimator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 # The points at which ``bias_variance_decompose`` compares the fits with
 # the truth.
@@ -156,30 +151,6 @@ PROBE = np.linspace(-1.0, 1.0, 101)
 # per-call overhead of the basis and the SVD once per block, few enough
 # to keep the stacked design small.
 BLOCK_TRIALS = 64
-
-
-def legendre_estimator(degree: int) -> Estimator:
-    """The default estimator: min-norm Legendre regression of fixed degree.
-
-    It fits a block of trials at once: ``xs`` and ``ys`` of shape
-    ``(B, n)`` give a callable whose value is the ``(B, PROBE.size)``
-    array of the fits on ``PROBE``, the only points
-    ``bias_variance_decompose`` evaluates at.  The design at ``PROBE``
-    is built once, here.
-    """
-    probe_design = legendre_design(PROBE, degree)
-
-    def fit(xs: np.ndarray, ys: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        coef = fit_poly_min_norm(xs, ys, degree)
-
-        def on_probe(_probe: np.ndarray) -> np.ndarray:
-            # One product per trial: a single matmul over the block can
-            # change the last bits.
-            return np.stack([probe_design @ c for c in coef])
-
-        return on_probe
-
-    return fit
 
 
 def bias_variance_decompose(
@@ -193,13 +164,13 @@ def bias_variance_decompose(
 ) -> BiasVariance:
     """Decompose the expected squared error on the probe grid ``PROBE``.
 
-    Each trial draws ``n`` uniform sample points on [-1, 1], noisy
-    targets, fits the estimator (min-norm Legendre regression of
-    ``degree`` unless another is supplied), and evaluates it on the
-    probe grid.  Bias and variance come from the spread of those
-    predictions; the total is measured separately against fresh noisy
-    targets so the identity ``bias^2 + variance + noise = total`` is an
-    empirical check rather than an algebraic tautology.
+    Each trial draws ``n`` uniform sample points on [-1, 1] and noisy
+    targets; the estimator (min-norm Legendre regression of ``degree``
+    unless another is supplied) returns its fits on the probe grid, one
+    call per block of trials.  Bias and variance come from the spread of
+    those predictions; the total is measured separately against fresh
+    noisy targets so the identity ``bias^2 + variance + noise = total``
+    is an empirical check rather than an algebraic tautology.
     """
     if trials < 2:
         raise InvalidInput(f"trials must be >= 2, got {trials}")
@@ -208,7 +179,13 @@ def bias_variance_decompose(
     if noise_scale < 0:
         raise InvalidInput(f"noise_scale must be >= 0, got {noise_scale}")
     if estimator is None:
-        estimator = legendre_estimator(degree)
+        probe_design = legendre_design(PROBE, degree)
+
+        def estimator(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+            # One product per trial: a single matmul over the block can
+            # change the last bits.
+            return np.stack([probe_design @ c for c in fit_poly_min_norm(xs, ys, degree)])
+
     truth_on_probe = np.asarray(truth_fn(PROBE), dtype=float)
 
     preds = np.empty((trials, PROBE.size))
@@ -227,7 +204,7 @@ def bias_variance_decompose(
                 noise[i] = rng.standard_normal(n)
                 fresh_noise[i] = rng.standard_normal(PROBE.size)
             ys = np.asarray(truth_fn(xs), dtype=float) + noise_scale * noise
-            preds[block] = estimator(xs, ys)(PROBE)
+            preds[block] = estimator(xs, ys)
             fresh = truth_on_probe + noise_scale * fresh_noise
             totals[block] = np.mean((preds[block] - fresh) ** 2, axis=1)
 

@@ -140,14 +140,17 @@ def test_random_target_poly_deterministic():
 # ------------------------------------------------------------ bias-variance
 
 
-def test_perfect_estimator_has_no_error():
+@pytest.mark.parametrize("shape", ["row", "block"])
+def test_perfect_estimator_has_no_error(shape):
+    # An estimator may return one row for the whole block or a row per trial.
     truth = random_target_poly(2, seed=71)
 
     def truth_fn(x):
         return legendre_predict(truth, x)
 
     def perfect(xs, ys):
-        return truth_fn
+        row = truth_fn(polyfit.PROBE)
+        return row if shape == "row" else np.tile(row, (len(xs), 1))
 
     bv = bias_variance_decompose(
         truth_fn, degree=2, n=10, noise_scale=0.0, trials=20, seed=71, estimator=perfect
@@ -163,7 +166,7 @@ def test_constant_truth_zero_estimator_is_pure_bias():
         return np.full_like(np.asarray(x, dtype=float), 3.0)
 
     def zero_estimator(xs, ys):
-        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        return np.zeros(polyfit.PROBE.size)
 
     bv = bias_variance_decompose(
         truth_fn, degree=0, n=10, noise_scale=0.0, trials=30, seed=74,
@@ -178,7 +181,7 @@ def test_noise_only_setting_recovers_sigma_squared():
         return np.zeros_like(np.asarray(x, dtype=float))
 
     def zero_estimator(xs, ys):
-        return zero_fn
+        return zero_fn(polyfit.PROBE)
 
     bv = bias_variance_decompose(
         zero_fn, degree=0, n=10, noise_scale=0.4, trials=400, seed=72,
