@@ -39,7 +39,7 @@ def main() -> int:
             continue
         try:
             arr = load_idx(found)
-        except (FormatError, OSError) as exc:
+        except FormatError as exc:
             print(f"  {role:13s}: {found} UNREADABLE ({exc})")
             usable = False
             continue

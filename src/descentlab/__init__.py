@@ -4,7 +4,7 @@ The package is organized around the objects of the theory:
 
 - ``linalg``: SVD, Moore-Penrose pseudo-inverse, minimum-norm least squares.
 - ``descent``: gradient descent on least squares and on classification
-  losses, with trajectory instrumentation.
+  losses; the classification runs record their trajectory.
 - ``sparse_regression``: closed-form and Monte Carlo risk of regression
   on a random feature subset (the double-descent curve in p).
 - ``rff``: random Fourier features and kernel approximation, plus the

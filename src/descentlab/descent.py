@@ -6,8 +6,8 @@ space of the data converges to the minimum-norm interpolant, exactly the
 pseudo-inverse solution.  On linearly separable classification with
 exponential-tail losses, the iterates never converge at all: the norm
 grows without bound while the *direction* approaches the max-margin
-separator.  The engine records enough of the trajectory to watch both
-effects.
+separator.  Least squares is judged by its final iterate alone;
+classification records a trajectory to watch the direction settle.
 
 Least-squares objective: ``L(w) = 0.5 ||X w - y||^2`` with gradient
 ``X^T (X w - y)``.  The step size must stay below ``1 / sigma_max(X)^2``,
@@ -52,7 +52,8 @@ _SMOOTHNESS_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class GDConfig:
-    """Knobs for a gradient descent run."""
+    """Knobs for a gradient descent run; ``record_every`` applies to
+    ``gd_classification`` alone."""
 
     step_size: float
     max_iters: int = 10_000
@@ -158,8 +159,6 @@ class LeastSquaresGD:
     w: np.ndarray
     converged: bool
     n_iters: int
-    t: np.ndarray
-    losses: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -194,9 +193,8 @@ def _check_xy(x, y):
 def _check_labels(x, y):
     """``_check_xy`` for classification: labels must be -1 or +1."""
     x, y = _check_xy(x, y)
-    labels = np.unique(y)
-    if not np.all(np.isin(labels, (-1.0, 1.0))):
-        raise InvalidInput(f"labels must be -1/+1, got values {labels}")
+    if not np.all(np.abs(y) == 1.0):
+        raise InvalidInput(f"labels must be -1/+1, got values {np.unique(y)}")
     return x, y
 
 
@@ -214,7 +212,9 @@ def gd_least_squares(x, y, config: GDConfig, w0=None) -> LeastSquaresGD:
     ``max_iters`` steps.  Step sizes at or above ``1 / sigma_max(X)^2``
     are rejected with ConfigError.  A loss exceeding ten times its
     initial value raises DivergenceError; with the step-size gate in
-    place this is a backstop, not an expected path.
+    place this is a backstop, not an expected path.  No trajectory is
+    kept: the result is the last iterate, whether the gradient test
+    passed, and the step count.
     """
     config.validate()
     x, y = _check_xy(x, y)
@@ -232,9 +232,8 @@ def gd_least_squares(x, y, config: GDConfig, w0=None) -> LeastSquaresGD:
     # lookups and numpy's Python-level wrappers cost more than the
     # arithmetic.  math.sqrt(g @ g) is exactly np.linalg.norm(g) for a
     # real vector, so the iterates are unchanged.
-    step_size, max_iters, record_every = config.step_size, config.max_iters, config.record_every
+    step_size, max_iters = config.step_size, config.max_iters
     grad_limit = config.grad_tol * grad_scale
-    ts, losses = [], []
     converged = False
     n_iters = 0
     initial_value = None
@@ -248,9 +247,6 @@ def gd_least_squares(x, y, config: GDConfig, w0=None) -> LeastSquaresGD:
                 f"loss grew to {value:g} at iteration {k} "
                 f"(started at {initial_value:g})"
             )
-        if k % record_every == 0:
-            ts.append(k)
-            losses.append(value)
         grad = x.T @ resid
         if math.sqrt(grad @ grad) <= grad_limit:
             converged = True
@@ -260,16 +256,7 @@ def gd_least_squares(x, y, config: GDConfig, w0=None) -> LeastSquaresGD:
             n_iters = k
             break
         w = w - step_size * grad
-    if ts[-1] != n_iters:
-        ts.append(n_iters)
-        losses.append(0.5 * float(np.sum((x @ w - y) ** 2)))
-    return LeastSquaresGD(
-        w=w,
-        converged=converged,
-        n_iters=n_iters,
-        t=np.asarray(ts),
-        losses=np.asarray(losses),
-    )
+    return LeastSquaresGD(w=w, converged=converged, n_iters=n_iters)
 
 
 def gd_limit_point(x, y, w0=None) -> np.ndarray:

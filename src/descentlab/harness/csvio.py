@@ -6,8 +6,8 @@ Numbers are written in the shortest decimal form that round-trips to the
 same float, infinities as the literal ``inf``, so a rerun with the same
 config produces a byte-identical file.  Writes go through a temporary
 file in the target directory, created if missing, followed by an atomic
-rename; an output location that cannot be created or replaced is a
-ConfigError, and no temporary file is left behind.
+rename; an output location that cannot be created, written or replaced
+is a ConfigError, and no temporary file is left behind.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ def write_csv(path, comment_lines, columns, rows, trailing_comments=()) -> None:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".csv-", text=True)
     except OSError as exc:
         raise ConfigError(f"cannot write output {path}: {exc}") from None
+    # The runners compute their rows before this call, so an OSError from
+    # here on is the write, the close or the rename failing.
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             for line in comment_lines:
@@ -60,12 +62,10 @@ def write_csv(path, comment_lines, columns, rows, trailing_comments=()) -> None:
                 fh.write(",".join(format_value(v) for v in row) + "\n")
             for line in trailing_comments:
                 fh.write(f"# {line}\n")
-        try:
-            os.replace(tmp_path, path)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output {path}: {exc}") from None
-    except BaseException:
+        os.replace(tmp_path, path)
+    except BaseException as exc:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write output {path}: {exc}") from None
         raise
-

@@ -10,6 +10,7 @@ RKHS, which is the regime the infinite-width comparisons assume anyway.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -43,32 +44,36 @@ def load_idx(path) -> np.ndarray:
 
     The header is big-endian: a 4-byte magic (0x801 for 1-d, 0x803 for
     3-d), then one 4-byte count per dimension.  The payload must contain
-    exactly the advertised number of bytes.
+    exactly the advertised number of bytes.  A file that cannot be
+    opened or read is a FormatError too.
     """
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-        if len(head) < 4:
-            raise FormatError(f"{path}: truncated magic")
-        (magic,) = struct.unpack(">i", head)
-        if magic == IDX_MAGIC_LABELS:
-            ndim = 1
-        elif magic == IDX_MAGIC_IMAGES:
-            ndim = 3
-        else:
-            raise FormatError(f"{path}: unsupported IDX magic 0x{magic:08x}")
-        dim_bytes = fh.read(4 * ndim)
-        if len(dim_bytes) < 4 * ndim:
-            raise FormatError(f"{path}: truncated dimension header")
-        dims = struct.unpack(f">{ndim}i", dim_bytes)
-        if any(d < 0 for d in dims):
-            raise FormatError(f"{path}: negative dimension in header {dims}")
-        expected = int(np.prod(dims))
-        payload = fh.read()
-        if len(payload) != expected:
-            raise FormatError(
-                f"{path}: payload has {len(payload)} bytes, header promises {expected}"
-            )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror or exc}") from None
+    if len(data) < 4:
+        raise FormatError(f"{path}: truncated magic")
+    (magic,) = struct.unpack_from(">i", data)
+    if magic == IDX_MAGIC_LABELS:
+        ndim = 1
+    elif magic == IDX_MAGIC_IMAGES:
+        ndim = 3
+    else:
+        raise FormatError(f"{path}: unsupported IDX magic 0x{magic:08x}")
+    offset = 4 + 4 * ndim
+    if len(data) < offset:
+        raise FormatError(f"{path}: truncated dimension header")
+    dims = struct.unpack_from(f">{ndim}i", data, 4)
+    if any(d < 0 for d in dims):
+        raise FormatError(f"{path}: negative dimension in header {dims}")
+    # math.prod, unlike np.prod, cannot wrap around on a huge header.
+    expected = math.prod(dims)
+    if len(data) - offset != expected:
+        raise FormatError(
+            f"{path}: payload has {len(data) - offset} bytes, header promises {expected}"
+        )
+    return np.frombuffer(data, dtype=np.uint8, offset=offset).reshape(dims)
 
 
 def write_idx(path, array) -> None:
@@ -95,8 +100,8 @@ def _find_mnist(directory) -> dict[str, str | None]:
     return found
 
 
-def mnist_available(directory=None) -> bool:
-    return None not in _find_mnist(directory or data_dir()).values()
+def mnist_available() -> bool:
+    return None not in _find_mnist(data_dir()).values()
 
 
 @dataclass(frozen=True)
@@ -143,14 +148,14 @@ def _check_mnist(data: dict[str, np.ndarray]) -> None:
             raise FormatError(f"MNIST {part} labels must be digits 0-9, got {labels.max()}")
 
 
-def load_mnist_split(n_train: int, n_test: int, seed: int, directory=None) -> Split:
+def load_mnist_split(n_train: int, n_test: int, seed: int) -> Split:
     """Stratified MNIST subsample with pixels scaled to [0, 1].
 
     Raises FormatError when the IDX files are not present or do not hold
     images and digit labels; callers that want a fallback should check
     ``mnist_available`` first.
     """
-    directory = directory or data_dir()
+    directory = data_dir()
     paths = _find_mnist(directory)
     if None in paths.values():
         raise FormatError(
@@ -170,15 +175,14 @@ def load_mnist_split(n_train: int, n_test: int, seed: int, directory=None) -> Sp
     )
 
 
-def one_hot(labels, n_classes: int | None = None) -> np.ndarray:
-    """Encode integer class labels as 0/1 rows."""
+def one_hot(labels, n_classes: int) -> np.ndarray:
+    """Encode integer class labels in ``[0, n_classes)`` as 0/1 rows."""
     labels = np.asarray(labels, dtype=int)
     if labels.size and labels.min() < 0:
         raise InvalidInput("class labels must be nonnegative")
-    k = n_classes if n_classes is not None else int(labels.max()) + 1
-    if labels.size and labels.max() >= k:
-        raise InvalidInput(f"class label {labels.max()} is not below n_classes = {k}")
-    out = np.zeros((labels.size, k))
+    if labels.size and labels.max() >= n_classes:
+        raise InvalidInput(f"class label {labels.max()} is not below n_classes = {n_classes}")
+    out = np.zeros((labels.size, n_classes))
     out[np.arange(labels.size), labels] = 1.0
     return out
 

@@ -23,17 +23,17 @@ from .config import ExperimentConfig, effective_config_lines
 from .csvio import write_csv
 
 # What each experiment's runner needs, by module name (a leading dot is
-# relative to ``descentlab``): its own imports and ``numpy.ma``, which
-# ``np.median`` and ``np.unique`` import on their first call.
+# relative to ``descentlab``): its own imports, and ``numpy.ma`` for the
+# runs that call ``np.median``, which imports it on its first call.
 # polyfit's gradient-descent route also needs ``descent`` (added by
 # ``import_modules``).  A module missing here would load inside ``run``
 # and be timed with it; the tests run every experiment and check that
 # ``sys.modules`` does not grow.
 MODULES = {
-    "sparse-risk": (".sparse_regression", "numpy.ma"),
+    "sparse-risk": (".sparse_regression",),
     "rff-sweep": (".rff", ".harness.datasets", "numpy.ma"),
     "kernel-approx": (".rff", "numpy.ma"),
-    "implicit-bias": (".descent", ".separable", "numpy.ma"),
+    "implicit-bias": (".descent", ".separable"),
     "polyfit": (".polyfit",),
     "bias-variance": (".polyfit",),
     "emc": (".harness.emc",),

@@ -106,7 +106,6 @@ def fit_poly_min_norm(xs, ys, degree: int, via: str = "pseudo_inverse") -> np.nd
             step_size=0.9 / smax**2,
             max_iters=GD_MAX_ITERS,
             grad_tol=GD_GRAD_TOL,
-            record_every=GD_MAX_ITERS,
         )
         return gd_least_squares(design, ys, config).w
     raise InvalidInput(f"via must be 'pseudo_inverse' or 'gradient_descent', got {via!r}")

@@ -83,7 +83,7 @@ class SubsetSelection:
             raise InvalidInput("kept must be a 1-d index array")
         if kept.size and (kept[0] < 0 or kept[-1] >= self.d):
             raise InvalidInput(f"kept indices out of range for d = {self.d}")
-        if len(np.unique(kept)) != kept.size:
+        if np.any(kept[1:] == kept[:-1]):
             raise InvalidInput("kept indices must be distinct")
         object.__setattr__(self, "kept", kept)
 

@@ -54,13 +54,11 @@ def test_hand_iterates_on_single_row():
     # X = [[1, 0]], y = [1], step 1/2: w_{k+1} = w_k - 0.5 (w_k - 1), so
     # the first coordinate walks 0, 1/2, 3/4, ... = 1 - 0.5^k and the
     # second coordinate never moves.
-    config = GDConfig(step_size=0.5, max_iters=10, grad_tol=0.0, record_every=1)
+    config = GDConfig(step_size=0.5, max_iters=10, grad_tol=0.0)
     run = gd_least_squares([[1.0, 0.0]], [1.0], config)
     assert run.n_iters == 10
     assert run.w[0] == pytest.approx(1.0 - 0.5**10, abs=1e-15)
     assert run.w[1] == 0.0
-    # Recorded losses follow 0.5 * (0.5^k)^2.
-    np.testing.assert_allclose(run.losses, 0.5 * 0.25 ** run.t, atol=1e-15)
 
 
 def test_from_zero_reaches_min_norm():
@@ -112,14 +110,6 @@ def test_gd_limit_matches_closed_form(seed):
     contraction = np.eye(n) - step_size * x.T @ x
     expected = w_star + np.linalg.matrix_power(contraction, run.n_iters) @ (w0 - w_star)
     np.testing.assert_allclose(run.w, expected, atol=1e-6)
-
-
-def test_trajectory_recording_includes_final_step():
-    x = [[1.0]]
-    config = GDConfig(step_size=0.5, max_iters=7, grad_tol=0.0, record_every=3)
-    run = gd_least_squares(x, [1.0], config)
-    assert list(run.t) == [0, 3, 6, 7]
-    assert len(run.losses) == len(run.t)
 
 
 # ------------------------------------------------------------------ losses
@@ -282,15 +272,9 @@ def _reference_least_squares(x, y, config, w0):
     """The least-squares loop written with numpy's wrappers, as a reference."""
     x, y, w = np.asarray(x, float), np.asarray(y, float), np.array(w0, float)
     grad_scale = 1.0 + float(np.linalg.norm(x.T @ y))
-    ts, losses = [], []
     converged, n_iters = False, 0
     for k in range(config.max_iters + 1):
-        resid = x @ w - y
-        value = 0.5 * float(resid @ resid)
-        if k % config.record_every == 0:
-            ts.append(k)
-            losses.append(value)
-        grad = x.T @ resid
+        grad = x.T @ (x @ w - y)
         if np.linalg.norm(grad) <= config.grad_tol * grad_scale:
             converged, n_iters = True, k
             break
@@ -298,10 +282,7 @@ def _reference_least_squares(x, y, config, w0):
             n_iters = k
             break
         w = w - config.step_size * grad
-    if ts[-1] != n_iters:
-        ts.append(n_iters)
-        losses.append(0.5 * float(np.sum((x @ w - y) ** 2)))
-    return w, converged, n_iters, np.asarray(ts), np.asarray(losses)
+    return w, converged, n_iters
 
 
 def _reference_classification_run(x, y, loss, config, w0):
@@ -369,15 +350,12 @@ def test_least_squares_loop_matches_the_reference_bit_for_bit(grad_tol):
     x = rng.standard_normal((4, 7))
     y = rng.standard_normal(4)
     w0 = rng.standard_normal(7)
-    config = GDConfig(step_size=0.9 / svd(x).s_max ** 2, max_iters=3000,
-                      grad_tol=grad_tol, record_every=7)
+    config = GDConfig(step_size=0.9 / svd(x).s_max ** 2, max_iters=3000, grad_tol=grad_tol)
     run = gd_least_squares(x, y, config, w0=w0)
-    w, converged, n_iters, t, losses = _reference_least_squares(x, y, config, w0)
+    w, converged, n_iters = _reference_least_squares(x, y, config, w0)
     assert (run.converged, run.n_iters) == (converged, n_iters)
     assert converged == (grad_tol > 0)
     np.testing.assert_array_equal(run.w, w)
-    np.testing.assert_array_equal(run.t, t)
-    np.testing.assert_array_equal(run.losses, losses)
 
 
 @pytest.mark.parametrize("loss_name", ["logistic", "exponential"])
