@@ -67,8 +67,6 @@ class GDConfig:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.grad_tol < 0:
             raise ConfigError(f"grad_tol must be >= 0, got {self.grad_tol}")
-        if self.record_every < 1:
-            raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
 
 
 class ExponentialLoss:
@@ -289,6 +287,8 @@ def gd_classification(x, y, loss, config: GDConfig, w0=None) -> ClassificationGD
     the initial value, raises DivergenceError.
     """
     config.validate()
+    if config.record_every < 1:
+        raise ConfigError(f"record_every must be >= 1, got {config.record_every}")
     x, y = _check_labels(x, y)
     w = _check_w0(x, w0)
 

@@ -117,9 +117,11 @@ class Split:
 def stratified_indices(labels, total: int, rng: np.random.Generator) -> np.ndarray:
     """Pick ``total`` indices spread as evenly as possible across classes."""
     labels = np.asarray(labels)
-    classes = np.unique(labels)
-    if classes.size == 0:
+    if labels.size == 0:
         raise InvalidInput("no labels to sample from")
+    # The distinct labels in order; numpy's unique would import numpy.ma.
+    s = np.sort(labels, axis=None)
+    classes = s[np.concatenate(([True], s[1:] != s[:-1]))]
     base, extra = divmod(total, classes.size)
     chosen = []
     for k, c in enumerate(classes):

@@ -4,9 +4,10 @@ Every runner draws all randomness from the config's master seed through
 labeled substreams, so identical configs give byte-identical CSV bodies
 no matter how trials are scheduled.
 
-A runner imports the library modules it uses inside its own body, so
-importing this module loads none of them; ``import_modules`` loads the
-ones an experiment needs before its run starts.
+A runner takes the library modules it uses as arguments, listed beside it
+in ``EXPERIMENTS``, so importing this module loads none of them;
+``import_modules`` loads the ones an experiment needs before its run
+starts.
 """
 
 from __future__ import annotations
@@ -21,34 +22,6 @@ from ..errors import NumericalFailure
 from ..seeding import derive_seed, substream
 from .config import ExperimentConfig, effective_config_lines
 from .csvio import write_csv
-
-# What each experiment's runner needs, by module name (a leading dot is
-# relative to ``descentlab``): its own imports, and ``numpy.ma`` for the
-# runs that call ``np.median``, which imports it on its first call.
-# polyfit's gradient-descent route also needs ``descent`` (added by
-# ``import_modules``).  A module missing here would load inside ``run``
-# and be timed with it; the tests run every experiment and check that
-# ``sys.modules`` does not grow.
-MODULES = {
-    "sparse-risk": (".sparse_regression",),
-    "rff-sweep": (".rff", ".harness.datasets", "numpy.ma"),
-    "kernel-approx": (".rff", "numpy.ma"),
-    "implicit-bias": (".descent", ".separable"),
-    "polyfit": (".polyfit",),
-    "bias-variance": (".polyfit",),
-    "emc": (".harness.emc",),
-}
-
-
-def import_modules(config: ExperimentConfig) -> None:
-    """Import every module ``config``'s run uses, so none loads during it."""
-    names = MODULES[config.experiment]
-    p = config.parameters
-    if config.experiment == "polyfit" and p["via"] == "gradient_descent":
-        names += (".descent",)
-    for name in names:
-        importlib.import_module(name, "descentlab")
-
 
 def _emit(config: ExperimentConfig, columns, rows, trailing=()):
     write_csv(
@@ -67,11 +40,9 @@ def _emit_records(config: ExperimentConfig, records, trailing=()):
     _emit(config, names, ([getattr(r, name) for name in names] for r in records), trailing)
 
 
-def run_sparse_risk(config: ExperimentConfig) -> None:
-    from ..sparse_regression import risk_curve
-
+def run_sparse_risk(config: ExperimentConfig, sparse_regression) -> None:
     p = config.parameters
-    rows = risk_curve(
+    rows = sparse_regression.risk_curve(
         p["signal_norm_sq"],
         p["noise_var"],
         p["d"],
@@ -84,17 +55,14 @@ def run_sparse_risk(config: ExperimentConfig) -> None:
     _emit_records(config, rows)
 
 
-def run_rff_sweep(config: ExperimentConfig) -> None:
-    from ..rff import double_descent_sweep
-    from .datasets import load_mnist_split, make_rkhs_regression, one_hot
-
+def run_rff_sweep(config: ExperimentConfig, rff, datasets) -> None:
     p = config.parameters
     if p["dataset"] == "mnist":
-        ds = load_mnist_split(p["n_train"], p["n_test"], config.seed)
-        y_train = one_hot(ds.y_train, 10)
-        y_test = one_hot(ds.y_test, 10)
+        ds = datasets.load_mnist_split(p["n_train"], p["n_test"], config.seed)
+        y_train = datasets.one_hot(ds.y_train, 10)
+        y_test = datasets.one_hot(ds.y_test, 10)
     else:
-        ds = make_rkhs_regression(
+        ds = datasets.make_rkhs_regression(
             p["n_train"],
             p["n_test"],
             p["input_dim"],
@@ -103,7 +71,7 @@ def run_rff_sweep(config: ExperimentConfig) -> None:
             config.seed,
         )
         y_train, y_test = ds.y_train, ds.y_test
-    points = double_descent_sweep(
+    points = rff.double_descent_sweep(
         ds.x_train,
         y_train,
         ds.x_test,
@@ -116,9 +84,7 @@ def run_rff_sweep(config: ExperimentConfig) -> None:
     _emit_records(config, points)
 
 
-def run_kernel_approx(config: ExperimentConfig) -> None:
-    from ..rff import kernel_approx_error, sample_map
-
+def run_kernel_approx(config: ExperimentConfig, rff) -> None:
     p = config.parameters
     rng = substream(config.seed, "kernel-approx-points")
     points = rng.uniform(0.0, 1.0, size=(p["n_points"], p["input_dim"]))
@@ -128,35 +94,32 @@ def run_kernel_approx(config: ExperimentConfig) -> None:
         max_errs = np.empty(p["n_maps"])
         mean_errs = np.empty(p["n_maps"])
         for m in range(p["n_maps"]):
-            fmap = sample_map(n, p["input_dim"], p["bandwidth"], config.seed, index=m)
-            max_errs[m], mean_errs[m] = kernel_approx_error(fmap, points)
+            fmap = rff.sample_map(n, p["input_dim"], p["bandwidth"], config.seed, index=m)
+            max_errs[m], mean_errs[m] = rff.kernel_approx_error(fmap, points)
         # Medians over the resampled maps keep one unlucky draw from
         # dominating the curve.
-        rows.append((n, float(np.median(max_errs)), float(np.median(mean_errs)), p["n_maps"]))
+        rows.append((n, float(rff.median(max_errs)), float(rff.median(mean_errs)), p["n_maps"]))
     _emit(config, ("n_features", "max_abs_err", "mean_abs_err", "n_maps"), rows)
 
 
-def run_implicit_bias(config: ExperimentConfig) -> None:
-    from ..descent import GDConfig, get_loss, max_stable_step
-    from ..separable import generate_separable, implicit_bias_run
-
+def run_implicit_bias(config: ExperimentConfig, descent, separable) -> None:
     p = config.parameters
-    x, y, witness = generate_separable(p["n"], p["d"], p["margin"], config.seed)
-    loss = get_loss(p["loss"])
+    x, y, witness = separable.generate_separable(p["n"], p["d"], p["margin"], config.seed)
+    loss = descent.get_loss(p["loss"])
     beta0 = loss.smoothness(np.zeros(p["n"]))
-    bound = max_stable_step(x, beta0)
+    bound = descent.max_stable_step(x, beta0)
     step = p["step_fraction"] * bound
     if step == 0:
         raise NumericalFailure(
             f"step_fraction {p['step_fraction']:g} of max_stable_step {bound:g} underflows to 0"
         )
-    gd_config = GDConfig(
+    gd_config = descent.GDConfig(
         step_size=step,
         max_iters=p["max_iters"],
         grad_tol=0.0,
         record_every=p["record_every"],
     )
-    tr, gaps = implicit_bias_run(x, y, loss, gd_config, witness=witness)
+    tr, gaps = separable.implicit_bias_run(x, y, loss, gd_config, witness=witness)
     _emit(
         config,
         ("t", "loss", "w_norm", "min_margin", "direction_gap"),
@@ -164,34 +127,28 @@ def run_implicit_bias(config: ExperimentConfig) -> None:
     )
 
 
-def run_polyfit(config: ExperimentConfig) -> None:
-    from ..polyfit import fit_poly_min_norm, legendre_predict, random_target_poly
-
+def run_polyfit(config: ExperimentConfig, polyfit) -> None:
     p = config.parameters
-    truth_coef = random_target_poly(p["truth_degree"], config.seed)
+    truth_coef = polyfit.random_target_poly(p["truth_degree"], config.seed)
     rng = substream(config.seed, "polyfit-samples")
     xs = rng.uniform(-1.0, 1.0, size=p["n"])
-    ys = legendre_predict(truth_coef, xs) + p["noise_scale"] * rng.standard_normal(p["n"])
-    coef = fit_poly_min_norm(xs, ys, p["degree"], via=p["via"])
+    ys = polyfit.legendre_predict(truth_coef, xs) + p["noise_scale"] * rng.standard_normal(p["n"])
+    coef = polyfit.fit_poly_min_norm(xs, ys, p["degree"], via=p["via"])
     grid = np.linspace(-1.0, 1.0, p["grid_points"])
-    _emit(
-        config,
-        ("x", "truth", "prediction"),
-        list(zip(grid, legendre_predict(truth_coef, grid), legendre_predict(coef, grid))),
-    )
+    truth = polyfit.legendre_predict(truth_coef, grid)
+    prediction = polyfit.legendre_predict(coef, grid)
+    _emit(config, ("x", "truth", "prediction"), list(zip(grid, truth, prediction)))
 
 
-def run_bias_variance(config: ExperimentConfig) -> None:
-    from ..polyfit import bias_variance_decompose, legendre_predict, random_target_poly
-
+def run_bias_variance(config: ExperimentConfig, polyfit) -> None:
     p = config.parameters
-    truth_coef = random_target_poly(p["truth_degree"], config.seed)
+    truth_coef = polyfit.random_target_poly(p["truth_degree"], config.seed)
 
     def truth_fn(x):
-        return legendre_predict(truth_coef, x)
+        return polyfit.legendre_predict(truth_coef, x)
 
     records = [
-        bias_variance_decompose(
+        polyfit.bias_variance_decompose(
             truth_fn,
             degree,
             p["n"],
@@ -204,9 +161,7 @@ def run_bias_variance(config: ExperimentConfig) -> None:
     _emit_records(config, records)
 
 
-def run_emc(config: ExperimentConfig) -> None:
-    from .emc import emc_scan, min_norm_linear_procedure
-
+def run_emc(config: ExperimentConfig, emc) -> None:
     p = config.parameters
     d = p["d"]
     w = np.ones(d) / math.sqrt(d)
@@ -217,28 +172,47 @@ def run_emc(config: ExperimentConfig) -> None:
         y = x @ w + noise_scale * rng.standard_normal(n)
         return x, y
 
-    emc, points = emc_scan(
-        min_norm_linear_procedure,
+    complexity, points = emc.emc_scan(
+        emc.min_norm_linear_procedure,
         sample_fn,
         p["eps"],
         p["n_grid"],
         p["trials"],
         config.seed,
     )
-    _emit_records(config, points, trailing=(f"emc = {emc}",))
+    _emit_records(config, points, trailing=(f"emc = {complexity}",))
 
 
-RUNNERS = {
-    "sparse-risk": run_sparse_risk,
-    "rff-sweep": run_rff_sweep,
-    "kernel-approx": run_kernel_approx,
-    "implicit-bias": run_implicit_bias,
-    "polyfit": run_polyfit,
-    "bias-variance": run_bias_variance,
-    "emc": run_emc,
+# Each experiment's runner, then the library modules it takes, by name
+# relative to ``descentlab``.  A module the run uses but that is missing
+# here would load inside ``run`` and be timed with it; the tests run every
+# experiment and check that ``sys.modules`` does not grow.
+EXPERIMENTS = {
+    "sparse-risk": (run_sparse_risk, ".sparse_regression"),
+    "rff-sweep": (run_rff_sweep, ".rff", ".harness.datasets"),
+    "kernel-approx": (run_kernel_approx, ".rff"),
+    "implicit-bias": (run_implicit_bias, ".descent", ".separable"),
+    "polyfit": (run_polyfit, ".polyfit"),
+    "bias-variance": (run_bias_variance, ".polyfit"),
+    "emc": (run_emc, ".harness.emc"),
 }
+
+
+def _runner(config: ExperimentConfig):
+    """``config``'s runner and the modules it takes, imported."""
+    runner, *names = EXPERIMENTS[config.experiment]
+    return runner, [importlib.import_module(name, "descentlab") for name in names]
+
+
+def import_modules(config: ExperimentConfig) -> None:
+    """Import every module ``config``'s run uses, so none loads during it:
+    its runner's, and ``descent`` for polyfit's gradient-descent route."""
+    _runner(config)
+    if config.experiment == "polyfit" and config.parameters["via"] == "gradient_descent":
+        importlib.import_module(".descent", "descentlab")
 
 
 def run(config: ExperimentConfig) -> None:
     """Execute the configured experiment."""
-    RUNNERS[config.experiment](config)
+    runner, modules = _runner(config)
+    runner(config, *modules)

@@ -184,6 +184,19 @@ def fit_rff(feature_map: RandomFeatureMap, x, y, out=None) -> tuple[np.ndarray, 
     return beta, _mse(z @ beta, y)
 
 
+def median(values) -> np.float64:
+    """Median of a nonempty 1-d array of finite floats, with numpy's bits.
+
+    The middle value after a sort, or the mean of the two middle values
+    as ``(s[h-1] + s[h]) / 2`` on numpy scalars, so ``np.errstate`` still
+    governs an overflow.  numpy's own median would import ``numpy.ma`` on
+    its first call.
+    """
+    s = np.sort(values)
+    h = s.size // 2
+    return s[h] if s.size % 2 else (s[h - 1] + s[h]) / 2
+
+
 @dataclass(frozen=True)
 class RFFSweepPoint:
     """Aggregated metrics for one feature count in a width sweep.
@@ -271,7 +284,7 @@ def double_descent_sweep(
                 train_mse=float(np.mean(per_repeat[:, 0])),
                 test_mse=float(np.mean(per_repeat[:, 1])),
                 test_zero_one=float(np.mean(per_repeat[:, 2])),
-                beta_norm=float(np.median(per_repeat[:, 3])),
+                beta_norm=float(median(per_repeat[:, 3])),
                 repeats=repeats,
             )
         )

@@ -1,5 +1,7 @@
 """Tests for the gradient descent engine and the classification losses."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
+from descentlab import descent
 from descentlab.descent import (
     DIVERGENCE_FACTOR,
     ExponentialLoss,
@@ -36,8 +39,13 @@ def test_config_validation():
         GDConfig(step_size=0.1, max_iters=0).validate()
     with pytest.raises(ConfigError):
         GDConfig(step_size=0.1, grad_tol=-1.0).validate()
-    with pytest.raises(ConfigError):
-        GDConfig(step_size=0.1, record_every=0).validate()
+    # record_every is read by gd_classification alone, so only it checks it.
+    with pytest.raises(ConfigError, match="record_every must be >= 1, got 0"):
+        gd_classification(
+            [[1.0]], [1.0], get_loss("logistic"), GDConfig(step_size=0.1, record_every=0)
+        )
+    run = gd_least_squares([[1.0]], [1.0], GDConfig(step_size=0.5, record_every=0))
+    assert run.converged
 
 
 def test_step_size_gate_on_least_squares():
@@ -59,6 +67,17 @@ def test_hand_iterates_on_single_row():
     assert run.n_iters == 10
     assert run.w[0] == pytest.approx(1.0 - 0.5**10, abs=1e-15)
     assert run.w[1] == 0.0
+
+
+def test_least_squares_divergence_backstop(monkeypatch):
+    # The step-size gate keeps a real run from diverging, so report
+    # sigma_max = 0.1 to let step 3 through on X = [[1]]: w walks 0, 3, -3
+    # and the loss 0.5, 2, 8 passes DIVERGENCE_FACTOR times its start.
+    monkeypatch.setattr(descent, "svd", lambda x: SimpleNamespace(s_max=0.1))
+    config = GDConfig(step_size=3.0, max_iters=50, grad_tol=0.0)
+    message = r"^loss grew to 8 at iteration 2 \(started at 0\.5\)$"
+    with pytest.raises(DivergenceError, match=message):
+        gd_least_squares([[1.0]], [1.0], config)
 
 
 def test_from_zero_reaches_min_norm():

@@ -329,6 +329,17 @@ def test_idx_rejects_malformed_files(tmp_path):
     with pytest.raises(FormatError):
         load_idx(headerless)
 
+    # An image magic needs three dimensions; this header holds one.
+    short_header = tmp_path / "short_header.idx"
+    short_header.write_bytes(struct.pack(">2i", 0x803, 4))
+    with pytest.raises(FormatError, match="truncated dimension header"):
+        load_idx(short_header)
+
+    negative = tmp_path / "negative.idx"
+    negative.write_bytes(struct.pack(">2i", 0x801, -1))
+    with pytest.raises(FormatError, match="negative dimension"):
+        load_idx(negative)
+
     # A path that cannot be read names the file.
     with pytest.raises(FormatError, match=str(tmp_path)):
         load_idx(tmp_path)
@@ -1084,8 +1095,9 @@ def _loaded(modules, package: str) -> list[str]:
     ],
 )
 def test_a_run_loads_no_module(tmp_path, monkeypatch, name, keys):
-    # Every module a run uses is imported in set-up (runner.MODULES), so
-    # none of its import time is counted in the run.
+    # Every module a run uses is imported in set-up (the modules that
+    # runner.EXPERIMENTS lists beside each runner), so none of its import
+    # time is counted in the run.
     _write_fake_mnist(tmp_path)
     monkeypatch.setenv("DESCENTLAB_DATA", str(tmp_path))
     cfg = _cfg(tmp_path, f"experiment = {name}\n{keys}")
@@ -1094,9 +1106,8 @@ def test_a_run_loads_no_module(tmp_path, monkeypatch, name, keys):
     assert report["loaded_in_run"] == []
     # numpy's bundled OpenBLAS does every solve: no run loads scipy.
     assert _loaded(report["modules"], "scipy") == []
-    # Only the runs that call np.median need numpy.ma.
-    if name in ("sparse-risk", "implicit-bias"):
-        assert "numpy.ma" not in report["modules"]
+    # np.median and np.unique would import numpy.ma; no run calls them.
+    assert "numpy.ma" not in report["modules"]
 
 
 def test_importing_datasets_loads_no_scipy(tmp_path):
@@ -1159,7 +1170,8 @@ def test_cli_emc_run_reports_trailing_value(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "case", ["label-above-9", "swapped-files", "empty-files", "overflowing-header"]
+    "case",
+    ["label-above-9", "swapped-files", "empty-files", "overflowing-header", "count-mismatch"],
 )
 def test_cli_malformed_mnist_is_a_one_line_run_error(tmp_path, monkeypatch, capsys, case):
     _write_fake_mnist(tmp_path)
@@ -1176,6 +1188,8 @@ def test_cli_malformed_mnist_is_a_one_line_run_error(tmp_path, monkeypatch, caps
     elif case == "overflowing-header":
         # 2^30 * 2^30 * 16 images' bytes is 0 in int64 arithmetic.
         images.write_bytes(struct.pack(">4i", 0x803, 2**30, 2**30, 16))
+    elif case == "count-mismatch":
+        write_idx(labels, np.repeat(np.arange(10), 6)[:59])  # against 60 images
     else:
         write_idx(images, np.zeros((0, 4, 4)))
         write_idx(labels, np.zeros(0))

@@ -1,5 +1,6 @@
 """Tests for the SVD / pseudo-inverse / minimum-norm layer."""
 
+import ctypes
 import math
 import sys
 import threading
@@ -242,6 +243,24 @@ def test_without_the_lapack_calls_every_solve_is_gelsds(monkeypatch, case):
     z, y = _solve_cases()[case]
     assert _gram_min_norm(z, y) is None
     np.testing.assert_array_equal(min_norm_solve(z, y), _gelsd(z, y))
+
+
+def test_a_condition_estimate_past_the_cutoff_declines_the_gram_route(monkeypatch):
+    # A well-conditioned z passes Cholesky and refinement, so only the
+    # dpocon gate can decline it: report rcond = 1e-30 after the real call.
+    dlange, dpotrf, dpocon, dpotrs = linalg._LAPACK
+
+    def ill_conditioned(uplo, n, a, lda, anorm, rcond, work, iwork, info):
+        dpocon(uplo, n, a, lda, anorm, rcond, work, iwork, info)
+        ctypes.c_double.from_address(rcond).value = 1e-30
+
+    rng = substream(37, "dpocon-gate")
+    z, y = rng.standard_normal((20, 50)), rng.standard_normal(20)
+    assert _gram_min_norm(z, y) is not None
+    monkeypatch.setattr(linalg, "_LAPACK", (dlange, dpotrf, ill_conditioned, dpotrs))
+    assert _gram_min_norm(z, y) is None
+    want = np.linalg.lstsq(z, y, rcond=EPS * max(z.shape))[0]
+    np.testing.assert_array_equal(min_norm_solve(z, y), want)
 
 
 def test_solves_in_two_threads_get_the_bits_of_a_serial_run():

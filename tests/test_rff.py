@@ -269,6 +269,21 @@ def test_fit_rff_rejects_row_mismatch():
         fit_rff(fmap, np.zeros((4, 2)), np.zeros(5))
 
 
+@pytest.mark.parametrize("size", [1, 2, 5, 8])
+def test_median_has_the_bits_of_numpy_median(size):
+    values = substream(44, "median", size).standard_normal(size) * 1e3
+    got = rff.median(values)
+    assert type(got) is np.float64
+    assert got.view(np.int64) == np.median(values).view(np.int64)
+
+
+def test_median_keeps_the_callers_float_error_state():
+    # The two middle values are summed as numpy scalars, so an overflow
+    # raises under errstate as np.median's mean does.
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        rff.median(np.array([1.7e308, 1.7e308]))
+
+
 def test_sweep_shows_the_interpolation_peak():
     # Small instance of the width sweep: test error at the threshold
     # N = n exceeds the wide regime, train error vanishes past it, and
