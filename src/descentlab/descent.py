@@ -19,11 +19,14 @@ in {-1, +1}.  Stability depends on the loss curvature along the
 trajectory, so the engine tracks an effective smoothness constant and
 re-checks the step size whenever the loss fails to decrease.
 
-The classification step runs on the negated margins
-``v = -(y_i x_i^T w)``, the quantity both losses exponentiate.  With
-``N`` the matrix of rows ``-y_i x_i``, formed once, a step is
-``v = N w``, one call on the loss for the per-sample losses and the
-gradient weights ``-loss'(-v)`` at ``v``, and the gradient
+A loss is what the step reads: its ``name``, a global smoothness
+``beta`` (None where the curvature is unbounded), ``smoothness(u)``, the
+largest curvature at margins ``u``, and ``at_negated_margins(v)``.  The
+step runs on the negated margins ``v = -(y_i x_i^T w)``, the quantity
+both losses exponentiate, and ``at_negated_margins(v)`` returns the
+per-sample losses ``terms = loss(-v)`` and the gradient weights
+``weights = -loss'(-v)``.  With ``N`` the matrix of rows ``-y_i x_i``,
+formed once, a step is ``v = N w``, that one call, and the gradient
 ``weights @ N``: no array is negated inside the loop.  Negating a
 float is exact and rounding to nearest is symmetric under sign, so
 this gives the same bits as the step written on ``u = -v``.
@@ -80,20 +83,13 @@ class ExponentialLoss:
     name = "exponential"
     beta = None
 
-    def values(self, u: np.ndarray) -> np.ndarray:
-        return np.exp(-np.clip(u, MARGIN_CLAMP, None))
-
-    def dvalues(self, u: np.ndarray) -> np.ndarray:
-        return -np.exp(-np.clip(u, MARGIN_CLAMP, None))
-
-    def curvature(self, u: np.ndarray) -> np.ndarray:
-        return np.exp(-np.clip(u, MARGIN_CLAMP, None))
-
     def smoothness(self, u: np.ndarray) -> float:
-        return max(float(np.max(self.curvature(u))), _SMOOTHNESS_FLOOR)
+        # loss''(u) = exp(-u) is largest at the smallest clamped margin.
+        return max(float(np.max(np.exp(-np.clip(u, MARGIN_CLAMP, None)))), _SMOOTHNESS_FLOOR)
 
     def at_negated_margins(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(values(-v), -dvalues(-v))`` bit for bit, from one ``exp``."""
+        """``terms = loss(-v)`` and ``weights = -loss'(-v)``, both
+        ``exp(min(v, -MARGIN_CLAMP))``, from one ``exp``."""
         e = np.exp(np.minimum(v, -MARGIN_CLAMP))
         return e, e
 
@@ -104,23 +100,14 @@ class LogisticLoss:
     name = "logistic"
     beta = 0.25
 
-    def values(self, u: np.ndarray) -> np.ndarray:
-        return np.logaddexp(0.0, -u)
-
-    def dvalues(self, u: np.ndarray) -> np.ndarray:
-        return -self.at_negated_margins(-u)[1]
-
-    def curvature(self, u: np.ndarray) -> np.ndarray:
-        return self.dvalues(u) * self.dvalues(-u)
-
     def smoothness(self, u: np.ndarray) -> float:
         # Curvature is globally capped at 1/4 regardless of the margins.
         return self.beta
 
     def at_negated_margins(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(values(-v), -dvalues(-v))``.  The weights ``1 / (1 + exp(-v))``
-        are ``1 - exp(-terms)``: no overflow, and exactly 1 and 0 at +inf
-        and -inf."""
+        """``terms = loss(-v) = log(1 + exp(v))`` and ``weights =
+        -loss'(-v) = 1 / (1 + exp(-v))``, computed as ``1 - exp(-terms)``:
+        no overflow, and exactly 1 and 0 at +inf and -inf."""
         terms = np.logaddexp(0.0, v)
         return terms, -np.expm1(-terms)
 
@@ -200,6 +187,8 @@ def _check_w0(x, w0):
     w = np.zeros(x.shape[1]) if w0 is None else np.array(w0, dtype=float)
     if w.shape != (x.shape[1],):
         raise InvalidInput(f"w0 has shape {w.shape}, expected ({x.shape[1]},)")
+    if not np.all(np.isfinite(w)):
+        raise InvalidInput("w0 contains NaN or Inf entries")
     return w
 
 
@@ -269,10 +258,7 @@ def gd_limit_point(x, y, w0=None) -> np.ndarray:
     base = min_norm_solve(x, y)
     if w0 is None:
         return base
-    w0 = np.asarray(w0, dtype=float)
-    if w0.shape != (x.shape[1],):
-        raise InvalidInput(f"w0 has shape {w0.shape}, expected ({x.shape[1]},)")
-    return kernel_projector(x) @ w0 + base
+    return kernel_projector(x) @ _check_w0(x, w0) + base
 
 
 def gd_classification(x, y, loss, config: GDConfig, w0=None) -> ClassificationGD:

@@ -34,7 +34,7 @@ from ..errors import ConfigError
 
 @dataclass(frozen=True)
 class Field:
-    """One schema entry: name, value kind, default (None means required).
+    """One schema entry: name, value kind and default.
 
     The bounds apply to a number, or to every entry of a number list:
     ``min`` from below, ``above`` strictly from below, ``below`` strictly
@@ -45,7 +45,7 @@ class Field:
 
     name: str
     kind: str  # int | float | str | int_list
-    default: object = None
+    default: object
     choices: tuple | None = None
     min: float | None = None
     above: float | None = None
@@ -192,13 +192,9 @@ def _parse_kind(field: Field, text: str):
         raise ConfigError(
             f"key {field.name!r}: cannot parse {text!r} as {field.kind}"
         ) from None
-    if field.kind == "str":
-        if field.choices is not None and text not in field.choices:
-            raise ConfigError(
-                f"key {field.name!r}: {text!r} not in {sorted(field.choices)}"
-            )
-        return text
-    raise ConfigError(f"unknown field kind {field.kind!r} for {field.name!r}")
+    if field.choices is not None and text not in field.choices:
+        raise ConfigError(f"key {field.name!r}: {text!r} not in {sorted(field.choices)}")
+    return text
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -253,7 +249,7 @@ def load_config(path, experiment=None, seed=None, output=None) -> ExperimentConf
 
     if seed is None:
         seed_text = raw.pop("seed", "0")
-        seed = _parse_value(Field("seed", "int"), seed_text)
+        seed = _parse_value(Field("seed", "int", 0), seed_text)
     else:
         raw.pop("seed", None)
     if not 0 <= seed < SEED_LIMIT:
@@ -272,14 +268,9 @@ def load_config(path, experiment=None, seed=None, output=None) -> ExperimentConf
         raise ConfigError(
             f"unknown keys for experiment {name!r}: {sorted(unknown)}"
         )
-    parameters = {}
-    for f in schema:
-        if f.name in raw:
-            parameters[f.name] = _parse_value(f, raw[f.name])
-        elif f.default is not None:
-            parameters[f.name] = f.default
-        else:
-            raise ConfigError(f"missing required key {f.name!r} for {name!r}")
+    parameters = {
+        f.name: _parse_value(f, raw[f.name]) if f.name in raw else f.default for f in schema
+    }
     for f in schema:
         if f.at_most is not None:
             limit = parameters[f.at_most]

@@ -48,6 +48,39 @@ def test_config_validation():
     assert run.converged
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: gd_least_squares(
+            [[1.0]], [1.0], GDConfig(step_size=0.5, max_iters=50), w0=[bad]
+        ),
+        lambda bad: gd_limit_point([[1.0, 0.0]], [1.0], w0=[bad, 1.0]),
+        lambda bad: gd_classification(
+            [[1.0]], [1.0], get_loss("logistic"), GDConfig(step_size=0.5), w0=[bad]
+        ),
+    ],
+    ids=["least-squares", "limit-point", "classification"],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_w0_is_rejected(call, bad):
+    with pytest.raises(InvalidInput, match="w0 contains NaN or Inf entries"):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "y, message",
+    [([1.0, 2.0], r"y has shape \(2,\), expected \(1,\)"), ([np.nan], "y contains NaN or Inf")],
+)
+@pytest.mark.parametrize(
+    "fit",
+    [gd_limit_point, lambda x, y: gd_least_squares(x, y, GDConfig(0.5))],
+    ids=["limit-point", "least-squares"],
+)
+def test_bad_targets_are_rejected(fit, y, message):
+    with pytest.raises(InvalidInput, match=message):
+        fit([[1.0]], y)
+
+
 def test_step_size_gate_on_least_squares():
     x = np.array([[2.0, 0.0]])  # sigma_max = 2, so the limit is 1/4
     with pytest.raises(ConfigError):
@@ -134,30 +167,43 @@ def test_gd_limit_matches_closed_form(seed):
 # ------------------------------------------------------------------ losses
 
 
-def _finite_difference(loss, u, h=1e-6):
-    return (loss.values(u + h) - loss.values(u - h)) / (2.0 * h)
+def _central_difference(f, v, h):
+    return (f(v + h) - f(v - h)) / (2.0 * h)
+
+
+def _weights(loss):
+    return lambda v: loss.at_negated_margins(v)[1]
 
 
 @pytest.mark.parametrize("loss", [ExponentialLoss(), LogisticLoss()])
 def test_loss_gradient_finite_difference(loss):
-    u = np.linspace(-8.0, 8.0, 41)
-    np.testing.assert_allclose(loss.dvalues(u), _finite_difference(loss, u), atol=1e-8)
+    # d/dv loss(-v) = -loss'(-v): the weights are the slope of the terms.
+    v = np.linspace(-8.0, 8.0, 41)
+    fd = _central_difference(lambda v: loss.at_negated_margins(v)[0], v, 1e-6)
+    np.testing.assert_allclose(_weights(loss)(v), fd, atol=1e-8)
 
 
 @pytest.mark.parametrize("loss", [ExponentialLoss(), LogisticLoss()])
 def test_loss_curvature_finite_difference(loss):
-    u = np.linspace(-8.0, 8.0, 41)
-    fd = (loss.dvalues(u + 1e-5) - loss.dvalues(u - 1e-5)) / 2e-5
-    np.testing.assert_allclose(loss.curvature(u), fd, atol=1e-6)
+    # d weights/dv = loss''(-v): the smoothness at one margin bounds the
+    # slope there, and over all margins it is the steepest slope.
+    v = np.linspace(-8.0, 8.0, 41)
+    slope = _central_difference(_weights(loss), v, 1e-5)
+    local = np.array([loss.smoothness(np.array([-vi])) for vi in v])
+    assert np.all(slope <= local * (1.0 + 1e-6))
+    assert loss.smoothness(-v) == pytest.approx(slope.max(), rel=1e-6)
 
 
 def test_logistic_smoothness_is_quarter():
     loss = LogisticLoss()
     assert loss.beta == 0.25
-    u = np.linspace(-30.0, 30.0, 201)
-    assert np.max(loss.curvature(u)) <= 0.25
-    assert loss.curvature(np.array([0.0]))[0] == pytest.approx(0.25)
-    assert loss.smoothness(u) == 0.25
+    v = np.linspace(-30.0, 30.0, 201)
+    slope = _central_difference(_weights(loss), v, 1e-5)
+    # Within the finite difference's own error of the 1/4 cap, reached at 0.
+    assert np.max(slope) <= 0.25 + 1e-10
+    at_zero = _central_difference(_weights(loss), np.array([0.0]), 1e-5)
+    assert at_zero[0] == pytest.approx(0.25)
+    assert loss.smoothness(-v) == 0.25
 
 
 def test_exponential_smoothness_is_local():
@@ -170,17 +216,17 @@ def test_exponential_smoothness_is_local():
 
 def test_exponential_clamp_prevents_overflow():
     loss = ExponentialLoss()
-    v = loss.values(np.array([-1e6]))
-    assert np.isfinite(v).all()
-    assert v[0] == loss.values(np.array([-50.0]))[0]
+    terms, weights = loss.at_negated_margins(np.array([1e6]))
+    assert np.isfinite(terms).all() and np.isfinite(weights).all()
+    clamped = loss.at_negated_margins(np.array([50.0]))
+    assert (terms[0], weights[0]) == (clamped[0][0], clamped[1][0])
 
 
 def test_logistic_tail_is_sandwiched_by_exponentials():
-    # Exponential-tail property of -loss': between 0.5 e^{-u} and e^{-u}
-    # for u >= 0, which is what drives the max-margin limit.
-    loss = LogisticLoss()
+    # Exponential-tail property of -loss'(u): between 0.5 e^{-u} and
+    # e^{-u} for u >= 0, which is what drives the max-margin limit.
     u = np.linspace(0.0, 30.0, 301)
-    tail = -loss.dvalues(u)
+    tail = _weights(LogisticLoss())(-u)
     assert np.all(tail <= np.exp(-u) + 1e-15)
     assert np.all(tail >= 0.5 * np.exp(-u) - 1e-15)
 
@@ -321,14 +367,15 @@ def _reference_classification_run(x, y, loss, config, w0):
         dirs.append(w / norm if norm > 0 else np.zeros_like(w))
 
     margins = signed @ w
-    value = float(np.sum(loss.values(margins)))
+    terms, weights = loss.at_negated_margins(-margins)
+    value = float(np.sum(terms))
     initial_value = prev_value = value
     eff_beta = loss.smoothness(margins)
     n_iters = 0
     for k in range(config.max_iters + 1):
         if k % config.record_every == 0:
             snapshot(k, w, margins, value)
-        grad = loss.dvalues(margins) @ signed
+        grad = -weights @ signed
         if np.linalg.norm(grad) <= config.grad_tol:
             n_iters = k
             break
@@ -337,7 +384,8 @@ def _reference_classification_run(x, y, loss, config, w0):
             break
         w = w - config.step_size * grad
         margins = signed @ w
-        value = float(np.sum(loss.values(margins)))
+        terms, weights = loss.at_negated_margins(-margins)
+        value = float(np.sum(terms))
         if not np.isfinite(value) or value > DIVERGENCE_FACTOR * initial_value:
             raise DivergenceError(
                 f"loss reached {value:g} at iteration {k + 1} "
@@ -478,10 +526,15 @@ def _bits(a):
         ),
     )
 )
-def test_negated_margin_pieces_match_values_and_dvalues(v):
-    # The step loop's one call on the loss stands in for values(-v) and
-    # -dvalues(-v); any bit of difference would move the trajectory.
-    for loss in (ExponentialLoss(), LogisticLoss()):
-        terms, weights = loss.at_negated_margins(v)
-        np.testing.assert_array_equal(_bits(terms), _bits(loss.values(-v)))
-        np.testing.assert_array_equal(_bits(weights), _bits(-loss.dvalues(-v)))
+def test_negated_margin_pieces_match_the_margin_form(v):
+    # The step loop's one call on the loss stands in for the losses and
+    # their negated derivatives at the margins u = -v, written out here;
+    # any bit of difference would move the trajectory.  The logistic
+    # weights are pinned to scipy's expit above.
+    u = -v
+    exp_terms, exp_weights = ExponentialLoss().at_negated_margins(v)
+    clamped = np.exp(-np.clip(u, descent.MARGIN_CLAMP, None))
+    np.testing.assert_array_equal(_bits(exp_terms), _bits(clamped))
+    np.testing.assert_array_equal(_bits(exp_weights), _bits(clamped))
+    logistic_terms, _ = LogisticLoss().at_negated_margins(v)
+    np.testing.assert_array_equal(_bits(logistic_terms), _bits(np.logaddexp(0.0, -u)))

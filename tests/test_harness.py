@@ -518,6 +518,8 @@ def test_emc_grid_validation():
         emc_scan(proc, sample, 1e-6, (5, 4), 1, seed=0)
     with pytest.raises(InvalidInput):
         emc_scan(proc, sample, -1.0, (5,), 1, seed=0)
+    with pytest.raises(InvalidInput, match="trials must be >= 1, got 0"):
+        emc_scan(proc, sample, 1e-6, (5,), 0, seed=0)
 
 
 def test_emc_perfect_procedure_reaches_grid_end():

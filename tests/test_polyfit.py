@@ -70,13 +70,23 @@ def test_stacked_basis_equals_row_by_row():
             np.testing.assert_array_equal(stacked[i], legendre_design(xs[i], degree))
 
 
-def test_domain_is_enforced():
-    with pytest.raises(InvalidInput):
-        legendre_design(np.array([1.0001]), degree=3)
-    with pytest.raises(InvalidInput):
-        legendre_design(np.array([-2.0]), degree=3)
-    with pytest.raises(InvalidInput):
-        legendre_design(np.array([np.nan]), degree=3)
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: legendre_design(np.array([1.0001]), degree=3), r"xs must lie in \[-1, 1\]"),
+        (lambda: legendre_design(np.array([-2.0]), degree=3), r"xs must lie in \[-1, 1\]"),
+        (lambda: legendre_design(np.array([np.nan]), degree=3), "xs contains NaN"),
+        (lambda: legendre_design(np.array([0.5]), degree=-1), "nonnegative integer, got -1"),
+        (lambda: legendre_design(np.array([0.5]), degree=1.5), "nonnegative integer, got 1.5"),
+        (lambda: legendre_predict([], np.array([0.5])), "coef must be a nonempty vector"),
+        (lambda: legendre_predict(np.ones((2, 2)), np.array([0.5])), "coef must be a nonempty"),
+        (lambda: fit_poly_min_norm(np.zeros(3), np.zeros(4), 2), r"ys has shape \(4,\)"),
+        (lambda: random_target_poly(-1, seed=0), "degree must be >= 0, got -1"),
+    ],
+)
+def test_domain_is_enforced(call, message):
+    with pytest.raises(InvalidInput, match=message):
+        call()
 
 
 # ------------------------------------------------------------------ fitting
@@ -110,6 +120,9 @@ def test_gradient_descent_fit_agrees_with_pseudo_inverse():
     assert np.linalg.norm(a - b) / np.linalg.norm(a) <= 1e-5
     with pytest.raises(InvalidInput):
         fit_poly_min_norm(xs, ys, degree=3, via="newton")
+    # No samples: the design is all zero and both routes give zeros.
+    for via in ("pseudo_inverse", "gradient_descent"):
+        np.testing.assert_array_equal(fit_poly_min_norm([], [], degree=3, via=via), np.zeros(4))
 
 
 def test_degree_1000_fit_is_smoother_than_degree_20():

@@ -53,6 +53,9 @@ def test_kernel_rejects_bad_bandwidth():
         gaussian_kernel(np.eye(2), np.eye(3), bandwidth=1.0)
     with pytest.raises(InvalidInput):
         sample_map(10, 2, -1.0, seed=0)
+    for n_features, input_dim in ((0, 2), (10, 0)):
+        with pytest.raises(InvalidInput, match="n_features and input_dim must be >= 1"):
+            sample_map(n_features, input_dim, 1.0, seed=0)
 
 
 def test_feature_map_shapes_and_scale():

@@ -65,6 +65,8 @@ def test_generate_separable_validation():
         generate_separable(1, 2, 0.5, seed=0)
     with pytest.raises(InvalidInput):
         generate_separable(10, 2, 0.0, seed=0)
+    with pytest.raises(InvalidInput, match="d must be >= 1, got 0"):
+        generate_separable(10, 0, 0.5, seed=0)
 
 
 def test_generate_separable_refuses_a_margin_lost_to_rounding():
