@@ -68,7 +68,7 @@ class GDConfig:
             raise ConfigError(f"step_size must be positive and finite, got {self.step_size}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.grad_tol < 0:
+        if not self.grad_tol >= 0:
             raise ConfigError(f"grad_tol must be >= 0, got {self.grad_tol}")
 
 
@@ -179,7 +179,7 @@ def _check_labels(x, y):
     """``_check_xy`` for classification: labels must be -1 or +1."""
     x, y = _check_xy(x, y)
     if not np.all(np.abs(y) == 1.0):
-        raise InvalidInput(f"labels must be -1/+1, got values {np.unique(y)}")
+        raise InvalidInput(f"labels must be -1/+1, got values {sorted(set(y.tolist()))}")
     return x, y
 
 

@@ -39,18 +39,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from ..errors import ConfigError, DescentLabError
-from .config import EXPERIMENTS, effective_config_lines, load_config
-from .runner import import_modules, run
-
-_HELP = {
-    "sparse-risk": "risk curve of min-norm regression on a random feature subset",
-    "rff-sweep": "double-descent sweep of min-norm random Fourier feature regression",
-    "kernel-approx": "Gaussian-kernel approximation error of RFF maps vs width",
-    "implicit-bias": "gradient descent drifting toward the max-margin direction",
-    "polyfit": "Legendre polynomial fit curve at one degree",
-    "bias-variance": "empirical bias-variance decomposition over degrees",
-    "emc": "effective model complexity of min-norm linear regression",
-}
+from .config import effective_config_lines, load_config
+from .runner import EXPERIMENTS, import_modules, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,8 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical experiments on double descent and implicit bias.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in EXPERIMENTS:
-        sp = sub.add_parser(name, help=_HELP[name])
+    for name, (runner, *_) in EXPERIMENTS.items():
+        sp = sub.add_parser(name, help=runner.__doc__)
         sp.add_argument("--config", required=True, help="path to the config file")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out", default=None, help="override the output CSV path")

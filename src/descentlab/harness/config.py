@@ -139,8 +139,6 @@ SCHEMAS: dict[str, tuple[Field, ...]] = {
     ),
 }
 
-EXPERIMENTS = tuple(SCHEMAS)
-
 # Seeds are hashed as 64-bit unsigned integers; anything outside that
 # range would alias a seed inside it.
 SEED_LIMIT = 1 << 64
@@ -245,7 +243,7 @@ def load_config(path, experiment=None, seed=None, output=None) -> ExperimentConf
         )
     name = experiment or file_experiment
     if name not in SCHEMAS:
-        raise ConfigError(f"unknown experiment {name!r}; expected one of {list(EXPERIMENTS)}")
+        raise ConfigError(f"unknown experiment {name!r}; expected one of {list(SCHEMAS)}")
 
     if seed is None:
         seed_text = raw.pop("seed", "0")

@@ -23,8 +23,6 @@ from ..errors import ConfigError
 
 def format_value(v) -> str:
     """Canonical text form: ints plain, floats shortest round-trip."""
-    if isinstance(v, str):
-        return v
     if isinstance(v, (bool, np.bool_)):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):

@@ -4,10 +4,10 @@ Every runner draws all randomness from the config's master seed through
 labeled substreams, so identical configs give byte-identical CSV bodies
 no matter how trials are scheduled.
 
-A runner takes the library modules it uses as arguments, listed beside it
-in ``EXPERIMENTS``, so importing this module loads none of them;
-``import_modules`` loads the ones an experiment needs before its run
-starts.
+``EXPERIMENTS`` is the one list of experiments; the CLI's subcommands,
+with their runners' docstrings as help, come from it.  A runner takes the
+library modules it uses as arguments, listed beside it there, so importing
+this module loads none of them; ``import_modules`` loads them before a run.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ def _emit_records(config: ExperimentConfig, records, trailing=()):
 
 
 def run_sparse_risk(config: ExperimentConfig, sparse_regression) -> None:
+    """risk curve of min-norm regression on a random feature subset"""
     p = config.parameters
     rows = sparse_regression.risk_curve(
         p["signal_norm_sq"],
@@ -56,6 +57,7 @@ def run_sparse_risk(config: ExperimentConfig, sparse_regression) -> None:
 
 
 def run_rff_sweep(config: ExperimentConfig, rff, datasets) -> None:
+    """double-descent sweep of min-norm random Fourier feature regression"""
     p = config.parameters
     if p["dataset"] == "mnist":
         ds = datasets.load_mnist_split(p["n_train"], p["n_test"], config.seed)
@@ -85,6 +87,7 @@ def run_rff_sweep(config: ExperimentConfig, rff, datasets) -> None:
 
 
 def run_kernel_approx(config: ExperimentConfig, rff) -> None:
+    """Gaussian-kernel approximation error of RFF maps vs width"""
     p = config.parameters
     rng = substream(config.seed, "kernel-approx-points")
     points = rng.uniform(0.0, 1.0, size=(p["n_points"], p["input_dim"]))
@@ -103,6 +106,7 @@ def run_kernel_approx(config: ExperimentConfig, rff) -> None:
 
 
 def run_implicit_bias(config: ExperimentConfig, descent, separable) -> None:
+    """gradient descent drifting toward the max-margin direction"""
     p = config.parameters
     x, y, witness = separable.generate_separable(p["n"], p["d"], p["margin"], config.seed)
     loss = descent.get_loss(p["loss"])
@@ -128,6 +132,7 @@ def run_implicit_bias(config: ExperimentConfig, descent, separable) -> None:
 
 
 def run_polyfit(config: ExperimentConfig, polyfit) -> None:
+    """Legendre polynomial fit curve at one degree"""
     p = config.parameters
     truth_coef = polyfit.random_target_poly(p["truth_degree"], config.seed)
     rng = substream(config.seed, "polyfit-samples")
@@ -141,6 +146,7 @@ def run_polyfit(config: ExperimentConfig, polyfit) -> None:
 
 
 def run_bias_variance(config: ExperimentConfig, polyfit) -> None:
+    """empirical bias-variance decomposition over degrees"""
     p = config.parameters
     truth_coef = polyfit.random_target_poly(p["truth_degree"], config.seed)
 
@@ -162,6 +168,7 @@ def run_bias_variance(config: ExperimentConfig, polyfit) -> None:
 
 
 def run_emc(config: ExperimentConfig, emc) -> None:
+    """effective model complexity of min-norm linear regression"""
     p = config.parameters
     d = p["d"]
     w = np.ones(d) / math.sqrt(d)
@@ -198,21 +205,17 @@ EXPERIMENTS = {
 }
 
 
-def _runner(config: ExperimentConfig):
-    """``config``'s runner and the modules it takes, imported."""
+def import_modules(config: ExperimentConfig):
+    """``config``'s runner and its modules, imported, and ``descent`` for
+    polyfit's gradient-descent route, so none loads during the run."""
     runner, *names = EXPERIMENTS[config.experiment]
-    return runner, [importlib.import_module(name, "descentlab") for name in names]
-
-
-def import_modules(config: ExperimentConfig) -> None:
-    """Import every module ``config``'s run uses, so none loads during it:
-    its runner's, and ``descent`` for polyfit's gradient-descent route."""
-    _runner(config)
+    modules = [importlib.import_module(name, "descentlab") for name in names]
     if config.experiment == "polyfit" and config.parameters["via"] == "gradient_descent":
         importlib.import_module(".descent", "descentlab")
+    return runner, modules
 
 
 def run(config: ExperimentConfig) -> None:
     """Execute the configured experiment."""
-    runner, modules = _runner(config)
+    runner, modules = import_modules(config)
     runner(config, *modules)

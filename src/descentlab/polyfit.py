@@ -26,6 +26,7 @@ neither the block size nor the CPU count changes a result.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,7 +56,7 @@ def legendre_design(xs, degree: int) -> np.ndarray:
         raise InvalidInput("xs contains NaN or Inf entries")
     if xs.size and (np.min(xs) < -1.0 or np.max(xs) > 1.0):
         raise InvalidInput("xs must lie in [-1, 1]")
-    if degree < 0 or int(degree) != degree:
+    if not isinstance(degree, numbers.Integral) or degree < 0:
         raise InvalidInput(f"degree must be a nonnegative integer, got {degree}")
 
     design = np.empty(xs.shape + (degree + 1,))

@@ -35,6 +35,7 @@ estimate does not depend on the CPU count.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,7 @@ class GaussianLinearProblem:
         object.__setattr__(self, "w_true", w)
         if not math.isfinite(self.noise_scale) or self.noise_scale < 0:
             raise InvalidInput(f"noise_scale must be >= 0, got {self.noise_scale}")
-        if self.n < 1 or int(self.n) != self.n:
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise InvalidInput(f"n must be a positive integer, got {self.n}")
 
     @property
@@ -135,7 +136,7 @@ def analytic_risk_fixed_subset(w_true, sel: SubsetSelection, noise_scale: float,
         raise InvalidInput(f"w_true must be a vector of length {sel.d}")
     if noise_scale < 0:
         raise InvalidInput(f"noise_scale must be >= 0, got {noise_scale}")
-    if n < 1 or int(n) != n:
+    if not isinstance(n, numbers.Integral) or n < 1:
         raise InvalidInput(f"n must be a positive integer, got {n}")
     a = float(np.sum(w[sel.kept] ** 2))
     b = float(np.sum(w**2)) - a
@@ -156,7 +157,7 @@ def analytic_risk_random_subset(
         raise InvalidInput("w_norm_sq and noise_var must be >= 0")
     if d < 1 or n < 1:
         raise InvalidInput("d and n must be positive integers")
-    if not 0 <= p <= d or int(p) != p:
+    if not isinstance(p, numbers.Integral) or not 0 <= p <= d:
         raise InvalidInput(f"p must be an integer in [0, {d}], got {p}")
     frac = p / d
     return _three_case_risk(frac * w_norm_sq, (1.0 - frac) * w_norm_sq, p, n, noise_var)
@@ -180,7 +181,7 @@ def monte_carlo_risk(
     (``parallel.map_trials``).
     """
     d, n = problem.d, problem.n
-    if not 0 <= p <= d or int(p) != p:
+    if not isinstance(p, numbers.Integral) or not 0 <= p <= d:
         raise InvalidInput(f"p must be an integer in [0, {d}], got {p}")
     if trials < 1:
         raise InvalidInput(f"trials must be >= 1, got {trials}")

@@ -39,6 +39,10 @@ def test_config_validation():
         GDConfig(step_size=0.1, max_iters=0).validate()
     with pytest.raises(ConfigError):
         GDConfig(step_size=0.1, grad_tol=-1.0).validate()
+    with pytest.raises(ConfigError, match="grad_tol must be >= 0, got nan"):
+        gd_least_squares(
+            [[1.0]], [1.0], GDConfig(step_size=0.5, max_iters=50, grad_tol=float("nan"))
+        )
     # record_every is read by gd_classification alone, so only it checks it.
     with pytest.raises(ConfigError, match="record_every must be >= 1, got 0"):
         gd_classification(

@@ -24,9 +24,10 @@ from descentlab import parallel
 from descentlab.errors import ConfigError, FormatError, InvalidInput
 from descentlab.harness import cli
 from descentlab.harness import config as config_module
+from descentlab.harness import runner
 from descentlab.harness.cli import main
 from descentlab.harness.config import (
-    EXPERIMENTS,
+    SCHEMAS,
     effective_config_lines,
     load_config,
     parse_config_text,
@@ -236,7 +237,7 @@ def test_effective_lines_round_trip(tmp_path):
 
 
 def test_every_experiment_has_runnable_defaults(tmp_path):
-    for name in EXPERIMENTS:
+    for name in SCHEMAS:
         path = tmp_path / f"{name}.cfg"
         path.write_text(f"experiment = {name}\n")
         config = load_config(path)
@@ -256,7 +257,6 @@ def test_format_value_forms():
     assert format_value(np.float64(0.1)) == "0.1"
     assert format_value(math.inf) == "inf"
     assert format_value(-math.inf) == "-inf"
-    assert format_value("label") == "label"
 
 
 @settings(max_examples=100, deadline=None)
@@ -282,12 +282,12 @@ def read_rows(path) -> tuple[list[str], list[str], list[list[str]]]:
 
 def test_write_read_round_trip(tmp_path):
     path = tmp_path / "out.csv"
-    rows = [(1, 0.5, "a"), (2, math.inf, "b")]
-    write_csv(path, ["seed = 7"], ("k", "v", "tag"), rows, trailing_comments=("emc = 2",))
+    rows = [(1, 0.5, True), (2, math.inf, False)]
+    write_csv(path, ["seed = 7"], ("k", "v", "flag"), rows, trailing_comments=("emc = 2",))
     comments, columns, got = read_rows(path)
     assert comments == ["seed = 7", "emc = 2"]
-    assert columns == ["k", "v", "tag"]
-    assert got == [["1", "0.5", "a"], ["2", "inf", "b"]]
+    assert columns == ["k", "v", "flag"]
+    assert got == [["1", "0.5", "1"], ["2", "inf", "0"]]
 
 
 def test_write_csv_is_atomic_and_leaves_no_temp_files(tmp_path):
@@ -591,6 +591,32 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-an-experiment", "--config", bad])
     assert exc.value.code == 2
+
+
+def test_help_lists_each_experiment_with_its_runner_docstring(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name, (run_fn, *_) in runner.EXPERIMENTS.items():
+        assert f" {name} {run_fn.__doc__} " in text
+
+
+def test_every_runner_has_a_one_line_docstring():
+    for run_fn, *_ in runner.EXPERIMENTS.values():
+        doc = run_fn.__doc__
+        assert doc and doc == doc.strip() and "\n" not in doc, run_fn.__name__
+
+
+def test_schemas_and_runners_name_the_same_experiments():
+    assert set(SCHEMAS) == set(runner.EXPERIMENTS)
+
+
+def test_unknown_experiment_lists_every_experiment(tmp_path):
+    cfg = _cfg(tmp_path, "experiment = nope\n")
+    with pytest.raises(ConfigError, match=r"unknown experiment 'nope'; expected one of \[") as exc:
+        load_config(cfg)
+    assert all(repr(name) in str(exc.value) for name in SCHEMAS)
 
 
 def test_cli_runs_polyfit_end_to_end(tmp_path, capsys):
@@ -989,7 +1015,12 @@ def _readme_columns():
 
 
 def test_readme_lists_every_experiment():
-    assert sorted(_readme_columns()) == sorted(EXPERIMENTS) == sorted(_TINY_CONFIGS)
+    assert (
+        sorted(_readme_columns())
+        == sorted(SCHEMAS)
+        == sorted(runner.EXPERIMENTS)
+        == sorted(_TINY_CONFIGS)
+    )
 
 
 @pytest.mark.parametrize("name", sorted(_TINY_CONFIGS))
@@ -1110,6 +1141,23 @@ def test_a_run_loads_no_module(tmp_path, monkeypatch, name, keys):
     assert _loaded(report["modules"], "scipy") == []
     # np.median and np.unique would import numpy.ma; no run calls them.
     assert "numpy.ma" not in report["modules"]
+
+
+def test_a_bad_label_error_loads_no_numpy_ma(tmp_path):
+    program = (
+        "import json, sys\n"
+        "from descentlab.descent import GDConfig, gd_classification, get_loss\n"
+        "from descentlab.errors import InvalidInput\n"
+        "try:\n"
+        "    gd_classification([[1.0], [2.0]], [1.0, 3.0], get_loss('logistic'),"
+        " GDConfig(step_size=0.1))\n"
+        "except InvalidInput as exc:\n"
+        "    print(json.dumps([str(exc), 'numpy.ma' in sys.modules]))"
+    )
+    assert _fresh_python(tmp_path, program) == [
+        "labels must be -1/+1, got values [1.0, 3.0]",
+        False,
+    ]
 
 
 def test_importing_datasets_loads_no_scipy(tmp_path):

@@ -70,6 +70,11 @@ def test_stacked_basis_equals_row_by_row():
             np.testing.assert_array_equal(stacked[i], legendre_design(xs[i], degree))
 
 
+def test_numpy_integer_degree_is_accepted():
+    xs = np.array([-0.5, 0.25])
+    np.testing.assert_array_equal(legendre_design(xs, np.int64(3)), legendre_design(xs, 3))
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -78,6 +83,7 @@ def test_stacked_basis_equals_row_by_row():
         (lambda: legendre_design(np.array([np.nan]), degree=3), "xs contains NaN"),
         (lambda: legendre_design(np.array([0.5]), degree=-1), "nonnegative integer, got -1"),
         (lambda: legendre_design(np.array([0.5]), degree=1.5), "nonnegative integer, got 1.5"),
+        (lambda: legendre_design(np.array([0.1]), degree=2.0), "nonnegative integer, got 2.0"),
         (lambda: legendre_predict([], np.array([0.5])), "coef must be a nonempty vector"),
         (lambda: legendre_predict(np.ones((2, 2)), np.array([0.5])), "coef must be a nonempty"),
         (lambda: fit_poly_min_norm(np.zeros(3), np.zeros(4), 2), r"ys has shape \(4,\)"),

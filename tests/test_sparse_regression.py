@@ -101,19 +101,23 @@ _PROBLEM = GaussianLinearProblem(w_true=np.ones(5), noise_scale=0.1, n=3)
         (lambda: analytic_risk_random_subset(-1.0, 0.04, 10, 5, 2), "w_norm_sq and noise_var"),
         (lambda: analytic_risk_random_subset(1.0, 0.04, 0, 5, 0), "d and n must be positive"),
         (lambda: analytic_risk_random_subset(1.0, 0.04, 10, 5, 11), r"p must be .* in \[0, 10\]"),
+        (lambda: analytic_risk_random_subset(1.0, 0.04, 10, 5, 2.0), r"\[0, 10\], got 2.0"),
         (lambda: GaussianLinearProblem(np.array([1.0]), -0.1, 5), "noise_scale must be >= 0"),
         (lambda: GaussianLinearProblem(np.array([np.nan]), 0.1, 5), "w_true contains NaN"),
         (lambda: GaussianLinearProblem(np.empty(0), 0.1, 5), "w_true must be a nonempty vector"),
         (lambda: GaussianLinearProblem(np.ones((2, 2)), 0.1, 5), "nonempty vector"),
         (lambda: GaussianLinearProblem(np.array([1.0]), 0.1, 0), "n must be a positive integer"),
         (lambda: GaussianLinearProblem(np.array([1.0]), 0.1, 2.5), "n must be a positive integer"),
+        (lambda: GaussianLinearProblem(np.ones(3), 0.1, 5.0), "positive integer, got 5.0"),
         (lambda: SubsetSelection(kept=np.zeros((2, 2)), d=4), "kept must be a 1-d index array"),
         (lambda: fit_subset_min_norm(np.ones((3, 4)), np.ones(3), _SEL), r"shape \(n, 5\)"),
         (lambda: fit_subset_min_norm(np.ones(5), np.ones(1), _SEL), r"shape \(n, 5\)"),
         (lambda: analytic_risk_fixed_subset(np.ones(4), _SEL, 0.1, 3), "vector of length 5"),
         (lambda: analytic_risk_fixed_subset(np.ones(5), _SEL, -0.1, 3), "noise_scale must be >= 0"),
         (lambda: analytic_risk_fixed_subset(np.ones(5), _SEL, 0.1, 0), "n must be a positive"),
+        (lambda: analytic_risk_fixed_subset(np.ones(5), _SEL, 0.1, 3.0), "integer, got 3.0"),
         (lambda: monte_carlo_risk(_PROBLEM, 6, 10, 5, seed=0), r"p must be .* in \[0, 5\]"),
+        (lambda: monte_carlo_risk(_PROBLEM, 2.0, 10, 5, seed=0), r"\[0, 5\], got 2.0"),
         (lambda: monte_carlo_risk(_PROBLEM, 2, 0, 5, seed=0), "trials must be >= 1, got 0"),
         (lambda: monte_carlo_risk(_PROBLEM, 2, 10, 0, seed=0), "test_points must be >= 1, got 0"),
     ],
@@ -121,6 +125,16 @@ _PROBLEM = GaussianLinearProblem(w_true=np.ones(5), noise_scale=0.1, n=3)
 def test_input_validation(call, message):
     with pytest.raises(InvalidInput, match=message):
         call()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    assert analytic_risk_random_subset(1.0, 0.04, 10, np.int64(5), np.int64(8)) == (
+        analytic_risk_random_subset(1.0, 0.04, 10, 5, 8)
+    )
+    problem = GaussianLinearProblem(np.ones(5), 0.1, np.int64(3))
+    assert monte_carlo_risk(problem, np.int64(2), 4, 5, seed=0) == (
+        monte_carlo_risk(_PROBLEM, 2, 4, 5, seed=0)
+    )
 
 
 # ----------------------------------------------------------------- subsets
