@@ -21,20 +21,51 @@ re-checks the step size whenever the loss fails to decrease.
 
 A loss is what the step reads: its ``name``, a global smoothness
 ``beta`` (None where the curvature is unbounded), ``smoothness(u)``, the
-largest curvature at margins ``u``, and ``at_negated_margins(v)``.  The
-step runs on the negated margins ``v = -(y_i x_i^T w)``, the quantity
-both losses exponentiate, and ``at_negated_margins(v)`` returns the
-per-sample losses ``terms = loss(-v)`` and the gradient weights
-``weights = -loss'(-v)``.  With ``N`` the matrix of rows ``-y_i x_i``,
-formed once, a step is ``v = N w``, that one call, and the gradient
-``weights @ N``: no array is negated inside the loop.  Negating a
-float is exact and rounding to nearest is symmetric under sign, so
-this gives the same bits as the step written on ``u = -v``.
+largest curvature at margins ``u``, ``at_negated_margins(v)`` and its
+in-place form.  The step runs on the negated margins
+``v = -(y_i x_i^T w)``, the quantity both losses exponentiate, and
+``at_negated_margins(v)`` returns the per-sample losses
+``terms = loss(-v)`` and the gradient weights ``weights = -loss'(-v)``.
+``at_negated_margins_into(v, terms, scratch)`` writes the terms into
+``terms`` and returns the row, ``terms`` or ``scratch``, that holds
+``weights_sign * weights``: the exponential loss's weights are its
+terms, and the logistic loss returns ``expm1(-terms)`` without the
+negation that would make it the weights.  With ``N`` the matrix of
+rows ``-y_i x_i``, formed once, a step is ``v = N w``, that one call,
+and the gradient ``(weights_sign * weights) @ (weights_sign * N)``: no
+array is negated inside the loop but the logistic loss's own
+``-terms``.  Negating a float is exact and rounding to nearest is
+symmetric under sign, so ``(-a)(-b) = ab`` and this gives the same bits
+as the step written on ``u = -v``.
+
+Classification steps run in blocks of up to ``BLOCK_STEPS``, each
+step's arrays in a row of preallocated buffers.  A step makes only the
+calls that feed the next: the ``w`` update, ``v = N w``, the loss
+pieces and the gradient, each written in place.  Once per block,
+``np.add.reduce`` along the rows gives every step's loss value, and the
+checks are scanned in step order: divergence, a rise in the loss
+(which re-estimates the smoothness), the ``record_every`` snapshot and
+the gradient stop test.  The first event that ends the run wins, and
+the result comes from its row.  The bits are those of a loop that
+checks every step: each row comes from the same calls, a reduction
+along a row is numpy's pairwise sum of that row alone, and the stop is
+decided by the same ``sqrt(g . g) <= grad_tol`` (a batched norm only
+picks the rows to test).  The last step of a block takes its gradient
+and stop test after its other checks, as that loop does.
+
+A block computes steps past the one that ends the run, and those may
+overflow where the serial loop never went.  So a block runs with every
+float fault the caller's ``np.errstate`` does not ignore raised, and a
+block that faults is run again one step per block under the caller's
+own errstate, the same code at a block size of one.  The run then
+raises, warns or diverges exactly where a loop that checks every step
+does.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +83,12 @@ DIVERGENCE_FACTOR = 10.0
 
 _SMOOTHNESS_FLOOR = 1e-12
 
+# ``gd_classification`` runs its steps in blocks of BLOCK_STEPS, fewer
+# where the rows of n margins would pass BLOCK_ELEMENTS floats.  Past a
+# few dozen rows a longer block is no faster, only larger.
+BLOCK_STEPS = 64
+BLOCK_ELEMENTS = 2**14
+
 
 @dataclass(frozen=True)
 class GDConfig:
@@ -66,8 +103,8 @@ class GDConfig:
     def validate(self) -> None:
         if not np.isfinite(self.step_size) or self.step_size <= 0:
             raise ConfigError(f"step_size must be positive and finite, got {self.step_size}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ConfigError(f"max_iters must be an integer >= 1, got {self.max_iters}")
         if not self.grad_tol >= 0:
             raise ConfigError(f"grad_tol must be >= 0, got {self.grad_tol}")
 
@@ -82,6 +119,7 @@ class ExponentialLoss:
 
     name = "exponential"
     beta = None
+    weights_sign = 1.0
 
     def smoothness(self, u: np.ndarray) -> float:
         # loss''(u) = exp(-u) is largest at the smallest clamped margin.
@@ -90,8 +128,13 @@ class ExponentialLoss:
     def at_negated_margins(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``terms = loss(-v)`` and ``weights = -loss'(-v)``, both
         ``exp(min(v, -MARGIN_CLAMP))``, from one ``exp``."""
-        e = np.exp(np.minimum(v, -MARGIN_CLAMP))
+        e = self.at_negated_margins_into(v, np.empty(np.shape(v)), None)
         return e, e
+
+    def at_negated_margins_into(self, v, terms, scratch):
+        """The terms written into ``terms``, which also holds the weights."""
+        np.minimum(v, -MARGIN_CLAMP, out=terms)
+        return np.exp(terms, out=terms)
 
 
 class LogisticLoss:
@@ -99,6 +142,7 @@ class LogisticLoss:
 
     name = "logistic"
     beta = 0.25
+    weights_sign = -1.0
 
     def smoothness(self, u: np.ndarray) -> float:
         # Curvature is globally capped at 1/4 regardless of the margins.
@@ -108,8 +152,15 @@ class LogisticLoss:
         """``terms = loss(-v) = log(1 + exp(v))`` and ``weights =
         -loss'(-v) = 1 / (1 + exp(-v))``, computed as ``1 - exp(-terms)``:
         no overflow, and exactly 1 and 0 at +inf and -inf."""
-        terms = np.logaddexp(0.0, v)
-        return terms, -np.expm1(-terms)
+        terms = np.empty(np.shape(v))
+        return terms, -self.at_negated_margins_into(v, terms, np.empty(np.shape(v)))
+
+    def at_negated_margins_into(self, v, terms, scratch):
+        """The terms written into ``terms`` and ``expm1(-terms)``, the
+        negated weights, into ``scratch``."""
+        np.logaddexp(0.0, v, out=terms)
+        np.negative(terms, out=scratch)
+        return np.expm1(scratch, out=scratch)
 
 
 _LOSSES = {
@@ -270,16 +321,19 @@ def gd_classification(x, y, loss, config: GDConfig, w0=None) -> ClassificationGD
     ``max_iters``.  If the loss increases, the local smoothness is
     re-estimated; a step size above the implied bound
     ``2 / (beta * sigma_max^2)``, or a loss past DIVERGENCE_FACTOR times
-    the initial value, raises DivergenceError.
+    the initial value, raises DivergenceError.  The steps run in blocks
+    (module docstring).
     """
     config.validate()
-    if config.record_every < 1:
-        raise ConfigError(f"record_every must be >= 1, got {config.record_every}")
+    record_every = config.record_every
+    if not isinstance(record_every, numbers.Integral) or record_every < 1:
+        raise ConfigError(f"record_every must be an integer >= 1, got {record_every}")
     x, y = _check_labels(x, y)
     w = _check_w0(x, w0)
 
     smax2 = svd(x).s_max ** 2
     neg = -(x * y[:, None])  # row i is -y_i x_i, so v = neg @ w
+    gmat = loss.weights_sign * neg  # the gradient is signed weights @ gmat
 
     ts, losses, norms, margin_list, dirs = [], [], [], [], []
 
@@ -295,53 +349,123 @@ def gd_classification(x, y, loss, config: GDConfig, w0=None) -> ClassificationGD
             margin_list.append(0.0)
             dirs.append(np.zeros_like(w))
 
-    # The step loop works on the negated margins (module docstring) and
-    # reads only locals: np.dot and np.add.reduce skip numpy's
-    # Python-level wrappers, math.sqrt(g . g) is exactly np.linalg.norm(g),
-    # and math.isfinite tests the Python float.
-    step_size, max_iters, record_every = config.step_size, config.max_iters, config.record_every
-    grad_tol = config.grad_tol
-    at_negated_margins, dot, add_reduce = loss.at_negated_margins, np.dot, np.add.reduce
-    v = dot(neg, w)
-    terms, weights = at_negated_margins(v)
-    value = float(add_reduce(terms))
-    initial_value = value
-    prev_value = value
-    eff_beta = loss.smoothness(-v)
-    n_iters = 0
-    for k in range(max_iters + 1):
-        if k % record_every == 0:
-            snapshot(k, w, -v, value)
-        grad = dot(weights, neg)
-        if math.sqrt(dot(grad, grad)) <= grad_tol:
-            n_iters = k
-            break
-        if k == max_iters:
-            n_iters = k
-            break
-        w = w - step_size * grad
-        v = dot(neg, w)
-        terms, weights = at_negated_margins(v)
-        value = float(add_reduce(terms))
-        if not math.isfinite(value) or value > DIVERGENCE_FACTOR * initial_value:
+    # Row 0 of each buffer holds the step a block starts from and rows
+    # 1..steps the block's steps.  The lists of row views and the locals
+    # spare the step loop numpy's Python-level wrappers and lookups.
+    n, d = x.shape
+    rows = max(1, min(BLOCK_STEPS, BLOCK_ELEMENTS // n))
+    W, G = np.empty((2, rows + 1, d))
+    V, T, S = np.empty((3, rows + 1, n))
+    vals = np.empty(rows + 1)
+    w_, g_, v_, t_, s_ = (list(a) for a in (W, G, V, T, S))
+    weights = [None] * (rows + 1)  # the row holding each step's signed weights
+    tmp = np.empty(d)
+    step_size, max_iters, grad_tol = config.step_size, config.max_iters, config.grad_tol
+    into, dot, add_reduce = loss.at_negated_margins_into, np.dot, np.add.reduce
+    multiply, subtract = np.multiply, np.subtract
+
+    def stops(r):
+        """The gradient at row ``r`` and the stop test on it."""
+        dot(weights[r], gmat, out=g_[r])
+        return math.sqrt(dot(g_[r], g_[r])) <= grad_tol
+
+    def compute(steps):
+        """Rows 1..steps, each from the calls that feed the next step, and
+        their loss values; returns the squared gradient norms of rows
+        1..steps-1 (the last row's gradient comes with its checks)."""
+        for r in range(1, steps + 1):
+            multiply(g_[r - 1], step_size, out=tmp)
+            subtract(w_[r - 1], tmp, out=w_[r])
+            dot(neg, w_[r], out=v_[r])
+            weights[r] = into(v_[r], t_[r], s_[r])
+            if r < steps:
+                dot(weights[r], gmat, out=g_[r])
+        add_reduce(T[1 : steps + 1], axis=1, out=vals[1 : steps + 1])
+        return add_reduce(np.square(G[1:steps]), axis=1)
+
+    def scan(steps, grad_sq):
+        """Check rows 1..steps, steps k+1..k+steps, in the serial loop's
+        order.  Returns the row the run stops at, or None after carrying
+        the last row to row 0."""
+        nonlocal k, eff_beta
+        new = vals[1 : steps + 1]
+        last = int((new <= cap).argmin())  # rows 1..last pass the divergence check
+        if new[last] <= cap:
+            last = steps
+        stop = None
+        # A batched norm only picks candidates; the stop test decides.
+        for i in (grad_sq[:last] <= near_sq).nonzero()[0].tolist():
+            if math.sqrt(dot(g_[i + 1], g_[i + 1])) <= grad_tol:
+                stop = last = i + 1
+                break
+        rises = {i + 1 for i in (new[:last] > vals[:last]).nonzero()[0].tolist()}
+        first = record_every - k % record_every
+        for r in sorted(rises.union(range(first, last + 1, record_every))):
+            if r in rises:
+                # A convex smooth objective cannot increase under a stable
+                # step, so re-estimate the smoothness where we actually are.
+                eff_beta = max(eff_beta, loss.smoothness(-v_[r]))
+                safe = 2.0 / (eff_beta * smax2)
+                if step_size > safe:
+                    raise DivergenceError(
+                        f"loss increased at iteration {k + r} and step_size "
+                        f"{step_size:g} exceeds the local stability "
+                        f"bound {safe:g}"
+                    )
+            if (k + r) % record_every == 0:
+                snapshot(k + r, w_[r], -v_[r], float(vals[r]))
+        if stop is not None:
+            return stop
+        if last < steps:
             raise DivergenceError(
-                f"loss reached {value:g} at iteration {k + 1} "
+                f"loss reached {float(new[last]):g} at iteration {k + last + 1} "
                 f"(started at {initial_value:g}); reduce step_size"
             )
-        if value > prev_value:
-            # A convex smooth objective cannot increase under a stable
-            # step, so re-estimate the smoothness where we actually are.
-            eff_beta = max(eff_beta, loss.smoothness(-v))
-            safe = 2.0 / (eff_beta * smax2)
-            if step_size > safe:
-                raise DivergenceError(
-                    f"loss increased at iteration {k + 1} and step_size "
-                    f"{step_size:g} exceeds the local stability "
-                    f"bound {safe:g}"
-                )
-        prev_value = value
+        if stops(steps) or k + steps == max_iters:
+            return steps
+        W[0], G[0], vals[0] = W[steps], G[steps], vals[steps]
+        k += steps
+        return None
+
+    k = 0
+    W[0] = w
+    dot(neg, w_[0], out=v_[0])
+    weights[0] = into(v_[0], t_[0], s_[0])
+    vals[0] = initial_value = float(add_reduce(t_[0]))
+    limit = DIVERGENCE_FACTOR * initial_value
+    # A loss value, a sum of nonnegative terms, passes the divergence
+    # check if it is at most cap: the limit or, where that is inf, the
+    # largest float.
+    cap = min(limit, np.finfo(float).max)
+    # A batched sum of squares and dot(g, g) each lie within d rounding
+    # errors of the exact sum, plus underflow's absolute error, so a row
+    # the stop test could pass has a batched square norm within near_sq.
+    near_tol = grad_tol * (1.0 + 2.0**-20) + 2.0**-500
+    near_sq = near_tol * near_tol
+    eff_beta = loss.smoothness(-v_[0])
+    snapshot(0, w_[0], -v_[0], initial_value)
+    end = 0 if stops(0) else None
+    # A block runs with every float fault the caller does not ignore
+    # raised; a faulting block is redone a step at a time under the
+    # caller's own errstate, where it faults as the serial loop would.
+    strict = {kind: "ignore" if how == "ignore" else "raise" for kind, how in np.geterr().items()}
+    while end is None:
+        steps = min(rows, max_iters - k)
+        try:
+            with np.errstate(**strict):
+                grad_sq = compute(steps)
+        except FloatingPointError:
+            for _ in range(steps):
+                end = scan(1, compute(1))
+                if end is not None:
+                    break
+        else:
+            end = scan(steps, grad_sq)
+
+    n_iters = k + end
+    w = W[end].copy()
     if ts[-1] != n_iters:
-        snapshot(n_iters, w, -v, value)
+        snapshot(n_iters, w, -V[end], float(vals[end]))
 
     return ClassificationGD(
         w=w,

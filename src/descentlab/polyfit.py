@@ -114,8 +114,8 @@ def fit_poly_min_norm(xs, ys, degree: int, via: str = "pseudo_inverse") -> np.nd
 
 def random_target_poly(degree: int, seed: int) -> np.ndarray:
     """Standard normal Legendre coefficients for a random target polynomial."""
-    if degree < 0:
-        raise InvalidInput(f"degree must be >= 0, got {degree}")
+    if not isinstance(degree, numbers.Integral) or degree < 0:
+        raise InvalidInput(f"degree must be a nonnegative integer, got {degree}")
     return substream(seed, "target-poly").standard_normal(degree + 1)
 
 
@@ -172,10 +172,10 @@ def bias_variance_decompose(
     noisy targets so the identity ``bias^2 + variance + noise = total``
     is an empirical check rather than an algebraic tautology.
     """
-    if trials < 2:
-        raise InvalidInput(f"trials must be >= 2, got {trials}")
-    if n < 1:
-        raise InvalidInput(f"n must be >= 1, got {n}")
+    if not isinstance(trials, numbers.Integral) or trials < 2:
+        raise InvalidInput(f"trials must be an integer >= 2, got {trials}")
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise InvalidInput(f"n must be a positive integer, got {n}")
     if noise_scale < 0:
         raise InvalidInput(f"noise_scale must be >= 0, got {noise_scale}")
     if estimator is None:

@@ -155,8 +155,8 @@ def analytic_risk_random_subset(
     """
     if w_norm_sq < 0 or noise_var < 0:
         raise InvalidInput("w_norm_sq and noise_var must be >= 0")
-    if d < 1 or n < 1:
-        raise InvalidInput("d and n must be positive integers")
+    if not (isinstance(d, numbers.Integral) and isinstance(n, numbers.Integral)) or d < 1 or n < 1:
+        raise InvalidInput(f"d and n must be positive integers, got {d} and {n}")
     if not isinstance(p, numbers.Integral) or not 0 <= p <= d:
         raise InvalidInput(f"p must be an integer in [0, {d}], got {p}")
     frac = p / d

@@ -1,5 +1,8 @@
 """Tests for the gradient descent engine and the classification losses."""
 
+import re
+import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +40,9 @@ def test_config_validation():
         GDConfig(step_size=np.inf).validate()
     with pytest.raises(ConfigError):
         GDConfig(step_size=0.1, max_iters=0).validate()
+    with pytest.raises(ConfigError, match="max_iters must be an integer >= 1, got 2.5"):
+        GDConfig(step_size=0.1, max_iters=2.5).validate()
+    GDConfig(step_size=0.1, max_iters=np.int64(3)).validate()
     with pytest.raises(ConfigError):
         GDConfig(step_size=0.1, grad_tol=-1.0).validate()
     with pytest.raises(ConfigError, match="grad_tol must be >= 0, got nan"):
@@ -44,10 +50,11 @@ def test_config_validation():
             [[1.0]], [1.0], GDConfig(step_size=0.5, max_iters=50, grad_tol=float("nan"))
         )
     # record_every is read by gd_classification alone, so only it checks it.
-    with pytest.raises(ConfigError, match="record_every must be >= 1, got 0"):
-        gd_classification(
-            [[1.0]], [1.0], get_loss("logistic"), GDConfig(step_size=0.1, record_every=0)
-        )
+    for bad in (0, 2.5):
+        with pytest.raises(ConfigError, match=f"record_every must be an integer >= 1, got {bad}"):
+            gd_classification(
+                [[1.0]], [1.0], get_loss("logistic"), GDConfig(step_size=0.1, record_every=bad)
+            )
     run = gd_least_squares([[1.0]], [1.0], GDConfig(step_size=0.5, record_every=0))
     assert run.converged
 
@@ -429,9 +436,9 @@ def test_least_squares_loop_matches_the_reference_bit_for_bit(grad_tol):
     np.testing.assert_array_equal(run.w, w)
 
 
-@pytest.mark.parametrize("loss_name", ["logistic", "exponential"])
-@pytest.mark.parametrize("grad_tol", [0.0, 0.1])
-def test_classification_loop_matches_the_reference_bit_for_bit(loss_name, grad_tol):
+def _separable_problem(loss_name, **config):
+    """Twelve points with an intercept column, a small random start and
+    half the stable step; ``config`` overrides the GDConfig fields."""
     rng = substream(32, "gd-reference-cls")
     y = np.where(rng.uniform(size=12) < 0.5, -1.0, 1.0)
     x = rng.standard_normal((12, 3)) + 0.8 * y[:, None]
@@ -439,17 +446,33 @@ def test_classification_loop_matches_the_reference_bit_for_bit(loss_name, grad_t
     loss = get_loss(loss_name)
     w0 = 0.1 * rng.standard_normal(3)
     step = 0.5 * max_stable_step(x, loss.beta or loss.smoothness(x * y[:, None] @ w0))
-    config = GDConfig(step_size=step, max_iters=1500, grad_tol=grad_tol, record_every=11)
+    fields = dict(step_size=step, max_iters=1500, grad_tol=0.0, record_every=11) | config
+    return x, y, loss, GDConfig(**fields), w0
+
+
+def _assert_matches_the_reference(problem):
+    """Run ``problem`` through both loops and compare every field bit for bit."""
+    x, y, loss, config, w0 = problem
     run = gd_classification(x, y, loss, config, w0=w0)
-    w, t, values, norms, margins, dirs = _reference_classification(x, y, loss, config, w0)
+    w, t, values, norms, margins, dirs, eff_beta = _reference_classification_run(
+        x, y, loss, config, w0
+    )
     assert run.n_iters == t[-1]
-    assert (run.n_iters < config.max_iters) == (grad_tol > 0)
+    assert run.effective_smoothness == eff_beta
     np.testing.assert_array_equal(run.w, w)
     np.testing.assert_array_equal(run.t, t)
     np.testing.assert_array_equal(run.loss, values)
     np.testing.assert_array_equal(run.w_norm, norms)
     np.testing.assert_array_equal(run.min_margin, margins)
     np.testing.assert_array_equal(run.directions, dirs)
+    return run
+
+
+@pytest.mark.parametrize("loss_name", ["logistic", "exponential"])
+@pytest.mark.parametrize("grad_tol", [0.0, 0.1])
+def test_classification_loop_matches_the_reference_bit_for_bit(loss_name, grad_tol):
+    run = _assert_matches_the_reference(_separable_problem(loss_name, grad_tol=grad_tol))
+    assert (run.n_iters < 1500) == (grad_tol > 0)
 
 
 def _unstable_exponential_problem(seed, fraction):
@@ -472,18 +495,9 @@ def test_reestimating_run_matches_the_reference_bit_for_bit(seed, fraction):
     # The loss rises at some step, the smoothness is re-estimated there,
     # and the step stays inside the new bound, so the run goes on.
     x, y, loss, config, w0, beta0 = _unstable_exponential_problem(seed, fraction)
-    run = gd_classification(x, y, loss, config, w0=w0)
-    w, t, values, norms, margins, dirs, eff_beta = _reference_classification_run(
-        x, y, loss, config, w0
-    )
+    run = _assert_matches_the_reference((x, y, loss, config, w0))
     # Only a rise in the loss re-estimates the smoothness.
-    assert run.effective_smoothness == eff_beta > beta0
-    np.testing.assert_array_equal(run.w, w)
-    np.testing.assert_array_equal(run.t, t)
-    np.testing.assert_array_equal(run.loss, values)
-    np.testing.assert_array_equal(run.w_norm, norms)
-    np.testing.assert_array_equal(run.min_margin, margins)
-    np.testing.assert_array_equal(run.directions, dirs)
+    assert run.effective_smoothness > beta0
 
 
 def _opposing_points():
@@ -516,6 +530,178 @@ def test_divergence_matches_the_reference(problem, message):
 
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
+
+
+# The block engine against the reference loop, which checks every step.
+# Events are put on a chosen row of a block by setting the block size.
+
+B = descent.BLOCK_STEPS
+
+
+def _put_step_on_block_row(monkeypatch, step, row):
+    """Size the blocks so that ``step`` is on the first row of a block, a
+    middle one (of the second block, for a step past 3) or the last."""
+    size = {"first": step - 1 or B, "middle": 2 * step // 3, "last": step}[row]
+    assert size * 12 <= descent.BLOCK_ELEMENTS  # no budget cap on these problems
+    monkeypatch.setattr(descent, "BLOCK_STEPS", size)
+
+
+@pytest.mark.parametrize("loss_name", ["logistic", "exponential"])
+@pytest.mark.parametrize("max_iters", [1, B - 1, B, B + 1, 3 * B + 7])
+def test_runs_ending_on_each_side_of_a_block_boundary_match(loss_name, max_iters):
+    run = _assert_matches_the_reference(_separable_problem(loss_name, max_iters=max_iters))
+    assert run.n_iters == max_iters
+
+
+@pytest.mark.parametrize("record_every", [1, 7, B, B + 3])
+def test_records_across_block_boundaries_match(record_every):
+    problem = _separable_problem("logistic", max_iters=3 * B + 7, record_every=record_every)
+    run = _assert_matches_the_reference(problem)
+    assert run.t[1] == min(record_every, 3 * B + 7)
+
+
+@pytest.mark.parametrize("loss_name", ["logistic", "exponential"])
+@pytest.mark.parametrize("row", ["first", "middle", "last"])
+def test_gradient_stop_on_a_block_row_matches(monkeypatch, loss_name, row):
+    stop = _reference_classification(*_separable_problem(loss_name, grad_tol=0.1))[1][-1]
+    assert 1 < stop < 1500
+    _put_step_on_block_row(monkeypatch, stop, row)
+    run = _assert_matches_the_reference(_separable_problem(loss_name, grad_tol=0.1))
+    assert run.n_iters == stop
+
+
+def _reference_error(problem):
+    with pytest.raises(DivergenceError) as expected:
+        _reference_classification(*problem)
+    return str(expected.value)
+
+
+def _opposing_points_for_a_block():
+    # _opposing_points with a block of steps after its divergence at step 1.
+    x, y, loss, config, w0 = _opposing_points()
+    return x, y, loss, replace(config, max_iters=B), w0
+
+
+def _overflowing_points():
+    # Two points on one side and one on the other under a 1e308 step: the
+    # loss passes the backstop at step 1, and the step after next would
+    # overflow w; the reference loop never reaches it.
+    x = np.array([[1.0], [1.0], [-1.0]])
+    config = GDConfig(step_size=1e308, max_iters=B, grad_tol=0.0, record_every=1)
+    return x, np.ones(3), get_loss("logistic"), config, np.zeros(1)
+
+
+class _SteepLoss:
+    """The exponential loss's terms with the weights ``exp(14 min(v, 50))``,
+    which are not their slope: a made-up loss whose gradient overflows
+    at margins where the loss itself is finite."""
+
+    name, beta, weights_sign = "steep", None, 1.0
+    smoothness = ExponentialLoss().smoothness
+
+    def at_negated_margins(self, v):
+        terms = np.exp(np.minimum(v, -descent.MARGIN_CLAMP))
+        return terms, np.exp(14.0 * np.minimum(v, -descent.MARGIN_CLAMP))
+
+    def at_negated_margins_into(self, v, terms, scratch):
+        terms[:], scratch[:] = self.at_negated_margins(v)
+        return scratch
+
+
+def _steep_points():
+    # Two opposing points 1e5 from the origin: step 1 takes the margins
+    # from -+0.01 to past -+50, so the loss passes the backstop there,
+    # and the gradient at step 1, which the reference loop takes only
+    # after that check, overflows.
+    x, y, _, config, _ = _opposing_points_for_a_block()
+    config = replace(config, step_size=1.8e-8)
+    return 1e5 * x, y, _SteepLoss(), config, np.array([1e-7])
+
+
+_DIVERGING = {
+    "seed-11": lambda: _unstable_exponential_problem(11, 2.633)[:5],
+    "seed-63": lambda: _unstable_exponential_problem(63, 0.884)[:5],
+    "opposing": _opposing_points_for_a_block,
+    "overflowing": _overflowing_points,
+    "steep": _steep_points,
+}
+
+
+@pytest.mark.parametrize("name", list(_DIVERGING))
+@pytest.mark.parametrize("row", ["first", "last"])
+def test_divergence_on_a_block_row_matches(monkeypatch, name, row):
+    message = _reference_error(_DIVERGING[name]())
+    step = int(re.search(r"at iteration (\d+)", message).group(1))
+    _put_step_on_block_row(monkeypatch, step, row)
+    x, y, loss, config, w0 = _DIVERGING[name]()
+    with pytest.raises(DivergenceError) as raised:
+        gd_classification(x, y, loss, config, w0=w0)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "problem, errstate",
+    [
+        # Past its divergence _opposing_points underflows, never overflows.
+        (_opposing_points_for_a_block, {"all": "raise"}),
+        (_overflowing_points, {"over": "raise", "divide": "raise", "invalid": "raise"}),
+        (_steep_points, {"over": "raise"}),
+    ],
+    ids=["opposing-underflow", "overflowing", "steep"],
+)
+def test_faults_past_a_divergence_leave_the_reference_error(problem, errstate):
+    x, y, loss, config, w0 = problem()
+    with np.errstate(**errstate):
+        message = _reference_error(problem())
+        with pytest.raises(DivergenceError) as raised:
+            gd_classification(x, y, loss, config, w0=w0)
+    assert str(raised.value) == message
+
+
+def _warnings_and_outcome(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            call()
+            outcome = None
+        except DivergenceError as exc:
+            outcome = str(exc)
+    return [(w.category, str(w.message)) for w in caught], outcome
+
+
+@pytest.mark.parametrize("name", list(_DIVERGING))
+def test_no_warning_the_reference_does_not_emit(name):
+    # Under the default errstate a fault warns; the block that computes
+    # steps past the divergence must not.
+    x, y, loss, config, w0 = _DIVERGING[name]()
+    expected = _warnings_and_outcome(lambda: _reference_classification(x, y, loss, config, w0))
+    got = _warnings_and_outcome(lambda: gd_classification(x, y, loss, config, w0=w0))
+    assert got == expected
+
+
+@pytest.mark.parametrize("n", [1, 7, 50, 129, 5000])
+def test_reducing_the_rows_together_sums_each_row_alone(n):
+    # The loss values of a block come from one reduction along rows 1..8
+    # of a buffer, written into a slice.
+    terms = np.exp(substream(n, "row-sums").standard_normal((9, n)) * 20.0)
+    together = np.empty(9)
+    np.add.reduce(terms[1:], axis=1, out=together[1:])
+    for i in range(1, 9):
+        assert _bits(together[i]) == _bits(np.add.reduce(terms[i]))
+    np.add.reduce(terms[1:2], axis=1, out=together[:1])
+    assert _bits(together[0]) == _bits(together[1])
+
+
+@pytest.mark.parametrize("seed, fraction", [(212, 0.696), (257, 0.344)])
+@pytest.mark.parametrize("row", ["first", "last"])
+def test_rise_across_a_block_boundary_matches(monkeypatch, seed, fraction, row):
+    # The first rise compares the loss on one side of a block boundary
+    # with the loss on the other ("first"), or ends a block ("last").
+    x, y, loss, config, w0, _ = _unstable_exponential_problem(seed, fraction)
+    values = _reference_classification(x, y, loss, replace(config, record_every=1), w0)[2]
+    rise = int(np.flatnonzero(np.diff(values) > 0)[0]) + 1
+    _put_step_on_block_row(monkeypatch, rise, row)
+    _assert_matches_the_reference((x, y, loss, config, w0))
 
 
 @settings(max_examples=200, deadline=None)

@@ -87,7 +87,16 @@ def test_numpy_integer_degree_is_accepted():
         (lambda: legendre_predict([], np.array([0.5])), "coef must be a nonempty vector"),
         (lambda: legendre_predict(np.ones((2, 2)), np.array([0.5])), "coef must be a nonempty"),
         (lambda: fit_poly_min_norm(np.zeros(3), np.zeros(4), 2), r"ys has shape \(4,\)"),
-        (lambda: random_target_poly(-1, seed=0), "degree must be >= 0, got -1"),
+        (lambda: random_target_poly(-1, seed=0), "nonnegative integer, got -1"),
+        (lambda: random_target_poly(2.0, seed=0), "nonnegative integer, got 2.0"),
+        (
+            lambda: bias_variance_decompose(np.zeros_like, 1, 5.5, 0.1, trials=5, seed=0),
+            "n must be a positive integer, got 5.5",
+        ),
+        (
+            lambda: bias_variance_decompose(np.zeros_like, 1, 5, 0.1, trials=4.0, seed=0),
+            "trials must be an integer >= 2, got 4.0",
+        ),
     ],
 )
 def test_domain_is_enforced(call, message):

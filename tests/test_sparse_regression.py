@@ -100,6 +100,8 @@ _PROBLEM = GaussianLinearProblem(w_true=np.ones(5), noise_scale=0.1, n=3)
     [
         (lambda: analytic_risk_random_subset(-1.0, 0.04, 10, 5, 2), "w_norm_sq and noise_var"),
         (lambda: analytic_risk_random_subset(1.0, 0.04, 0, 5, 0), "d and n must be positive"),
+        (lambda: analytic_risk_random_subset(1.0, 0.04, 10.5, 5.5, 2), "got 10.5 and 5.5"),
+        (lambda: analytic_risk_random_subset(1.0, 0.04, 10, 5.0, 2), "integers, got 10 and 5.0"),
         (lambda: analytic_risk_random_subset(1.0, 0.04, 10, 5, 11), r"p must be .* in \[0, 10\]"),
         (lambda: analytic_risk_random_subset(1.0, 0.04, 10, 5, 2.0), r"\[0, 10\], got 2.0"),
         (lambda: GaussianLinearProblem(np.array([1.0]), -0.1, 5), "noise_scale must be >= 0"),
