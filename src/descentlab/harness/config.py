@@ -16,10 +16,11 @@ its bounds (a minimum, strict lower and upper bounds, another key that
 caps it, as ``p_grid`` entries are capped by ``d``, or, for a list,
 strictly increasing entries), so whatever the runner cannot use is a
 config error at load time.  So is an output path that is a directory, and
-a random-feature run whose largest arrays (for rff-sweep, a feature
-buffer, Gram matrix and map per process that may hold them; for
-kernel-approx, its widest features, two pairwise matrices, map and
-points) would not fit in physical memory.
+a run whose largest arrays (for rff-sweep, a feature buffer, Gram matrix
+and map per process that may hold them; for kernel-approx, its widest
+features, two pairwise matrices, map and points; for sparse-risk, one
+trial's designs per process; for bias-variance, one block's designs and
+their SVD factors per process) would not fit in physical memory.
 """
 
 from __future__ import annotations
@@ -312,7 +313,18 @@ def _largest_arrays(name: str, parameters: dict) -> tuple[tuple[str, int, tuple]
     points: at its widest map it holds at once the feature matrix, the
     exact kernel and the ``n_points x n_points`` error matrix it builds in
     place (``rff.kernel_approx_error``), beside the map's frequencies and
-    the points themselves."""
+    the points themselves.
+
+    The Monte Carlo experiments run their trials in one process per
+    usable CPU, at most one per trial.  sparse-risk shares the true
+    weights; each process holds at once one trial's ``n x d`` design, its
+    ``test_points x d`` test draw, the sub-design of the largest
+    ``p_grid`` entry and the ``d`` coefficients.  bias-variance shares
+    the ``trials x PROBE.size`` predictions and the Legendre design of
+    ``PROBE`` at the largest degree; each process fits a block of up to
+    ``BLOCK_TRIALS`` trials at once, and holds the block's stacked ``n x
+    (degree + 1)`` designs at the largest degree and their SVD factors
+    ``U`` and ``V^T``, whose inner size is the smaller side."""
     if name == "rff-sweep":
         n_train, widest = parameters["n_train"], parameters["n_grid"][-1]
         rows = max(n_train, parameters["n_test"])
@@ -330,6 +342,25 @@ def _largest_arrays(name: str, parameters: dict) -> tuple[tuple[str, int, tuple]
         dim = parameters["input_dim"]
         shapes = ((rows, widest), (rows, rows), (rows, rows), (widest, dim), (rows, dim))
         return (("features, two pairwise matrices, map and points", 1, shapes),)
+    if name == "sparse-risk":
+        d, n = parameters["d"], parameters["n"]
+        copies = parallel.processes(parameters["trials"])
+        shapes = ((n, d), (parameters["test_points"], d), (n, max(parameters["p_grid"])), (1, d))
+        return (
+            ("true weights", 1, ((1, d),)),
+            ("design, test draw, sub-design and coefficients", copies, shapes),
+        )
+    if name == "bias-variance":
+        # Imported here: no other experiment loads polyfit.
+        from ..polyfit import BLOCK_TRIALS, PROBE
+
+        trials, n, columns = parameters["trials"], parameters["n"], parameters["degrees"][-1] + 1
+        block, inner = min(BLOCK_TRIALS, trials), min(n, columns)
+        shapes = ((block * n, columns), (block * n, inner), (block * inner, columns))
+        return (
+            ("probe predictions and design", 1, ((trials, PROBE.size), (PROBE.size, columns))),
+            ("block designs and their SVD factors", parallel.processes(trials), shapes),
+        )
     return ()
 
 

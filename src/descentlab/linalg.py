@@ -17,7 +17,8 @@ several times cheaper than an SVD for a well-conditioned ``X``.  When
 the answer, so those fits, and any other whose Gram solve cannot be
 certified, go to LAPACK ``gelsd`` instead (``np.linalg.lstsq``):
 SVD-based, with the same cutoff, but it never forms the singular
-vectors.  A stack of fits is factored by one stacked SVD call.
+vectors.  A stack of fits is factored by one stacked SVD call and, where
+every singular value is kept, solved by two stacked products.
 
 numpy is the only dependency.  The Gram solve calls ``dlange``,
 ``dpotrf``, ``dpocon`` and ``dpotrs`` of the OpenBLAS bundled in numpy's
@@ -204,9 +205,12 @@ def min_norm_solve(x, y) -> np.ndarray:
     below the cutoff of ``svd``.
 
     ``x`` may also be a stack ``(..., m, n)`` with ``y`` of shape
-    ``(..., m)``: the stack is factored by one SVD call, then each member
+    ``(..., m)``: the stack is factored by one SVD call, and each member
     gets its own rank cut and ``V_r diag(1/s_r) U_r^T y``, so the per-call
-    overhead is paid once and no member's cut depends on the others.
+    overhead is paid once and no member's cut depends on the others.  The
+    full-rank members are solved together by two stacked products, with
+    the bits of one member's product; a rank-deficient or all-zero member
+    is solved alone, on its kept singular values only.
     """
     x = _as_matrix(x, stacked=True)
     y = np.asarray(y, dtype=float)
@@ -227,11 +231,22 @@ def min_norm_solve(x, y) -> np.ndarray:
         raise InvalidInput(f"y has shape {y.shape}, expected {x.shape[:-1]}")
     k, (m, n) = math.prod(x.shape[:-2]), x.shape[-2:]
     u, s, vt = _factors(x.reshape(k, m, n))
-    w = np.empty(x.shape[:-2] + (n,))
-    for i, (wi, yi) in enumerate(zip(w.reshape(k, n), y.reshape(k, m))):
+    y = y.reshape(k, m)
+    # Singular values come in descending order, so a member keeps them
+    # all when its last one is above its cutoff.
+    full = s[:, -1] > (EPS * max(m, n)) * s[:, 0] if s.shape[1] else np.ones(k, dtype=bool)
+    # Every member's V diag(1/s) U^T y in two stacked products: numpy's
+    # matmul makes for each member the BLAS call of the per-member product
+    # below, so a full-rank member gets its bits.  Only full-rank members
+    # are divided by their singular values; the others are solved again
+    # one at a time, with their own rank cut.
+    z = np.matmul(u.transpose(0, 2, 1), y[..., None])
+    np.divide(z, s[..., None], out=z, where=full[:, None, None])
+    w = np.matmul(vt.transpose(0, 2, 1), z)[..., 0]
+    for i in np.flatnonzero(~full):
         r = _rank(s[i], (m, n))
-        wi[...] = vt[i, :r].T @ ((u[i, :, :r].T @ yi) / s[i, :r])
-    return w
+        w[i] = vt[i, :r].T @ ((u[i, :, :r].T @ y[i]) / s[i, :r])
+    return w.reshape(x.shape[:-2] + (n,))
 
 
 def kernel_projector(a) -> np.ndarray:

@@ -19,7 +19,8 @@ The bias-variance decomposition fits its trials in blocks of
 ``BLOCK_TRIALS``, one basis recurrence and one stacked SVD per block.
 An estimator takes a block's ``(B, n)`` samples and targets and returns
 its fits on the probe grid ``PROBE``, broadcastable to
-``(B, PROBE.size)``.  Each trial has its own random substream, and the
+``(B, PROBE.size)``.  Each trial has its own random substream (each
+process's trials get theirs from one ``seeding.substreams``), and the
 blocks are spread over forked children (``parallel.map_trials``), so
 neither the block size nor the CPU count changes a result.
 """
@@ -35,7 +36,7 @@ import numpy as np
 from .errors import InvalidInput
 from .linalg import min_norm_solve, svd
 from .parallel import map_trials
-from .seeding import substream
+from .seeding import substream, substreams
 
 # The gradient-descent route of fit_poly_min_norm stops at this relative
 # gradient norm, or after this many steps.
@@ -182,9 +183,11 @@ def bias_variance_decompose(
         probe_design = legendre_design(PROBE, degree)
 
         def estimator(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-            # One product per trial: a single matmul over the block can
-            # change the last bits.
-            return np.stack([probe_design @ c for c in fit_poly_min_norm(xs, ys, degree)])
+            # A stacked matmul makes one matrix-vector product per trial,
+            # with the bits of a lone ``probe_design @ c``; a single
+            # matrix product over the block can change the last bits.
+            coef = fit_poly_min_norm(xs, ys, degree)
+            return np.matmul(probe_design, coef[..., None])[..., 0]
 
     truth_on_probe = np.asarray(truth_fn(PROBE), dtype=float)
 
@@ -192,17 +195,17 @@ def bias_variance_decompose(
     totals = np.empty(trials)
 
     def chunk(lo: int, hi: int) -> None:
+        streams = substreams(seed, "bias-variance-trial", lo, hi)
         for start in range(lo, hi, BLOCK_TRIALS):
             block = slice(start, min(start + BLOCK_TRIALS, hi))
             size = block.stop - start
             xs = np.empty((size, n))
             noise = np.empty((size, n))
             fresh_noise = np.empty((size, PROBE.size))
-            for i in range(size):
-                rng = substream(seed, "bias-variance-trial", start + i)
+            for i, rng in zip(range(size), streams):
                 xs[i] = rng.uniform(-1.0, 1.0, size=n)
-                noise[i] = rng.standard_normal(n)
-                fresh_noise[i] = rng.standard_normal(PROBE.size)
+                rng.standard_normal(out=noise[i])
+                rng.standard_normal(out=fresh_noise[i])
             ys = np.asarray(truth_fn(xs), dtype=float) + noise_scale * noise
             preds[block] = estimator(xs, ys)
             fresh = truth_on_probe + noise_scale * fresh_noise

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import InvalidInput
 from .linalg import min_norm_solve
 from .parallel import map_trials
-from .seeding import derive_seed, substream
+from .seeding import derive_seed, substreams
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,12 @@ class SubsetSelection:
     d: int
 
     def __post_init__(self):
-        kept = np.sort(np.asarray(self.kept, dtype=int))
+        kept = np.asarray(self.kept)
         if kept.ndim != 1:
             raise InvalidInput("kept must be a 1-d index array")
+        if kept.size and not np.issubdtype(kept.dtype, np.integer):
+            raise InvalidInput(f"kept indices must be integers, got dtype {kept.dtype}")
+        kept = np.sort(kept.astype(int))
         if kept.size and (kept[0] < 0 or kept[-1] >= self.d):
             raise InvalidInput(f"kept indices out of range for d = {self.d}")
         if np.any(kept[1:] == kept[:-1]):
@@ -183,10 +186,10 @@ def monte_carlo_risk(
     d, n = problem.d, problem.n
     if not isinstance(p, numbers.Integral) or not 0 <= p <= d:
         raise InvalidInput(f"p must be an integer in [0, {d}], got {p}")
-    if trials < 1:
-        raise InvalidInput(f"trials must be >= 1, got {trials}")
-    if test_points < 1:
-        raise InvalidInput(f"test_points must be >= 1, got {test_points}")
+    if not isinstance(trials, numbers.Integral) or trials < 1:
+        raise InvalidInput(f"trials must be an integer >= 1, got {trials}")
+    if not isinstance(test_points, numbers.Integral) or test_points < 1:
+        raise InvalidInput(f"test_points must be an integer >= 1, got {test_points}")
     if subset is not None and (subset.d != d or subset.p != p):
         raise InvalidInput("pinned subset does not match the requested (d, p)")
 
@@ -194,16 +197,20 @@ def monte_carlo_risk(
     sigma = problem.noise_scale
     risks = np.empty(trials)
 
+    def trial(rng: np.random.Generator) -> float:
+        # A function, so that a trial's arrays are freed before the next
+        # trial draws its own.
+        sel = subset if subset is not None else SubsetSelection.random(d, p, rng)
+        x = rng.standard_normal((n, d))
+        y = x @ w + sigma * rng.standard_normal(n)
+        coef = fit_subset_min_norm(x, y, sel)
+        xt = rng.standard_normal((test_points, d))
+        yt = xt @ w + sigma * rng.standard_normal(test_points)
+        return float(np.mean((yt - xt @ coef) ** 2))
+
     def chunk(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            rng = substream(seed, "sparse-mc-trial", i)
-            sel = subset if subset is not None else SubsetSelection.random(d, p, rng)
-            x = rng.standard_normal((n, d))
-            y = x @ w + sigma * rng.standard_normal(n)
-            coef = fit_subset_min_norm(x, y, sel)
-            xt = rng.standard_normal((test_points, d))
-            yt = xt @ w + sigma * rng.standard_normal(test_points)
-            risks[i] = float(np.mean((yt - xt @ coef) ** 2))
+        for i, rng in zip(range(lo, hi), substreams(seed, "sparse-mc-trial", lo, hi)):
+            risks[i] = trial(rng)
 
     map_trials(chunk, trials, risks)
 

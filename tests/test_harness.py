@@ -979,6 +979,84 @@ def test_kernel_approx_beyond_its_pairwise_peak_is_refused(tmp_path, monkeypatch
     assert main(["validate", "--config", cfg]) == 0
 
 
+# sparse-risk at d = 1000, n = 40, 30 test points and p up to 500: the
+# 1 x 1000 true weights once, and in each process one trial's 40 x 1000
+# design, 30 x 1000 test draw, 40 x 500 sub-design and 1 x 1000
+# coefficients.  bias-variance at n = 20, degrees up to 30 and 100 trials:
+# the 100 x 101 predictions and 101 x 31 probe design once, and in each
+# process a block of 64 trials' 1280 x 31 designs, their 1280 x 20 U and
+# 1280 x 31 V^T (64 members of 20 x 31).
+_MONTE_CARLO_PRICES = {
+    "sparse-risk": (
+        "d = 1000\nn = 40\np_grid = 10, 500\ntrials = 5\ntest_points = 30\n",
+        1000,
+        40 * 1000 + 30 * 1000 + 40 * 500 + 1000,
+        "40 x 1000 + 30 x 1000 + 40 x 500 + 1 x 1000 float64",
+    ),
+    "bias-variance": (
+        "degrees = 3, 30\nn = 20\ntrials = 100\n",
+        100 * 101 + 101 * 31,
+        1280 * 31 + 1280 * 20 + 1280 * 31,
+        "1280 x 31 + 1280 x 20 + 1280 x 31 float64",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MONTE_CARLO_PRICES))
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_monte_carlo_runs_are_priced_per_process(tmp_path, monkeypatch, name, cpus):
+    keys, shared, per_process, dims = _MONTE_CARLO_PRICES[name]
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+    cfg = _cfg(tmp_path, f"experiment = {name}\n{keys}")
+    size = 8 * (shared + cpus * per_process)
+    assert _priced_bytes(cfg) == size
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: size)
+    assert load_config(cfg)
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: size - 1)
+    with pytest.raises(ConfigError, match="exceeds physical memory") as info:
+        load_config(cfg)
+    assert dims + (f" in each of {cpus} processes" if cpus > 1 else " (") in str(info.value)
+
+
+def test_a_sparse_risk_of_400_million_features_is_refused(tmp_path, monkeypatch, capsys):
+    # Its run would draw a 40 x 400000000 design per trial (128 GB); on an
+    # 8 GiB host validate must refuse it rather than let the run be killed.
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: 8 * 2**30)
+    cfg = _cfg(tmp_path, "experiment = sparse-risk\nd = 400000000\n")
+    assert main(["validate", "--config", cfg]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert "40 x 400000000" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "name, keys, share",
+    [
+        ("sparse-risk", "d = 2000\nn = 40\np_grid = 1000\ntrials = 3\ntest_points = 100\n", 1.0),
+        ("sparse-risk", "d = 500\nn = 100\np_grid = 500\ntrials = 3\ntest_points = 300\n", 1.0),
+        # Beside the priced arrays, a block also holds its samples, noise
+        # and the probe rows of its fits: a few percent at these sizes.
+        ("bias-variance", "degrees = 200\nn = 50\ntrials = 100\n", 0.95),
+        ("bias-variance", "degrees = 400\nn = 200\ntrials = 70\n", 0.95),
+    ],
+)
+def test_monte_carlo_runs_are_priced_at_their_traced_peak(
+    tmp_path, monkeypatch, name, keys, share
+):
+    # On one CPU nothing is forked, so tracemalloc sees every array.
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+    cfg = _cfg(tmp_path, f"experiment = {name}\n{keys}")
+    config = load_config(cfg, output=str(tmp_path / "run.csv"))
+    runner.import_modules(config)
+    tracemalloc.start()
+    try:
+        runner.run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _priced_bytes(cfg) + _NUMPY_SCRATCH >= share * peak
+
+
 def test_every_sample_config_validates_on_a_small_host(monkeypatch, capsys):
     # 4 CPUs and 1 GiB: the MNIST sweep prices 4 x 210 MB.
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)

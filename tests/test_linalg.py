@@ -4,6 +4,7 @@ import ctypes
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -119,17 +120,35 @@ def _stack_members(rng, m, n):
     return np.stack([full, rank_one, np.zeros((m, n)), dup, tiny])
 
 
+def _per_member_min_norm(x, y):
+    """Each member's ``V_r diag(1/s_r) U_r^T y`` from the stack's SVD, one
+    member at a time, with its own rank cut."""
+    m, n = x.shape[-2:]
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    w = np.empty(x.shape[:-2] + (n,))
+    for i in range(x.shape[0]):
+        cutoff = EPS * max(m, n) * (float(s[i, 0]) if s.shape[1] else 0.0)
+        r = int(np.count_nonzero(s[i] > cutoff))
+        w[i] = vt[i, :r].T @ ((u[i, :, :r].T @ y[i]) / s[i, :r])
+    return w
+
+
 @pytest.mark.parametrize("shape", [(9, 4), (4, 9), (6, 6), (1, 5), (5, 1)])
 def test_stacked_min_norm_solve_equals_per_matrix_calls(shape):
     # Tall, wide and square stacks, each holding rank-deficient and
     # all-zero members; every member's solution must be exactly the one
-    # of a one-member stack, rank cut included, and agree with the
-    # single-matrix route (Gram or gelsd) to rounding.
+    # of the per-member product and of a one-member stack, rank cut
+    # included, and agree with the single-matrix route (Gram or gelsd) to
+    # rounding.  Rank-deficient and all-zero members divide by none of
+    # their small or zero singular values, so nothing warns.
     rng = substream(12, "stacked-solve", 10 * shape[0] + shape[1])
     x = _stack_members(rng, *shape)
     y = rng.standard_normal(x.shape[:-1])
-    w = min_norm_solve(x, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = min_norm_solve(x, y)
     assert w.shape == (x.shape[0], shape[1])
+    np.testing.assert_array_equal(w, _per_member_min_norm(x, y))
     for i in range(x.shape[0]):
         np.testing.assert_array_equal(w[i], min_norm_solve(x[i : i + 1], y[i : i + 1])[0])
         np.testing.assert_allclose(w[i], min_norm_solve(x[i], y[i]), rtol=1e-12, atol=0.0)
@@ -138,6 +157,16 @@ def test_stacked_min_norm_solve_equals_per_matrix_calls(shape):
     # Extra stack axes are kept.
     w4 = min_norm_solve(x.reshape((1,) + x.shape), y.reshape((1,) + y.shape))
     np.testing.assert_array_equal(w4[0], w)
+
+
+@pytest.mark.parametrize("shape", [(64, 20, 4), (64, 20, 21), (7, 12, 12)])
+def test_full_rank_stacks_equal_the_per_member_product(shape):
+    # Every member full rank: the stacked products run on the factors
+    # themselves, with no copy, at the shapes of bias-variance's blocks.
+    rng = substream(13, "full-rank-stack", shape[2])
+    x = rng.standard_normal(shape)
+    y = rng.standard_normal(shape[:-1])
+    np.testing.assert_array_equal(min_norm_solve(x, y), _per_member_min_norm(x, y))
 
 
 def test_stacked_min_norm_solve_rejects_bad_input():

@@ -120,8 +120,13 @@ _PROBLEM = GaussianLinearProblem(w_true=np.ones(5), noise_scale=0.1, n=3)
         (lambda: analytic_risk_fixed_subset(np.ones(5), _SEL, 0.1, 3.0), "integer, got 3.0"),
         (lambda: monte_carlo_risk(_PROBLEM, 6, 10, 5, seed=0), r"p must be .* in \[0, 5\]"),
         (lambda: monte_carlo_risk(_PROBLEM, 2.0, 10, 5, seed=0), r"\[0, 5\], got 2.0"),
-        (lambda: monte_carlo_risk(_PROBLEM, 2, 0, 5, seed=0), "trials must be >= 1, got 0"),
-        (lambda: monte_carlo_risk(_PROBLEM, 2, 10, 0, seed=0), "test_points must be >= 1, got 0"),
+        (lambda: monte_carlo_risk(_PROBLEM, 2, 0, 5, seed=0), "trials must be an integer >= 1"),
+        (lambda: monte_carlo_risk(_PROBLEM, 2, 2.5, 5, seed=0), "integer >= 1, got 2.5"),
+        (lambda: monte_carlo_risk(_PROBLEM, 2, 10, 0, seed=0), "test_points must be an integer"),
+        (lambda: monte_carlo_risk(_PROBLEM, 2, 10, 2.5, seed=0), "test_points .* got 2.5"),
+        (lambda: SubsetSelection(kept=[0.5, 1.7], d=5), "kept indices must be integers"),
+        (lambda: SubsetSelection(kept=np.array([1.0]), d=5), "kept indices must be integers"),
+        (lambda: SubsetSelection(kept=[True, False], d=5), "kept indices must be integers"),
     ],
 )
 def test_input_validation(call, message):
@@ -150,6 +155,9 @@ def test_subset_selection_basics():
         SubsetSelection(kept=np.array([0, 0]), d=4)
     with pytest.raises(InvalidInput):
         SubsetSelection(kept=np.array([4]), d=4)
+    # An empty list has no integer dtype, and no entries to check.
+    assert SubsetSelection(kept=[], d=4).p == 0
+    assert list(SubsetSelection(kept=[3, np.int64(0)], d=4).kept) == [0, 3]
 
 
 def test_random_subset_is_uniformly_sized():
