@@ -12,7 +12,8 @@ classification records a trajectory to watch the direction settle.
 Least-squares objective: ``L(w) = 0.5 ||X w - y||^2`` with gradient
 ``X^T (X w - y)``.  The step size must stay below ``1 / sigma_max(X)^2``,
 comfortably inside the classical ``2 / sigma_max(X)^2`` stability limit
-for this objective; the stricter bound is enforced up front.
+for this objective; the stricter bound is enforced up front.  It runs
+on the one step engine below, ``_descend``, as a loss (``_SquaredResidual``).
 
 Classification objective: ``L(w) = sum_i loss(y_i x_i^T w)`` for labels
 in {-1, +1}.  Stability depends on the loss curvature along the
@@ -38,7 +39,7 @@ array is negated inside the loop but the logistic loss's own
 symmetric under sign, so ``(-a)(-b) = ab`` and this gives the same bits
 as the step written on ``u = -v``.
 
-Classification steps run in blocks of up to ``BLOCK_STEPS``, each
+Steps of either objective run in blocks of up to ``BLOCK_STEPS``, each
 step's arrays in a row of preallocated buffers.  A step makes only the
 calls that feed the next: the ``w`` update, ``v = N w``, the loss
 pieces and the gradient, each written in place.  Once per block,
@@ -54,7 +55,7 @@ picks the rows to test).  The last step of a block takes its gradient
 and stop test after its other checks, as that loop does.
 
 A block computes steps past the one that ends the run, and those may
-overflow where the serial loop never went.  So a block runs with every
+overflow where that loop never went.  So a block runs with every
 float fault the caller's ``np.errstate`` does not ignore raised, and a
 block that faults is run again one step per block under the caller's
 own errstate, the same code at a block size of one.  The run then
@@ -83,9 +84,9 @@ DIVERGENCE_FACTOR = 10.0
 
 _SMOOTHNESS_FLOOR = 1e-12
 
-# ``gd_classification`` runs its steps in blocks of BLOCK_STEPS, fewer
-# where the rows of n margins would pass BLOCK_ELEMENTS floats.  Past a
-# few dozen rows a longer block is no faster, only larger.
+# The engine runs its steps in blocks of BLOCK_STEPS, fewer where the
+# rows of n margins or of d weights would pass BLOCK_ELEMENTS floats.
+# Past a few dozen rows a longer block is no faster, only larger.
 BLOCK_STEPS = 64
 BLOCK_ELEMENTS = 2**14
 
@@ -161,6 +162,24 @@ class LogisticLoss:
         np.logaddexp(0.0, v, out=terms)
         np.negative(terms, out=scratch)
         return np.expm1(scratch, out=scratch)
+
+
+@dataclass(frozen=True)
+class _SquaredResidual:
+    """``0.5 ||X w - y||^2`` as a loss on ``v = X w``: weights ``r = v - y``
+    (the gradient ``r @ X`` is ``X^T (X w - y)``), terms ``r^2 / 2`` and
+    curvature 1, so under the step gate a rise in the loss never raises."""
+
+    y: np.ndarray
+
+    def smoothness(self, u):
+        return 1.0
+
+    def at_negated_margins_into(self, v, terms, scratch):
+        np.subtract(v, self.y, out=scratch)
+        np.square(scratch, out=terms)
+        np.multiply(terms, 0.5, out=terms)
+        return scratch
 
 
 _LOSSES = {
@@ -250,51 +269,24 @@ def gd_least_squares(x, y, config: GDConfig, w0=None) -> LeastSquaresGD:
     ``max_iters`` steps.  Step sizes at or above ``1 / sigma_max(X)^2``
     are rejected with ConfigError.  A loss exceeding ten times its
     initial value raises DivergenceError; with the step-size gate in
-    place this is a backstop, not an expected path.  No trajectory is
-    kept: the result is the last iterate, whether the gradient test
-    passed, and the step count.
+    place this is a backstop, not an expected path.  It runs on the one
+    step engine (module docstring) and keeps no trajectory: the result
+    is the last iterate, whether the gradient test passed, and the step count.
     """
     config.validate()
     x, y = _check_xy(x, y)
     w = _check_w0(x, w0)
 
-    smax = svd(x).s_max
-    if smax > 0 and config.step_size >= 1.0 / smax**2:
+    smax2 = svd(x).s_max ** 2
+    if smax2 > 0 and config.step_size >= 1.0 / smax2:
         raise ConfigError(
             f"step_size {config.step_size:g} is not below the stability "
-            f"limit 1/sigma_max^2 = {1.0 / smax**2:g}"
+            f"limit 1/sigma_max^2 = {1.0 / smax2:g}"
         )
 
-    grad_scale = 1.0 + float(np.linalg.norm(x.T @ y))
-    # The step loop reads only locals: for small problems the attribute
-    # lookups and numpy's Python-level wrappers cost more than the
-    # arithmetic.  math.sqrt(g @ g) is exactly np.linalg.norm(g) for a
-    # real vector, so the iterates are unchanged.
-    step_size, max_iters = config.step_size, config.max_iters
-    grad_limit = config.grad_tol * grad_scale
-    converged = False
-    n_iters = 0
-    initial_value = None
-    for k in range(max_iters + 1):
-        resid = x @ w - y
-        value = 0.5 * float(resid @ resid)
-        if initial_value is None:
-            initial_value = value
-        elif value > DIVERGENCE_FACTOR * initial_value:
-            raise DivergenceError(
-                f"loss grew to {value:g} at iteration {k} "
-                f"(started at {initial_value:g})"
-            )
-        grad = x.T @ resid
-        if math.sqrt(grad @ grad) <= grad_limit:
-            converged = True
-            n_iters = k
-            break
-        if k == max_iters:
-            n_iters = k
-            break
-        w = w - step_size * grad
-    return LeastSquaresGD(w=w, converged=converged, n_iters=n_iters)
+    tol = config.grad_tol * (1.0 + float(np.linalg.norm(x.T @ y)))
+    run, stopped = _descend(x, x, _SquaredResidual(y), config, w, smax2, tol, config.max_iters + 1)
+    return LeastSquaresGD(w=run.w, converged=stopped, n_iters=run.n_iters)
 
 
 def gd_limit_point(x, y, w0=None) -> np.ndarray:
@@ -334,7 +326,12 @@ def gd_classification(x, y, loss, config: GDConfig, w0=None) -> ClassificationGD
     smax2 = svd(x).s_max ** 2
     neg = -(x * y[:, None])  # row i is -y_i x_i, so v = neg @ w
     gmat = loss.weights_sign * neg  # the gradient is signed weights @ gmat
+    return _descend(neg, gmat, loss, config, w, smax2, config.grad_tol, record_every)[0]
 
+
+def _descend(neg, gmat, loss, config, w, smax2, grad_tol, record_every):
+    """The steps (module docstring) to ``config.max_iters`` or ``||grad|| <= grad_tol``:
+    the run, recorded every ``record_every`` steps, and whether the stop test ended it."""
     ts, losses, norms, margin_list, dirs = [], [], [], [], []
 
     def snapshot(k, w, margins, value):
@@ -343,7 +340,8 @@ def gd_classification(x, y, loss, config: GDConfig, w0=None) -> ClassificationGD
         losses.append(value)
         norms.append(norm)
         if norm > 0:
-            margin_list.append(float(margins.min()) / norm)
+            # ``initial``: a least-squares design may have no rows.
+            margin_list.append(float(margins.min(initial=math.inf)) / norm)
             dirs.append(w / norm)
         else:
             margin_list.append(0.0)
@@ -352,15 +350,15 @@ def gd_classification(x, y, loss, config: GDConfig, w0=None) -> ClassificationGD
     # Row 0 of each buffer holds the step a block starts from and rows
     # 1..steps the block's steps.  The lists of row views and the locals
     # spare the step loop numpy's Python-level wrappers and lookups.
-    n, d = x.shape
-    rows = max(1, min(BLOCK_STEPS, BLOCK_ELEMENTS // n))
+    n, d = neg.shape
+    rows = max(1, min(BLOCK_STEPS, BLOCK_ELEMENTS // max(n, d, 1)))
     W, G = np.empty((2, rows + 1, d))
     V, T, S = np.empty((3, rows + 1, n))
     vals = np.empty(rows + 1)
     w_, g_, v_, t_, s_ = (list(a) for a in (W, G, V, T, S))
     weights = [None] * (rows + 1)  # the row holding each step's signed weights
     tmp = np.empty(d)
-    step_size, max_iters, grad_tol = config.step_size, config.max_iters, config.grad_tol
+    step_size, max_iters = config.step_size, config.max_iters
     into, dot, add_reduce = loss.at_negated_margins_into, np.dot, np.add.reduce
     multiply, subtract = np.multiply, np.subtract
 
@@ -466,6 +464,8 @@ def gd_classification(x, y, loss, config: GDConfig, w0=None) -> ClassificationGD
     w = W[end].copy()
     if ts[-1] != n_iters:
         snapshot(n_iters, w, -V[end], float(vals[end]))
+    # Every way a run ends has taken the gradient of its last row.
+    stopped = math.sqrt(dot(g_[end], g_[end])) <= grad_tol
 
     return ClassificationGD(
         w=w,
@@ -476,4 +476,4 @@ def gd_classification(x, y, loss, config: GDConfig, w0=None) -> ClassificationGD
         min_margin=np.asarray(margin_list),
         directions=np.asarray(dirs),
         effective_smoothness=eff_beta,
-    )
+    ), stopped

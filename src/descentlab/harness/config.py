@@ -20,7 +20,10 @@ a run whose largest arrays (for rff-sweep, a feature buffer, Gram matrix
 and map per process that may hold them; for kernel-approx, its widest
 features, two pairwise matrices, map and points; for sparse-risk, one
 trial's designs per process; for bias-variance, one block's designs and
-their SVD factors per process) would not fit in physical memory.
+their SVD factors per process; for implicit-bias, the data and two
+copies of it; for polyfit, the sample design and its SVD
+factors, or the grid design; for emc, its widest draw and that draw's
+Gram matrix) would not fit in physical memory.
 """
 
 from __future__ import annotations
@@ -324,7 +327,18 @@ def _largest_arrays(name: str, parameters: dict) -> tuple[tuple[str, int, tuple]
     ``PROBE`` at the largest degree; each process fits a block of up to
     ``BLOCK_TRIALS`` trials at once, and holds the block's stacked ``n x
     (degree + 1)`` designs at the largest degree and their SVD factors
-    ``U`` and ``V^T``, whose inner size is the smaller side."""
+    ``U`` and ``V^T``, whose inner size is the smaller side.
+
+    The other experiments run in one process.  implicit-bias holds its
+    ``n x d`` data beside two copies of it: first the max-margin solve's
+    signed points ``A`` and ``[A^T; 1^T]`` (``separable.hard_margin_svm``),
+    then the step engine's rows ``-y_i x_i`` and their signed form
+    (``descent._descend``).  polyfit holds its ``n x (degree + 1)`` sample
+    design and that design's SVD factors while it fits, and frees them
+    before it builds the design of its ``grid_points``; the larger of the
+    two is priced.  emc draws ``n x d`` designs up to the largest
+    ``n_grid`` entry, and its min-norm solve forms the Gram matrix of the
+    smaller side."""
     if name == "rff-sweep":
         n_train, widest = parameters["n_train"], parameters["n_grid"][-1]
         rows = max(n_train, parameters["n_test"])
@@ -361,6 +375,20 @@ def _largest_arrays(name: str, parameters: dict) -> tuple[tuple[str, int, tuple]
             ("probe predictions and design", 1, ((trials, PROBE.size), (PROBE.size, columns))),
             ("block designs and their SVD factors", parallel.processes(trials), shapes),
         )
+    if name == "implicit-bias":
+        shapes = ((parameters["n"], parameters["d"]),) * 3
+        return (("data and two copies of it", 1, shapes),)
+    if name == "polyfit":
+        n, columns = parameters["n"], parameters["degree"] + 1
+        inner = min(n, columns)
+        fit = ((n, columns), (n, inner), (inner, columns))
+        grid = ((parameters["grid_points"], columns),)
+        if sum(r * c for r, c in fit) >= sum(r * c for r, c in grid):
+            return (("sample design and its SVD factors", 1, fit),)
+        return (("grid design", 1, grid),)
+    if name == "emc":
+        n, d = parameters["n_grid"][-1], parameters["d"]
+        return (("widest draw and its Gram matrix", 1, ((n, d), (min(n, d), min(n, d)))),)
     return ()
 
 

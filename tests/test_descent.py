@@ -1,6 +1,7 @@
 """Tests for the gradient descent engine and the classification losses."""
 
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import expit
 
-from descentlab import descent
+from descentlab import descent, polyfit
 from descentlab.descent import (
     DIVERGENCE_FACTOR,
     ExponentialLoss,
@@ -97,6 +98,8 @@ def test_step_size_gate_on_least_squares():
     with pytest.raises(ConfigError):
         gd_least_squares(x, [1.0], GDConfig(step_size=0.25))
     gd_least_squares(x, [1.0], GDConfig(step_size=0.24))  # just inside
+    # sigma_max^2 underflows to 0 here, so no step size is refused.
+    assert gd_least_squares([[1e-170]], [1.0], GDConfig(step_size=1.0)).converged
 
 
 # ------------------------------------------------------- least squares GD
@@ -119,7 +122,7 @@ def test_least_squares_divergence_backstop(monkeypatch):
     # and the loss 0.5, 2, 8 passes DIVERGENCE_FACTOR times its start.
     monkeypatch.setattr(descent, "svd", lambda x: SimpleNamespace(s_max=0.1))
     config = GDConfig(step_size=3.0, max_iters=50, grad_tol=0.0)
-    message = r"^loss grew to 8 at iteration 2 \(started at 0\.5\)$"
+    message = r"^loss reached 8 at iteration 2 \(started at 0\.5\); reduce step_size$"
     with pytest.raises(DivergenceError, match=message):
         gd_least_squares([[1.0]], [1.0], config)
 
@@ -345,8 +348,10 @@ def test_effective_smoothness_tracks_the_start_point():
 
 
 def _reference_least_squares(x, y, config, w0):
-    """The least-squares loop written with numpy's wrappers, as a reference."""
-    x, y, w = np.asarray(x, float), np.asarray(y, float), np.array(w0, float)
+    """The least-squares loop written with numpy's wrappers, as a reference;
+    ``w0 = None`` starts from zero."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    w = np.zeros(x.shape[1]) if w0 is None else np.array(w0, float)
     grad_scale = 1.0 + float(np.linalg.norm(x.T @ y))
     converged, n_iters = False, 0
     for k in range(config.max_iters + 1):
@@ -422,18 +427,32 @@ def _reference_classification(x, y, loss, config, w0):
     return _reference_classification_run(x, y, loss, config, w0)[:6]
 
 
-@pytest.mark.parametrize("grad_tol", [0.0, 1e-6])
-def test_least_squares_loop_matches_the_reference_bit_for_bit(grad_tol):
+def _least_squares_problem(with_w0=True, **config):
+    """Four rows in seven unknowns at 0.9 of the stable step, from a random
+    start or from zero; ``config`` overrides the GDConfig fields."""
     rng = substream(31, "gd-reference-ls")
     x = rng.standard_normal((4, 7))
     y = rng.standard_normal(4)
     w0 = rng.standard_normal(7)
-    config = GDConfig(step_size=0.9 / svd(x).s_max ** 2, max_iters=3000, grad_tol=grad_tol)
+    fields = dict(step_size=0.9 / svd(x).s_max ** 2, max_iters=3000, grad_tol=0.0) | config
+    return x, y, GDConfig(**fields), w0 if with_w0 else None
+
+
+def _assert_least_squares_matches(problem):
+    """Run ``problem`` through ``gd_least_squares`` and the reference loop
+    and compare bit for bit."""
+    x, y, config, w0 = problem
     run = gd_least_squares(x, y, config, w0=w0)
     w, converged, n_iters = _reference_least_squares(x, y, config, w0)
     assert (run.converged, run.n_iters) == (converged, n_iters)
-    assert converged == (grad_tol > 0)
-    np.testing.assert_array_equal(run.w, w)
+    np.testing.assert_array_equal(_bits(run.w), _bits(w))
+    return run
+
+
+@pytest.mark.parametrize("grad_tol", [0.0, 1e-6])
+def test_least_squares_loop_matches_the_reference_bit_for_bit(grad_tol):
+    run = _assert_least_squares_matches(_least_squares_problem(grad_tol=grad_tol))
+    assert run.converged == (grad_tol > 0)
 
 
 def _separable_problem(loss_name, **config):
@@ -568,6 +587,76 @@ def test_gradient_stop_on_a_block_row_matches(monkeypatch, loss_name, row):
     _put_step_on_block_row(monkeypatch, stop, row)
     run = _assert_matches_the_reference(_separable_problem(loss_name, grad_tol=0.1))
     assert run.n_iters == stop
+
+
+@pytest.mark.parametrize("with_w0", [True, False])
+@pytest.mark.parametrize("max_iters", [1, B - 1, B, B + 1, 3 * B + 7])
+def test_least_squares_runs_ending_on_each_side_of_a_block_boundary_match(with_w0, max_iters):
+    run = _assert_least_squares_matches(_least_squares_problem(with_w0, max_iters=max_iters))
+    assert (run.converged, run.n_iters) == (False, max_iters)
+
+
+@pytest.mark.parametrize("with_w0", [True, False])
+@pytest.mark.parametrize("row", ["first", "middle", "last"])
+def test_least_squares_gradient_stop_on_a_block_row_matches(monkeypatch, with_w0, row):
+    problem = _least_squares_problem(with_w0, grad_tol=1e-4)
+    x, y, config, w0 = problem
+    stop = _reference_least_squares(*problem)[2]
+    assert 3 < stop < config.max_iters
+    _put_step_on_block_row(monkeypatch, stop, row)
+    run = _assert_least_squares_matches(problem)
+    assert (run.converged, run.n_iters) == (True, stop)
+    # A run whose last step passes the gradient test has converged.
+    run = _assert_least_squares_matches((x, y, replace(config, max_iters=stop), w0))
+    assert (run.converged, run.n_iters) == (True, stop)
+
+
+@pytest.mark.parametrize("errstate", [{"all": "raise"}, {"under": "raise"}])
+def test_least_squares_faults_past_the_stop_leave_the_reference_run(errstate):
+    # r_k = -1e-150 / 2^k: the gradient test passes at step 7, and the
+    # squares of the residuals underflow from step 13, inside the block
+    # that holds step 7.  That block faults and is redone a step at a time.
+    x, y = np.array([[1.0]]), np.array([1e-150])
+    config = GDConfig(step_size=0.5, max_iters=B + 1, grad_tol=1e-152)
+    with np.errstate(**errstate):
+        with pytest.raises(FloatingPointError, match="underflow"):
+            _reference_least_squares(x, y, replace(config, grad_tol=0.0), None)
+        run = _assert_least_squares_matches((x, y, config, None))
+    assert (run.converged, run.n_iters) == (True, 7)
+
+
+def test_least_squares_on_no_samples_stops_at_the_start():
+    run = gd_least_squares(np.zeros((0, 3)), [], GDConfig(step_size=0.5), w0=[1.0, -2.0, 3.0])
+    assert (run.converged, run.n_iters) == (True, 0)
+    np.testing.assert_array_equal(run.w, [1.0, -2.0, 3.0])
+
+
+def test_a_wide_least_squares_run_holds_no_block_of_weight_rows():
+    # A block of 64 rows of 100000 weights and gradients would be 100 MB;
+    # the rows are capped by BLOCK_ELEMENTS, as the rows of margins are.
+    x = np.vstack([np.ones(100_000), np.linspace(-1.0, 1.0, 100_000)])
+    config = GDConfig(step_size=0.9 / svd(x).s_max ** 2, max_iters=3, grad_tol=0.0)
+    tracemalloc.start()
+    try:
+        gd_least_squares(x, [1.0, 2.0], config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * x.nbytes
+
+
+def test_polyfit_by_gradient_descent_is_the_reference_loop():
+    # The sample of test_gradient_descent_fit_agrees_with_pseudo_inverse,
+    # whose benign design converges well inside GD_MAX_ITERS.
+    rng = substream(63, "gd-vs-pinv")
+    xs = rng.uniform(-1.0, 1.0, 40)
+    ys = rng.standard_normal(40)
+    design = polyfit.legendre_design(xs, 8)
+    config = GDConfig(0.9 / svd(design).s_max ** 2, polyfit.GD_MAX_ITERS, polyfit.GD_GRAD_TOL)
+    w, converged, _ = _reference_least_squares(design, ys, config, None)
+    assert converged
+    coef = polyfit.fit_poly_min_norm(xs, ys, 8, via="gradient_descent")
+    np.testing.assert_array_equal(_bits(coef), _bits(w))
 
 
 def _reference_error(problem):

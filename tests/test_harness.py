@@ -1057,6 +1057,92 @@ def test_monte_carlo_runs_are_priced_at_their_traced_peak(
     assert _priced_bytes(cfg) + _NUMPY_SCRATCH >= share * peak
 
 
+@pytest.mark.parametrize(
+    "name, keys, dims",
+    [
+        ("implicit-bias", "n = 1000000\nd = 10000\n", "1000000 x 10000"),
+        ("polyfit", "degree = 100000\nn = 100000\ngrid_points = 100000\n", "100000 x 100001"),
+        ("emc", "d = 100000\nn_grid = 100000\n", "100000 x 100000"),
+    ],
+)
+def test_an_80_gb_draw_or_design_is_refused(tmp_path, monkeypatch, capsys, name, keys, dims):
+    # Each holds an n x d draw or design of about 80 GB.
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: 8 * 2**30)
+    cfg = _cfg(tmp_path, f"experiment = {name}\n{keys}")
+    assert main(["validate", "--config", cfg]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert dims in lines[0] and "exceeds physical memory" in lines[0]
+
+
+# implicit-bias at n = 300, d = 20: its 300 x 20 data and two copies.
+# polyfit at n = 20 and degree 30: the 20 x 31 sample design, its 20 x 20
+# U and 20 x 31 V^T, or, at 1000 grid points, the larger 1000 x 31 grid
+# design.  emc at d = 50 and n up to 80: the 80 x 50 draw and the 50 x 50
+# Gram matrix.
+_SINGLE_PROCESS_PRICES = {
+    "implicit-bias": (
+        "implicit-bias",
+        "n = 300\nd = 20\n",
+        3 * 300 * 20,
+        "300 x 20 + 300 x 20 + 300 x 20 float64",
+    ),
+    "polyfit-fit": (
+        "polyfit",
+        "degree = 30\nn = 20\ngrid_points = 10\n",
+        20 * 31 + 20 * 20 + 20 * 31,
+        "the sample design and its SVD factors, 20 x 31 + 20 x 20 + 20 x 31 float64",
+    ),
+    "polyfit-grid": (
+        "polyfit",
+        "degree = 30\nn = 20\ngrid_points = 1000\n",
+        1000 * 31,
+        "the grid design, 1000 x 31 float64",
+    ),
+    "emc": ("emc", "d = 50\nn_grid = 10, 80\n", 80 * 50 + 50 * 50, "80 x 50 + 50 x 50 float64"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SINGLE_PROCESS_PRICES))
+def test_single_process_runs_are_priced(tmp_path, monkeypatch, case):
+    name, keys, floats, dims = _SINGLE_PROCESS_PRICES[case]
+    cfg = _cfg(tmp_path, f"experiment = {name}\n{keys}")
+    size = 8 * floats
+    assert _priced_bytes(cfg) == size
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: size)
+    assert load_config(cfg)
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: size - 1)
+    with pytest.raises(ConfigError, match="exceeds physical memory") as info:
+        load_config(cfg)
+    assert f"{dims} (" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "name, keys, share",
+    [
+        # The max-margin solve's working arrays reach about 4.6 n x d at
+        # this size, beside the 3 n x d priced.
+        ("implicit-bias", "n = 400\nd = 100\nmax_iters = 20\n", 0.6),
+        ("polyfit", "degree = 300\nn = 400\n", 0.95),
+        # Beside the 31-column grid design: grid-length rows, such as the
+        # grid, the truth and the prediction.
+        ("polyfit", "degree = 30\nn = 20\ngrid_points = 20000\n", 0.8),
+        ("emc", "d = 400\nn_grid = 100, 400\ntrials = 1\n", 0.95),
+    ],
+)
+def test_single_process_runs_are_priced_at_their_traced_peak(tmp_path, name, keys, share):
+    cfg = _cfg(tmp_path, f"experiment = {name}\n{keys}")
+    config = load_config(cfg, output=str(tmp_path / "run.csv"))
+    runner.import_modules(config)
+    tracemalloc.start()
+    try:
+        runner.run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _priced_bytes(cfg) + _NUMPY_SCRATCH >= share * peak
+
+
 def test_every_sample_config_validates_on_a_small_host(monkeypatch, capsys):
     # 4 CPUs and 1 GiB: the MNIST sweep prices 4 x 210 MB.
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
