@@ -49,8 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical experiments on double descent and implicit bias.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (runner, *_) in EXPERIMENTS.items():
-        sp = sub.add_parser(name, help=runner.__doc__)
+    for name, experiment in EXPERIMENTS.items():
+        sp = sub.add_parser(name, help=experiment.run.__doc__)
         sp.add_argument("--config", required=True, help="path to the config file")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out", default=None, help="override the output CSV path")

@@ -98,7 +98,8 @@ def _hull_weights(a: np.ndarray) -> tuple[np.ndarray, int]:
     """
     n, d = a.shape
     e = np.vstack([a.T, np.ones(n)])
-    b = np.eye(d + 1)[d]
+    b = np.zeros(d + 1)
+    b[d] = 1.0
     tol = (n + d + 1) * np.finfo(float).eps * float(np.abs(e).sum(axis=0).max()) ** 2
     l, passive, solves = np.zeros(n), np.zeros(n, dtype=bool), 0
     while solves < 3 * n:

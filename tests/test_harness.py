@@ -26,12 +26,7 @@ from descentlab.harness import cli
 from descentlab.harness import config as config_module
 from descentlab.harness import runner
 from descentlab.harness.cli import main
-from descentlab.harness.config import (
-    SCHEMAS,
-    effective_config_lines,
-    load_config,
-    parse_config_text,
-)
+from descentlab.harness.config import effective_config_lines, load_config, parse_config_text
 from descentlab.harness.csvio import format_value, write_csv
 from descentlab.harness.datasets import (
     load_idx,
@@ -44,7 +39,7 @@ from descentlab.harness.datasets import (
 )
 from descentlab.harness.emc import emc_scan, min_norm_linear_procedure
 from descentlab.rff import kernel_approx_error, sample_map
-from descentlab.seeding import substream
+from descentlab.seeding import derive_seed, substream
 
 
 # ------------------------------------------------------------------ config
@@ -132,6 +127,10 @@ def test_load_config_rejections(tmp_path):
         "experiment = rff-sweep\nn_grid =\n",
         "experiment = kernel-approx\nn_grid =\n",
         "experiment = emc\nn_grid =\n",
+        # An empty entry may be a typo for a missing value.
+        "experiment = emc\nn_grid = 4,,8\n",
+        "experiment = emc\nn_grid = 4, 8,\n",
+        "experiment = polyfit\noutput =\n",
         "experiment = polyfit\nn = 0\n",
         "experiment = polyfit\ngrid_points = 0\n",
         "experiment = sparse-risk\ntest_points = 0\n",
@@ -237,7 +236,7 @@ def test_effective_lines_round_trip(tmp_path):
 
 
 def test_every_experiment_has_runnable_defaults(tmp_path):
-    for name in SCHEMAS:
+    for name in runner.EXPERIMENTS:
         path = tmp_path / f"{name}.cfg"
         path.write_text(f"experiment = {name}\n")
         config = load_config(path)
@@ -598,25 +597,50 @@ def test_help_lists_each_experiment_with_its_runner_docstring(capsys):
         main(["--help"])
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
-    for name, (run_fn, *_) in runner.EXPERIMENTS.items():
-        assert f" {name} {run_fn.__doc__} " in text
+    for name, experiment in runner.EXPERIMENTS.items():
+        assert f" {name} {experiment.run.__doc__} " in text
 
 
 def test_every_runner_has_a_one_line_docstring():
-    for run_fn, *_ in runner.EXPERIMENTS.values():
-        doc = run_fn.__doc__
-        assert doc and doc == doc.strip() and "\n" not in doc, run_fn.__name__
-
-
-def test_schemas_and_runners_name_the_same_experiments():
-    assert set(SCHEMAS) == set(runner.EXPERIMENTS)
+    for experiment in runner.EXPERIMENTS.values():
+        doc = experiment.run.__doc__
+        assert doc and doc == doc.strip() and "\n" not in doc, experiment.run.__name__
 
 
 def test_unknown_experiment_lists_every_experiment(tmp_path):
     cfg = _cfg(tmp_path, "experiment = nope\n")
     with pytest.raises(ConfigError, match=r"unknown experiment 'nope'; expected one of \[") as exc:
         load_config(cfg)
-    assert all(repr(name) in str(exc.value) for name in SCHEMAS)
+    assert all(repr(name) in str(exc.value) for name in runner.EXPERIMENTS)
+
+
+def test_an_experiment_is_one_entry_of_the_table(tmp_path, monkeypatch, capsys):
+    # A made-up experiment, named nowhere but in its entry: one field, a
+    # runner that writes one row and a price.
+    def run_toy(config, seeding):
+        """one row per config"""
+        k = config.parameters["k"]
+        runner._emit(config, ("k", "seed"), [(k, seeding.derive_seed(config.seed, "toy"))])
+
+    def price(p):
+        return (("toy rows", 1, ((p["k"], 1),)),)
+
+    fields = (config_module.Field("k", "int", 3, min=1),)
+    toy = runner.Experiment(run_toy, price, (".seeding",), fields)
+    monkeypatch.setitem(runner.EXPERIMENTS, "toy", toy)
+    cfg = _cfg(tmp_path, "experiment = toy\nk = 5\n")
+    assert load_config(cfg).parameters == {"k": 5}
+    assert main(["validate", "--config", cfg]) == 0
+    assert capsys.readouterr().out == "experiment = toy\nseed = 0\nk = 5\n"
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: 5 * 8 - 1)
+    assert main(["validate", "--config", cfg]) == 2
+    assert "the toy rows, 5 x 1 float64 (" in capsys.readouterr().err
+    monkeypatch.setattr(config_module, "_physical_memory", lambda: 5 * 8)
+    out = tmp_path / "toy.csv"
+    assert main(["toy", "--config", cfg, "--out", str(out)]) == 0
+    comments, columns, rows = read_rows(out)
+    assert comments == ["experiment = toy", "seed = 0", "k = 5"]
+    assert columns == ["k", "seed"] and rows == [["5", str(derive_seed(0, "toy"))]]
 
 
 def test_cli_runs_polyfit_end_to_end(tmp_path, capsys):
@@ -665,6 +689,18 @@ def test_cli_output_that_is_a_directory_is_a_one_line_config_error(tmp_path, cap
     assert all(line.startswith("config error: key 'output': ") for line in lines)
     assert all(str(target) in line for line in lines)
     assert list(target.iterdir()) == []
+
+
+def test_validate_refuses_an_output_under_a_file(tmp_path, capsys):
+    # Its directory cannot be created, so the run would fail only when it
+    # wrote its CSV.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for output in (blocker / "x.csv", blocker / "sub" / "x.csv"):
+        cfg = _cfg(tmp_path, f"experiment = polyfit\noutput = {output}\n")
+        assert main(["validate", "--config", cfg]) == 2
+        message = f"cannot write {output}: {blocker} is not a directory"
+        assert capsys.readouterr().err == f"config error: key 'output': {message}\n"
 
 
 def test_cli_output_replaced_by_a_directory_mid_run_is_one_line(tmp_path, monkeypatch, capsys):
@@ -938,7 +974,7 @@ def test_a_sweep_whose_feature_matrix_fits_alone_is_refused(
 def _priced_bytes(path):
     """What validate prices a config at: every process's arrays, in bytes."""
     config = load_config(path)
-    arrays = config_module._largest_arrays(config.experiment, config.parameters)
+    arrays = runner.EXPERIMENTS[config.experiment].price(config.parameters)
     return sum(copies * sum(r * c for r, c in shapes) * 8 for _, copies, shapes in arrays)
 
 
@@ -1075,17 +1111,19 @@ def test_an_80_gb_draw_or_design_is_refused(tmp_path, monkeypatch, capsys, name,
     assert dims in lines[0] and "exceeds physical memory" in lines[0]
 
 
-# implicit-bias at n = 300, d = 20: its 300 x 20 data and two copies.
-# polyfit at n = 20 and degree 30: the 20 x 31 sample design, its 20 x 20
-# U and 20 x 31 V^T, or, at 1000 grid points, the larger 1000 x 31 grid
-# design.  emc at d = 50 and n up to 80: the 80 x 50 draw and the 50 x 50
-# Gram matrix.
+# implicit-bias at n = 300, d = 20 and 1001 records: the step engine's
+# phase, the 300 x 20 data, rows -y_i x_i and their signed form, the
+# blocks of 55 rows (2 x 55 of 20 weights and gradients, 3 x 55 of 300
+# margins, terms and weights) and 2 x 1001 directions.  polyfit at n = 20
+# and degree 30: the 20 x 31 sample design, its 20 x 20 U and 20 x 31 V^T,
+# or, at 1000 grid points, the larger 1000 x 31 grid design.  emc at d = 50
+# and n up to 80: the 80 x 50 draw and the 50 x 50 Gram matrix.
 _SINGLE_PROCESS_PRICES = {
     "implicit-bias": (
         "implicit-bias",
         "n = 300\nd = 20\n",
-        3 * 300 * 20,
-        "300 x 20 + 300 x 20 + 300 x 20 float64",
+        3 * 300 * 20 + 110 * 20 + 165 * 300 + 2002 * 20,
+        "300 x 20 + 300 x 20 + 300 x 20 + 110 x 20 + 165 x 300 + 2002 x 20 float64",
     ),
     "polyfit-fit": (
         "polyfit",
@@ -1120,9 +1158,10 @@ def test_single_process_runs_are_priced(tmp_path, monkeypatch, case):
 @pytest.mark.parametrize(
     "name, keys, share",
     [
-        # The max-margin solve's working arrays reach about 4.6 n x d at
-        # this size, beside the 3 n x d priced.
-        ("implicit-bias", "n = 400\nd = 100\nmax_iters = 20\n", 0.6),
+        # n > d + 1 and n < d + 1: the step engine's phase and the
+        # max-margin solve's are the larger.
+        ("implicit-bias", "n = 400\nd = 100\nmax_iters = 20\n", 0.95),
+        ("implicit-bias", "n = 100\nd = 400\nmax_iters = 20\n", 0.95),
         ("polyfit", "degree = 300\nn = 400\n", 0.95),
         # Beside the 31-column grid design: grid-length rows, such as the
         # grid, the truth and the prediction.
@@ -1179,12 +1218,7 @@ def _readme_columns():
 
 
 def test_readme_lists_every_experiment():
-    assert (
-        sorted(_readme_columns())
-        == sorted(SCHEMAS)
-        == sorted(runner.EXPERIMENTS)
-        == sorted(_TINY_CONFIGS)
-    )
+    assert sorted(_readme_columns()) == sorted(runner.EXPERIMENTS) == sorted(_TINY_CONFIGS)
 
 
 @pytest.mark.parametrize("name", sorted(_TINY_CONFIGS))

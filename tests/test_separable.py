@@ -1,6 +1,7 @@
 """Tests for the hard-margin SVM and implicit bias runs on separable data."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,20 @@ def test_svm_dual_primal_consistency():
     off = np.setdiff1d(np.arange(len(y)), sol.support)
     assert np.all(sol.alpha[off] <= 1e-8)
     assert np.linalg.norm(sol.direction) == pytest.approx(1.0)
+
+
+def test_svm_memory_is_a_few_copies_of_the_data_when_d_is_large():
+    # The solve holds the signed points, [A^T; 1^T], its passive columns
+    # and their SVD factors: at n = 4 each is the size of the data.  A
+    # (d + 1) x (d + 1) matrix would be 3.2 GB here.
+    x, y, witness = generate_separable(4, 20000, 0.5, seed=57)
+    tracemalloc.start()
+    try:
+        hard_margin_svm(x, y, witness=witness)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * x.nbytes
 
 
 # ----------------------------------------------------------- direction gap
